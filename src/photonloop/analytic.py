@@ -34,27 +34,34 @@ __all__ = [
 MAX_SUM_TERMS = 10_000_000
 
 
-def bin_exit_prob(config: LoopConfig, j: int) -> float:
-    """Per-photon probability of leaving the loop into time bin j (1-based).
+def bin_exit_prob(config: LoopConfig, j):
+    """Per-photon probability q_j of leaving the loop into time bin j (1-based).
 
     Active: q_j = (1-R) R^(j-1) eta^j for all j >= 1.
     Passive: q_1 = R (direct reflection, no loop pass);
     q_j = (1-R)^2 R^(j-2) eta^(j-1) for j >= 2.
+
+    This is the only place q_j is written down. ``j`` is an int (returns a
+    float) or an integer array (returns an array of the same shape).
     """
-    if j < 1:
+    j_arr = np.asarray(j)
+    if (j_arr < 1).any():
         raise ValueError(f"j must be >= 1, got {j}")
     R, eta = config.R, config.eta
+    jf = j_arr.astype(float)
     if config.mode is Mode.ACTIVE:
-        return (1.0 - R) * R ** (j - 1) * eta**j
-    if j == 1:
-        return R
-    return (1.0 - R) ** 2 * R ** (j - 2) * eta ** (j - 1)
+        q = (1.0 - R) * R ** (jf - 1.0) * eta**jf
+    else:
+        # the j >= 2 branch is clamped at j = 1 so that R = 0 cannot divide by zero there
+        loop = (1.0 - R) ** 2 * R ** np.maximum(jf - 2.0, 0.0) * eta ** (jf - 1.0)
+        q = np.where(j_arr == 1, R, loop)
+    return float(q) if q.ndim == 0 else q
 
 
 def bin_exit_probs(config: LoopConfig, n_bins: int | None = None) -> np.ndarray:
     """Vector of q_j for j = 1..n_bins (default: config.n_bins)."""
     n = config.n_bins if n_bins is None else n_bins
-    return np.array([bin_exit_prob(config, j) for j in range(1, n + 1)])
+    return bin_exit_prob(config, np.arange(1, n + 1))
 
 
 def _no_click_power(q: float, n) -> np.ndarray | float:

@@ -56,7 +56,7 @@ def power_to_photons(power_watts: float, rep_rate_hz: float, wavelength_m: float
     return power_watts / (photon_energy * rep_rate_hz)
 
 
-def _inversion_coefficient(config: LoopConfig, j: int) -> float:
+def _inversion_coefficient(config: LoopConfig, j):
     """Maps ln[(1-nu)/(1-p_j)] to the total mean output photon number.
 
     Equals (total output fraction) / q_j; for an active loop it depends on
@@ -65,78 +65,91 @@ def _inversion_coefficient(config: LoopConfig, j: int) -> float:
     return analytic.output_fraction(config) / analytic.bin_exit_prob(config, j)
 
 
-def _log_ratio(p_j: float, nu: float) -> float:
-    # ln[(1-nu)/(1-p_j)], stable for p_j close to nu
-    return math.log1p((p_j - nu) / (1.0 - p_j))
+def _float_if_scalar(value):
+    """A 0-d result (every input was a scalar) as a float; arrays unchanged."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def estimate_nout_per_bin(config: LoopConfig, p_j: float, j: int) -> float:
+def estimate_nout_per_bin(config: LoopConfig, p_j, j):
     """Per-bin estimate of the total mean output photon number.
 
     Inverts the coherent-state click probability of bin j, so a coherent
-    input is assumed. Raises ``SaturatedBin`` when p_j is too close to 1 for
-    the logarithm to be meaningful and ``BelowNoise`` when p_j is under the
-    dark-count floor.
+    input is assumed. ``p_j`` and ``j`` are scalars (returns a float) or
+    arrays that broadcast together (returns an array). Raises
+    ``SaturatedBin`` when a p_j is too close to 1 for the logarithm to be
+    meaningful and ``BelowNoise`` when a p_j is under the dark-count floor;
+    the message names the first such bin.
     """
-    if 1.0 - p_j <= _EPS:
-        raise SaturatedBin(f"bin {j}: p = {p_j} is saturated")
-    if p_j < config.nu:
-        raise BelowNoise(f"bin {j}: p = {p_j} is below the dark-count floor {config.nu}")
-    return _inversion_coefficient(config, j) * _log_ratio(p_j, config.nu)
+    p, jb = np.broadcast_arrays(np.asarray(p_j, dtype=float), np.asarray(j))
+    saturated = np.flatnonzero(1.0 - p <= _EPS)
+    if len(saturated):
+        k = saturated[0]
+        raise SaturatedBin(f"bin {jb.flat[k]}: p = {p.flat[k]} is saturated")
+    below = np.flatnonzero(p < config.nu)
+    if len(below):
+        k = below[0]
+        raise BelowNoise(
+            f"bin {jb.flat[k]}: p = {p.flat[k]} is below the dark-count floor {config.nu}"
+        )
+    # ln[(1-nu)/(1-p_j)], stable for p_j close to nu
+    log_ratio = np.log1p((p - config.nu) / (1.0 - p))
+    return _float_if_scalar(_inversion_coefficient(config, jb) * log_ratio)
 
 
-def _central_diff(f, x: float, lo: float, hi: float, rel_step: float = 6e-6) -> float:
-    h = rel_step * max(abs(x), 1e-3)
-    a = max(lo, x - h)
-    b = min(hi, x + h)
-    return (f(b) - f(a)) / (b - a)
-
-
-def nout_partial_derivatives(config: LoopConfig, p_j: float, j: int) -> dict[str, float]:
+def nout_partial_derivatives(config: LoopConfig, p_j, j) -> dict:
     """Partial derivatives of the per-bin estimate wrt p_j, R, eta, nu.
 
-    The passive j >= 2 branch uses closed-form log-derivatives of the
-    inversion formula (the R terms are grouped so the expression stays
-    finite at R = 1/2); every other branch differentiates the inversion
-    numerically.
+    Every branch is a closed form. The estimate is C_j ln[(1-nu)/(1-p_j)]
+    with the inversion coefficient C_j = (output fraction) / q_j, so the R
+    and eta partials are the estimate times d ln C_j. With s = R eta and
+    D = R + eta - 2 R eta:
+
+    - active: C_j = 1/((1-s) s^(j-1)), so d ln C_j/dR = eta g and
+      d ln C_j/d eta = R g with g = 1/(1-s) - (j-1)/s;
+    - passive: C_j = D/((1-s) q_j), so d ln C_j/dR = (1-2 eta)/D + eta/(1-s)
+      - d ln q_j/dR and d ln C_j/d eta = (1-2R)/D + R/(1-s) - (j-1)/eta,
+      where d ln q_j/dR is 1/R for j = 1 and (j-2)/R - 2/(1-R) for j >= 2.
+
+    Accepts scalars or broadcastable arrays like :func:`estimate_nout_per_bin`
+    and returns floats or arrays to match.
     """
     nout = estimate_nout_per_bin(config, p_j, j)
-    coeff = _inversion_coefficient(config, j)
-    d_p = coeff / (1.0 - p_j)
-    d_nu = -coeff / (1.0 - config.nu)
+    p, jf = np.broadcast_arrays(np.asarray(p_j, dtype=float), np.asarray(j, dtype=float))
+    coeff = _inversion_coefficient(config, jf)
     R, eta = config.R, config.eta
-    if config.mode is Mode.PASSIVE and j >= 2:
-        denom = R + eta - 2.0 * R * eta
-        d_r = nout * (
-            (1.0 - j) / R
-            + 1.0 / (R * (1.0 - R * eta))
-            + (1.0 + R - 2.0 * R * eta) / (denom * (1.0 - R))
-        )
-        d_eta = nout * (
-            (1.0 - j) / eta + (1.0 - R) ** 2 / (denom * (1.0 - R * eta))
-        )
+    s = R * eta
+    if config.mode is Mode.ACTIVE:
+        g = 1.0 / (1.0 - s) - (jf - 1.0) / s
+        dln_r, dln_eta = eta * g, R * g
     else:
-        d_r = _central_diff(
-            lambda r: estimate_nout_per_bin(replace(config, R=r), p_j, j), R, 0.0, 1.0
-        )
-        d_eta = _central_diff(
-            lambda e: estimate_nout_per_bin(replace(config, eta=e), p_j, j), eta, 0.0, 1.0
-        )
-    return {"p": d_p, "R": d_r, "eta": d_eta, "nu": d_nu}
+        denom = R + eta - 2.0 * s
+        dln_q_r = np.where(jf == 1.0, 1.0 / R, (jf - 2.0) / R - 2.0 / (1.0 - R))
+        dln_r = (1.0 - 2.0 * eta) / denom + eta / (1.0 - s) - dln_q_r
+        dln_eta = (1.0 - 2.0 * R) / denom + R / (1.0 - s) - (jf - 1.0) / eta
+    partials = {
+        "p": coeff / (1.0 - p),
+        "R": nout * dln_r,
+        "eta": nout * dln_eta,
+        "nu": -coeff / (1.0 - config.nu),
+    }
+    return {key: _float_if_scalar(value) for key, value in partials.items()}
 
 
-def propagate_sigma_nout(config: LoopConfig, p_j: float, sigma_p: float, j: int) -> float:
+def propagate_sigma_nout(config: LoopConfig, p_j, sigma_p, j):
     """Gaussian-propagated uncertainty of the per-bin photon-number estimate.
 
     Four-term quadrature over the uncertainties of the click probability
-    (``sigma_p``) and of R, eta, nu (taken from ``config``).
+    (``sigma_p``) and of R, eta, nu (taken from ``config``). Accepts scalars
+    or broadcastable arrays and returns a float or an array to match.
     """
     d = nout_partial_derivatives(config, p_j, j)
-    return math.sqrt(
-        (d["p"] * sigma_p) ** 2
-        + (d["R"] * config.sigma_R) ** 2
-        + (d["eta"] * config.sigma_eta) ** 2
-        + (d["nu"] * config.sigma_nu) ** 2
+    return _float_if_scalar(
+        np.sqrt(
+            (d["p"] * np.asarray(sigma_p, dtype=float)) ** 2
+            + (d["R"] * config.sigma_R) ** 2
+            + (d["eta"] * config.sigma_eta) ** 2
+            + (d["nu"] * config.sigma_nu) ** 2
+        )
     )
 
 
@@ -149,32 +162,14 @@ def weighted_mean_nout(
     non-positive sigma are skipped. Returns (mean, sigma) with
     sigma = 1/sqrt(sum of weights).
     """
-    values, weights = [], []
-    for j, (x, s) in enumerate(estimates, start=1):
-        if j < j_min or not (math.isfinite(x) and math.isfinite(s)) or s <= 0:
-            continue
-        values.append(x)
-        weights.append(1.0 / s**2)
-    if not values:
+    est = np.asarray(list(estimates), dtype=float).reshape(-1, 2)
+    x, sigma = est[:, 0], est[:, 1]
+    ok = np.isfinite(x) & np.isfinite(sigma) & (sigma > 0)
+    ok &= np.arange(1, len(est) + 1) >= j_min
+    if not ok.any():
         raise NoValidBins(f"no usable per-bin estimate at or above bin {j_min}")
-    values = np.asarray(values)
-    weights = np.asarray(weights)
-    return float((weights @ values) / weights.sum()), float(1.0 / math.sqrt(weights.sum()))
-
-
-def _coherent_model_passive(
-    R: float, eta: float, nbar: float, nu: float, n_bins: int
-) -> np.ndarray:
-    j = np.arange(2, n_bins + 1)
-    q = np.empty(n_bins)
-    q[0] = R
-    q[1:] = (1.0 - R) ** 2 * R ** (j - 2) * eta ** (j - 1)
-    return 1.0 - (1.0 - nu) * np.exp(-q * nbar)
-
-
-def _coherent_model_active(s: float, amp: float, nu: float, n_bins: int) -> np.ndarray:
-    j = np.arange(1, n_bins + 1)
-    return 1.0 - (1.0 - nu) * np.exp(-amp * s ** (j - 1.0))
+    weights = 1.0 / sigma[ok] ** 2
+    return float((weights @ x[ok]) / weights.sum()), float(1.0 / math.sqrt(weights.sum()))
 
 
 def _decay_slope(log_l: np.ndarray, js: np.ndarray) -> float:
@@ -195,12 +190,15 @@ def _fit_starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarr
 def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult:
     """Weighted nonlinear least squares of the coherent click model.
 
-    Fits (R, eta, nbar) for a passive loop. For an active loop the data
-    constrain only the product R*eta and the overall brightness, so the fit
-    is performed in those coordinates, ``r_eta_hat`` carries the product and
-    the individual parameters are reported as NaN with ``identifiable``
-    False. ``nu`` is held fixed at the separately measured value from
-    ``config_prior``.
+    The model is p_j = 1 - (1 - nu) exp(-q_j nbar), with q_j from
+    :func:`analytic.bin_exit_prob`. Fits (R, eta, nbar) for a passive loop.
+    For an active loop the data constrain only the product R*eta and the
+    overall brightness, so the loop is represented as (R, eta) = (R*eta, 1):
+    q_j = (1 - s) s^(j-1) with s = R*eta, and the fit is over (s, nbar).
+    ``r_eta_hat`` carries the product and the individual parameters are
+    reported as NaN with ``identifiable`` False; :func:`calibrate` inverts
+    with the same representation. ``nu`` is held fixed at the separately
+    measured value from ``config_prior``.
 
     Weighting is inverse-variance and iteratively refined: the first pass
     uses the confidence widths of the measured click probabilities, later
@@ -229,7 +227,8 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
     slope = _decay_slope(np.log(L[decay]), js) if decay.sum() >= 2 else math.log(0.5)
     s0 = min(max(math.exp(slope), 1e-3), 0.999)
 
-    if config_prior.mode is Mode.PASSIVE:
+    passive = config_prior.mode is Mode.PASSIVE
+    if passive:
         if usable[0] and usable[1]:
             ratio = L[1] / L[0]
             r0 = 1.0 / (1.0 + math.sqrt(max(ratio / s0, 1e-12)))
@@ -240,13 +239,16 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
         x0 = np.array([r0, eta0, max(nbar0, 1e-6)])
         lo = np.array([1e-9, 1e-9, 0.0])
         hi = np.array([1.0 - 1e-9, 1.0, np.inf])
-        model = lambda x: _coherent_model_passive(x[0], x[1], x[2], nu, n_bins)
     else:
-        amp0 = L[0] if usable[0] else max(np.nanmax(L), 0.1)
-        x0 = np.array([s0, max(amp0, 1e-6)])
+        nbar0 = (L[0] if usable[0] else max(np.nanmax(L), 0.1)) / (1.0 - s0)
+        x0 = np.array([s0, max(nbar0, 1e-6)])
         lo = np.array([1e-9, 0.0])
         hi = np.array([1.0 - 1e-9, np.inf])
-        model = lambda x: _coherent_model_active(x[0], x[1], nu, n_bins)
+    bins = np.arange(1, n_bins + 1)
+
+    def model(x):
+        loop = replace(config_prior, R=x[0], eta=x[1] if passive else 1.0)
+        return 1.0 - (1.0 - nu) * np.exp(-analytic.bin_exit_prob(loop, bins) * x[-1])
 
     best = None
     for start in _fit_starts(x0, lo, hi):
@@ -282,7 +284,7 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
     residual_norm = float(2.0 * best.cost)
     dof = n_bins - len(x0)
 
-    if config_prior.mode is Mode.PASSIVE:
+    if passive:
         r, eta, nbar = best.x
         var_prod = (
             (eta * perr[0]) ** 2 + (r * perr[1]) ** 2 + 2.0 * r * eta * cov[0, 1]
@@ -300,7 +302,6 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
             sigma_r_eta=float(math.sqrt(max(var_prod, 0.0))),
             identifiable=True,
         )
-    s, _amp = best.x
     nan = float("nan")
     return FitResult(
         R_hat=nan,
@@ -311,7 +312,7 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
         sigma_nbar=nan,
         residual_norm=residual_norm,
         dof=dof,
-        r_eta_hat=float(s),
+        r_eta_hat=float(best.x[0]),
         sigma_r_eta=float(perr[0]),
         identifiable=False,
     )
@@ -356,23 +357,18 @@ def _auto_j_min(per_bin: np.ndarray) -> int:
 
     Guards against systematically undercounting early bins (e.g. from
     back-reflection dead time): a bin is accepted once it deviates from the
-    running tail mean by less than twice its own sigma.
+    inverse-variance weighted mean of the later usable bins by less than
+    twice its own sigma. The tail means come from reverse cumulative sums.
     """
-    valid = [
-        j
-        for j in range(1, len(per_bin) + 1)
-        if math.isfinite(per_bin[j - 1, 0]) and per_bin[j - 1, 1] > 0
-    ]
-    for idx, j in enumerate(valid):
-        tail = valid[idx + 1 :]
-        if not tail:
-            return j
-        wm, _ = weighted_mean_nout(
-            [(per_bin[t - 1, 0], per_bin[t - 1, 1]) for t in tail]
-        )
-        if abs(per_bin[j - 1, 0] - wm) < 2.0 * per_bin[j - 1, 1]:
-            return j
-    return valid[-1] if valid else 1
+    valid = np.flatnonzero(np.isfinite(per_bin[:, 0]) & (per_bin[:, 1] > 0))
+    if not len(valid):
+        return 1
+    x, sigma = per_bin[valid, 0], per_bin[valid, 1]
+    w = 1.0 / sigma**2
+    tail_w = np.cumsum(w[::-1])[::-1][1:]
+    tail_wx = np.cumsum((w * x)[::-1])[::-1][1:]
+    agrees = np.append(np.abs(x[:-1] - tail_wx / tail_w) < 2.0 * sigma[:-1], True)
+    return int(valid[np.argmax(agrees)]) + 1
 
 
 def calibrate(
@@ -388,8 +384,13 @@ def calibrate(
     """Full bright-run calibration from a histogram and fitted loop parameters.
 
     Every bin of the bright histogram is inverted into an estimate of the
-    mean output photon number with its propagated sigma; saturated and
-    below-noise bins are excluded and reported. A bin counts as saturated
+    mean output photon number with its propagated sigma, all usable bins in
+    one array call of :func:`estimate_nout_per_bin` and
+    :func:`propagate_sigma_nout` (closed-form partials on every branch).
+    Saturated and below-noise bins are masked out and reported. For an
+    active fit (``fit.identifiable`` False) the loop is represented as
+    (R, eta) = (R*eta, 1), as in :func:`fit_loop_params`; the inversion
+    depends on R and eta only through their product. A bin counts as saturated
     unless at least ``min_misses`` pulses produced no click in it: the
     inversion goes through log(1/(1 - p)), and with fewer misses the log of
     the noisy miss rate is both unstable and systematically biased high.
@@ -408,47 +409,27 @@ def calibrate(
             sigma_eta=fit.sigma_eta,
         )
     else:
-        # active loop: the inversion depends only on the product R*eta, so
-        # fold the fitted product into R and pin eta at 1
         cal_cfg = replace(
             config, R=fit.r_eta_hat, eta=1.0, sigma_R=fit.sigma_r_eta, sigma_eta=0.0
         )
 
-    n_bins = hist_bright.n_bins
-    sigma_p = hist_bright.sigma_p()
-    per_bin = np.full((n_bins, 2), np.nan)
-    saturated: list[int] = []
-    below_noise: list[int] = []
-    for j in range(1, n_bins + 1):
-        p = float(hist_bright.p_hat[j - 1])
-        if hist_bright.clicks[j - 1] > hist_bright.trials - min_misses:
-            saturated.append(j)
-            continue
-        try:
-            est = estimate_nout_per_bin(cal_cfg, p, j)
-            sig = propagate_sigma_nout(cal_cfg, p, float(sigma_p[j - 1]), j)
-        except SaturatedBin:
-            saturated.append(j)
-            continue
-        except BelowNoise:
-            below_noise.append(j)
-            continue
-        per_bin[j - 1] = (est, sig)
+    p = hist_bright.p_hat
+    j = np.arange(1, hist_bright.n_bins + 1)
+    saturated = (hist_bright.clicks > hist_bright.trials - min_misses) | (1.0 - p <= _EPS)
+    below_noise = ~saturated & (p < config.nu)
+    ok = ~(saturated | below_noise)
+    per_bin = np.full((hist_bright.n_bins, 2), np.nan)
+    per_bin[ok, 0] = estimate_nout_per_bin(cal_cfg, p[ok], j[ok])
+    per_bin[ok, 1] = propagate_sigma_nout(cal_cfg, p[ok], hist_bright.sigma_p()[ok], j[ok])
 
     if not np.isfinite(per_bin[:, 0]).any():
         raise NoValidBins("every bin is saturated or below the noise floor")
     if j_min is None:
         j_min = _auto_j_min(per_bin)
 
-    n_measured, sigma_n = weighted_mean_nout(
-        [(per_bin[j - 1, 0], per_bin[j - 1, 1]) for j in range(1, n_bins + 1)],
-        j_min=j_min,
-    )
-    included = tuple(
-        j
-        for j in range(j_min, n_bins + 1)
-        if math.isfinite(per_bin[j - 1, 0]) and per_bin[j - 1, 1] > 0
-    )
+    n_measured, sigma_n = weighted_mean_nout(per_bin, j_min=j_min)
+    usable = np.isfinite(per_bin[:, 0]) & (per_bin[:, 1] > 0) & (j >= j_min)
+    included = tuple(j[usable].tolist())
 
     sde = sigma_sde = None
     if n_pm is not None:
@@ -468,8 +449,8 @@ def calibrate(
         n_measured=n_measured,
         sigma_n_measured=sigma_n,
         included_bins=included,
-        saturated_bins=tuple(saturated),
-        below_noise_bins=tuple(below_noise),
+        saturated_bins=tuple(j[saturated].tolist()),
+        below_noise_bins=tuple(j[below_noise].tolist()),
         sde=sde,
         sigma_sde=sigma_sde,
         dynamic_range_db=dr,

@@ -40,6 +40,7 @@ SCHEMA_VERSION = 1
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(LoopConfig)}
 _REQUIRED_FIELDS = {"mode", "R", "eta", "nu"}
+_INTEGER_FIELDS = {"n_bins", "loop_delay_ps", "gate_width_ps", "n_max_guard"}
 
 
 def load_loop_config(path: str) -> LoopConfig:
@@ -54,6 +55,13 @@ def load_loop_config(path: str) -> LoopConfig:
     missing = sorted(_REQUIRED_FIELDS - set(data))
     if missing:
         raise ValueError(f"config file {path} is missing required field '{missing[0]}'")
+    for name, value in data.items():
+        if name == "mode" or (name == "n_max_guard" and value is None):
+            continue
+        kind = int if name in _INTEGER_FIELDS else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            expected = "an integer" if name in _INTEGER_FIELDS else "a number"
+            raise ValueError(f"config field '{name}' in {path} must be {expected}, got {value!r}")
     return LoopConfig(**data)
 
 
@@ -144,9 +152,7 @@ def read_tags_csv(path: str) -> TimeTagStream:
     else:
         data = np.loadtxt(body.splitlines(), delimiter=",", dtype=np.int64, ndmin=2)
         channels, times = data[:, 0], data[:, 1]
-    sync_times = times[channels == 0]
-    period = int(sync_times[1] - sync_times[0]) if len(sync_times) > 1 else 1
-    return TimeTagStream(channels=channels, times_ps=times, sync_period_ps=max(period, 1))
+    return TimeTagStream(channels=channels, times_ps=times)
 
 
 def _write_report(path: str, payload: dict):
@@ -218,12 +224,18 @@ def simulate(
             dead_time_ps=dead_time_ps,
         )
     opts = simulator.SimOptions(n_pulses=pulses, seed=seed, artifact=artifact)
-    hist, _stats = simulator.simulate_ensemble(config, source, opts)
-    write_histogram_csv(hist, hist_path)
+    if artifact is None:
+        hist, _stats = simulator.simulate_ensemble(config, source, opts)
+        write_histogram_csv(hist, hist_path)
+        if tags_path is None:
+            return
+    if rep_period_ps is None:
+        rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
+    stream = simulator.emit_time_tags(config, source, opts, rep_period_ps)
+    if artifact is not None:
+        # artifacts act on the detector records, so the histogram is gated from them
+        write_histogram_csv(clickstats.ingest_time_tags(stream, config).histogram, hist_path)
     if tags_path is not None:
-        if rep_period_ps is None:
-            rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
-        stream = simulator.emit_time_tags(config, source, opts, rep_period_ps)
         write_tags_csv(stream, tags_path)
 
 

@@ -402,7 +402,6 @@ class TimeTagStream:
 
     channels: np.ndarray
     times_ps: np.ndarray
-    sync_period_ps: int
     sync_channel: int = 0
     detector_channel: int = 1
 
@@ -410,7 +409,6 @@ class TimeTagStream:
         channels = np.asarray(self.channels, dtype=np.int64)
         times = np.asarray(self.times_ps, dtype=np.int64)
         _require(channels.shape == times.shape, "channels and times_ps must have equal length")
-        _require(self.sync_period_ps > 0, f"sync_period_ps must be positive, got {self.sync_period_ps}")
         if len(times) > 1:
             bad = np.nonzero(np.diff(times) < 0)[0]
             if len(bad):

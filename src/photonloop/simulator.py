@@ -52,7 +52,6 @@ class ArtifactModel:
     back_reflection_prob: float
     reflection_delay_ps: int
     dead_time_ps: int
-    enabled: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.back_reflection_prob < 1.0:
@@ -162,12 +161,7 @@ def simulate_pulse(
     config: LoopConfig, source: PhotonSource, rng: np.random.Generator
 ) -> frozenset[int]:
     """Simulate a single pulse; returns the set of fired bins (1-based)."""
-    n = int(source.sample(rng, 1)[0])
-    _check_guard(config, np.asarray([n]))
-    counts = rng.multinomial(n, _routing_pvals(config))
-    fired = counts[: config.n_bins] > 0
-    if config.nu > 0.0:
-        fired |= rng.random(config.n_bins) < config.nu
+    fired = _simulate_block(config, source, rng, 1)[0]
     return frozenset((np.nonzero(fired)[0] + 1).tolist())
 
 
@@ -180,9 +174,16 @@ def simulate_ensemble(
     ``(ClickHistogram, ClickPatternStats)``. With ``record_patterns`` the
     raw (n_pulses, n_bins) boolean pattern matrix is attached as well.
     Deterministic for a fixed seed, independent of ``n_workers``.
+
+    Artifacts act on detector records, which only :func:`emit_time_tags`
+    produces; ``opts.artifact`` is rejected here rather than ignored.
     """
     if opts.n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {opts.n_pulses}")
+    if opts.artifact is not None:
+        raise ValueError(
+            "simulate_ensemble does not model artifacts; gate the stream of emit_time_tags"
+        )
     n_bins = config.n_bins
 
     def run_block(args):
@@ -233,7 +234,7 @@ def emit_time_tags(
     One sync record marks each pulse start; a detector record is placed at
     ``start + j * loop_delay_ps`` for every fired bin j. With artifacts
     disabled, ingesting the stream reproduces :func:`simulate_ensemble`
-    exactly (the pattern RNG stream is shared). With artifacts enabled,
+    exactly (the pattern RNG stream is shared). With ``opts.artifact`` set,
     back-reflection records and dead-time suppression are applied to the
     detector channel.
     """
@@ -241,7 +242,7 @@ def emit_time_tags(
         raise ValueError(
             f"rep_period_ps must exceed n_bins * loop_delay_ps, got {rep_period_ps}"
         )
-    artifact = opts.artifact if (opts.artifact and opts.artifact.enabled) else None
+    artifact = opts.artifact
     if artifact and artifact.reflection_delay_ps % config.loop_delay_ps == 0:
         raise ValueError(
             "reflection_delay_ps must not be a multiple of loop_delay_ps; "
@@ -272,6 +273,4 @@ def emit_time_tags(
     )
     times = np.concatenate([sync_times, det_times])
     order = np.lexsort((channels, times))
-    return TimeTagStream(
-        channels=channels[order], times_ps=times[order], sync_period_ps=rep_period_ps
-    )
+    return TimeTagStream(channels=channels[order], times_ps=times[order])

@@ -155,6 +155,14 @@ class TestPhotonFlows:
             assert partial + tail == pytest.approx(analytic.output_fraction(cfg), abs=1e-12)
             assert analytic.output_fraction(cfg) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("R", [0.0, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("make", [active, passive])
+    def test_vector_matches_scalar_at_edges(self, make, R, eta):
+        cfg = make(R=R, eta=eta)
+        q = analytic.bin_exit_probs(cfg, n_bins=6)
+        assert q.tolist() == [analytic.bin_exit_prob(cfg, j) for j in range(1, 7)]
+
     def test_divergent_loop_rejected(self):
         with pytest.raises(DivergentLoop):
             analytic.total_output_photons(passive(R=1.0, eta=1.0), 1.0)

@@ -109,16 +109,17 @@ class TestSigmaPropagation:
 
     def test_partials_match_finite_differences_all_branches(self):
         grid = [
-            ("passive", 1), ("passive", 2), ("passive", 17),
-            ("active", 1), ("active", 9),
+            ("passive", 1, 0.45), ("passive", 2, 0.45), ("passive", 17, 0.45),
+            ("active", 1, 0.45), ("active", 9, 0.45),
+            ("active", 2, 0.5), ("passive", 1, 0.5),
         ]
-        for mode, j in grid:
-            cfg = LoopConfig(mode=mode, R=0.45, eta=0.9, nu=3e-4)
+        for mode, j, R in grid:
+            cfg = LoopConfig(mode=mode, R=R, eta=0.9, nu=3e-4)
             p = 0.2
             d = calibration.nout_partial_derivatives(cfg, p, j)
             fd_r = (
-                calibration.estimate_nout_per_bin(replace(cfg, R=0.45 + 1e-7), p, j)
-                - calibration.estimate_nout_per_bin(replace(cfg, R=0.45 - 1e-7), p, j)
+                calibration.estimate_nout_per_bin(replace(cfg, R=R + 1e-7), p, j)
+                - calibration.estimate_nout_per_bin(replace(cfg, R=R - 1e-7), p, j)
             ) / 2e-7
             fd_eta = (
                 calibration.estimate_nout_per_bin(replace(cfg, eta=0.9 + 1e-7), p, j)
@@ -288,7 +289,66 @@ def perfect_fit(cfg, sigma_R=1e-6, sigma_eta=1e-6):
     )
 
 
+def auto_j_min_reference(per_bin):
+    """The O(N^2) selection: one weighted mean over the later bins per candidate."""
+    valid = [
+        j
+        for j in range(1, len(per_bin) + 1)
+        if math.isfinite(per_bin[j - 1, 0]) and per_bin[j - 1, 1] > 0
+    ]
+    for idx, j in enumerate(valid):
+        tail = valid[idx + 1 :]
+        if not tail:
+            return j
+        wm, _ = calibration.weighted_mean_nout(
+            [(per_bin[t - 1, 0], per_bin[t - 1, 1]) for t in tail]
+        )
+        if abs(per_bin[j - 1, 0] - wm) < 2.0 * per_bin[j - 1, 1]:
+            return j
+    return valid[-1] if valid else 1
+
+
 class TestCalibrate:
+    def test_auto_j_min_matches_quadratic_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            sigma = 10.0 ** rng.uniform(-1, 2, n)
+            # an undercounted head, then estimates scattered around the truth
+            head = np.arange(n) < rng.integers(0, 6)
+            x = 100.0 + sigma * rng.normal(0, 1.5, n) - 50.0 * head
+            per_bin = np.column_stack([x, sigma])
+            per_bin[rng.random(n) < 0.3] = np.nan
+            assert calibration._auto_j_min(per_bin) == auto_j_min_reference(per_bin)
+
+    @pytest.mark.parametrize("mode", ["passive", "active"])
+    def test_rows_match_scalar_inversion(self, mode):
+        cfg = LoopConfig(mode=mode, R=0.8, eta=0.9, nu=1e-5, n_bins=60)
+        nbar_in = analytic.invert_total_output(cfg, 2_000.0)
+        hist, _ = simulator.simulate_ensemble(
+            cfg, Coherent(nbar_in), SimOptions(n_pulses=50_000, seed=38)
+        )
+        if mode == "passive":
+            fit = perfect_fit(cfg, sigma_R=5e-5, sigma_eta=3e-4)
+            cal_cfg = replace(cfg, sigma_R=5e-5, sigma_eta=3e-4)
+        else:
+            fit = replace(perfect_fit(cfg), identifiable=False, sigma_r_eta=4e-5)
+            cal_cfg = replace(cfg, R=cfg.R * cfg.eta, eta=1.0, sigma_R=4e-5, sigma_eta=0.0)
+        res = calibration.calibrate(hist, fit, cfg)
+        assert res.saturated_bins and res.below_noise_bins
+        sigma_p = hist.sigma_p()
+        for j in range(1, cfg.n_bins + 1):
+            row = res.n_out_per_bin[j - 1]
+            if j in res.saturated_bins or j in res.below_noise_bins:
+                assert np.isnan(row).all()
+                continue
+            p = float(hist.p_hat[j - 1])
+            est = calibration.estimate_nout_per_bin(cal_cfg, p, j)
+            sig = calibration.propagate_sigma_nout(cal_cfg, p, float(sigma_p[j - 1]), j)
+            assert isinstance(est, float) and isinstance(sig, float)
+            assert row[0] == pytest.approx(est, rel=1e-12)
+            assert row[1] == pytest.approx(sig, rel=1e-12)
+
     def test_all_saturated_is_no_valid_bins(self):
         cfg = hdr_cfg(n_bins=10)
         hist = ClickHistogram.from_clicks([1000] * 10, 1000)

@@ -111,6 +111,29 @@ class TestSimulateCommand:
         assert result.exit_code == 2
         assert "bogus" in result.output
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_bins", "130"),
+            ("R", "0.5"),
+            ("nu", True),
+            ("n_bins", 130.0),
+            ("loop_delay_ps", 1.56e5),
+            ("n_max_guard", "5"),
+        ],
+    )
+    def test_wrong_config_type_exits_2(self, runner, tmp_path, field, value):
+        bad = tmp_path / "bad.json"
+        config = {"mode": "passive", "R": 0.5, "eta": 0.9, "nu": 0.0, field: value}
+        bad.write_text(json.dumps(config))
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", str(bad), "--source", "coherent:3",
+             "--pulses", "10", "-o", str(tmp_path / "h.csv")],
+        )
+        assert result.exit_code == 2
+        assert f"'{field}'" in result.output
+
     def test_bad_source_exits_2(self, runner, config_file, tmp_path):
         result = runner.invoke(
             main,
@@ -133,21 +156,31 @@ class TestSimulateCommand:
         assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "env.csv").read_bytes()
 
     def test_artifact_flags(self, runner, config_file, tmp_path):
-        run_ok(
-            runner,
-            ["simulate", "--config", config_file, "--source", "coherent:100",
-             "--pulses", "2000", "--seed", "5",
-             "-o", str(tmp_path / "h.csv"), "--emit-tags", str(tmp_path / "t.csv"),
-             "--back-reflection-prob", "0.1",
-             "--reflection-delay-ps", "117000", "--dead-time-ps", "93600"],
-        )
+        args = [
+            "simulate", "--config", config_file, "--source", "coherent:100",
+            "--pulses", "2000", "--seed", "5",
+        ]
+        artifact = [
+            "--back-reflection-prob", "0.1",
+            "--reflection-delay-ps", "117000", "--dead-time-ps", "93600",
+        ]
+        tagged = ["-o", str(tmp_path / "h.csv"), "--emit-tags", str(tmp_path / "t.csv")]
+        run_ok(runner, args + artifact + tagged)
+        run_ok(runner, args + artifact + ["-o", str(tmp_path / "untagged.csv")])
+        run_ok(runner, args + ["-o", str(tmp_path / "clean.csv")])
         run_ok(
             runner,
             ["analyze", "--config", config_file, "--tags", str(tmp_path / "t.csv"),
-             "-o", str(tmp_path / "r.json"), "--bootstrap-iterations", "100"],
+             "-o", str(tmp_path / "r.json"), "--bootstrap-iterations", "100",
+             "--hist-output", str(tmp_path / "gated.csv")],
         )
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["n_discarded_records"] > 0  # spurious events land outside gates
+        # the -o histogram is the gated tag stream, artifacts included
+        gated = (tmp_path / "gated.csv").read_bytes()
+        assert (tmp_path / "h.csv").read_bytes() == gated
+        assert (tmp_path / "untagged.csv").read_bytes() == gated
+        assert (tmp_path / "clean.csv").read_bytes() != gated
 
 
 class TestAnalyzeCommand:

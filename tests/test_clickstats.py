@@ -40,13 +40,9 @@ def stats_from_probs(p, c=None):
 
 
 class TestIngest:
-    def _stream(self, records, period=1_000_000):
+    def _stream(self, records):
         records = sorted(records, key=lambda r: r[1])
-        return TimeTagStream(
-            channels=[r[0] for r in records],
-            times_ps=[r[1] for r in records],
-            sync_period_ps=period,
-        )
+        return TimeTagStream(channels=[r[0] for r in records], times_ps=[r[1] for r in records])
 
     def _config(self, n_bins=5):
         return LoopConfig(

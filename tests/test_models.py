@@ -161,12 +161,10 @@ class TestClickPatternStats:
 class TestTimeTagStream:
     def test_unsorted_raises_with_index(self):
         with pytest.raises(UnsortedStream) as err:
-            TimeTagStream(
-                channels=[0, 1, 1], times_ps=[0, 500, 400], sync_period_ps=1000
-            )
+            TimeTagStream(channels=[0, 1, 1], times_ps=[0, 500, 400])
         assert err.value.index == 2
         assert "2" in str(err.value)
 
     def test_sorted_stream_accepted(self):
-        stream = TimeTagStream(channels=[0, 1], times_ps=[0, 7], sync_period_ps=10)
+        stream = TimeTagStream(channels=[0, 1], times_ps=[0, 7])
         assert stream.n_records == 2

@@ -129,6 +129,13 @@ class TestEmitTimeTags:
                 splitter_half_config, Coherent(3.0), SimOptions(n_pulses=10), 10
             )
 
+    def test_ensemble_rejects_artifact(self, splitter_half_config):
+        art = ArtifactModel(back_reflection_prob=0.1, reflection_delay_ps=1, dead_time_ps=0)
+        with pytest.raises(ValueError, match="artifact"):
+            simulator.simulate_ensemble(
+                splitter_half_config, Coherent(3.0), SimOptions(n_pulses=10, artifact=art)
+            )
+
     def test_reflection_delay_must_miss_gates(self, splitter_half_config):
         art = ArtifactModel(
             back_reflection_prob=0.1,
