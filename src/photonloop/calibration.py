@@ -256,7 +256,7 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
             res = least_squares(
                 lambda x: (model(x) - p_hat) / sigma, start, bounds=(lo, hi), method="trf"
             )
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             continue
         if res.success and math.isfinite(res.cost) and (best is None or res.cost < best.cost):
             best = res
@@ -272,7 +272,7 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
             res = least_squares(
                 lambda x: (model(x) - p_hat) / sigma, best.x, bounds=(lo, hi), method="trf"
             )
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             break
         if not (res.success and math.isfinite(res.cost)):
             break

@@ -41,6 +41,9 @@ SCHEMA_VERSION = 1
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(LoopConfig)}
 _REQUIRED_FIELDS = {"mode", "R", "eta", "nu"}
 _INTEGER_FIELDS = {"n_bins", "loop_delay_ps", "gate_width_ps", "n_max_guard"}
+_DERIVED_COLUMNS = ("p_hat", "ci_lo", "ci_hi")
+#: Tag rows formatted per write: bounds the memory of one formatted chunk.
+_TAG_ROWS_PER_WRITE = 16_384
 
 
 def load_loop_config(path: str) -> LoopConfig:
@@ -112,33 +115,45 @@ def write_histogram_csv(hist: ClickHistogram, path: str):
 
 
 def read_histogram_csv(path: str) -> ClickHistogram:
-    bins, clicks, trials, p_hat, lo, hi = [], [], [], [], [], []
+    """Read a histogram CSV; the derived columns must match the clicks.
+
+    The histogram is rebuilt from the ``clicks`` and ``trials`` columns, and
+    a row whose ``p_hat``, ``ci_lo`` or ``ci_hi`` is not finite or differs
+    from the rebuilt value by more than 1e-9 relative is rejected.
+    """
+    bins, clicks, trials, derived = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             bins.append(int(row["bin"]))
             clicks.append(int(row["clicks"]))
             trials.append(int(row["trials"]))
-            p_hat.append(float(row["p_hat"]))
-            lo.append(float(row["ci_lo"]))
-            hi.append(float(row["ci_hi"]))
+            derived.append([float(row[name]) for name in _DERIVED_COLUMNS])
     if not bins:
         raise ValueError(f"histogram file {path} has no rows")
     if bins != list(range(1, len(bins) + 1)):
         raise ValueError(f"histogram file {path}: bin column must run 1..N")
     if len(set(trials)) != 1:
         raise ValueError(f"histogram file {path}: trials column must be constant")
-    return ClickHistogram(
-        trials=trials[0],
-        clicks=np.array(clicks),
-        p_hat=np.array(p_hat),
-        ci_lo=np.array(lo),
-        ci_hi=np.array(hi),
-    )
+    hist = ClickHistogram.from_clicks(np.array(clicks), trials[0])
+    rebuilt = np.column_stack([hist.p_hat, hist.ci_lo, hist.ci_hi])
+    derived = np.array(derived)
+    bad = ~np.isclose(derived, rebuilt, rtol=1e-9, atol=0.0)  # NaN and inf included
+    if bad.any():
+        row, col = (int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"histogram file {path}: row {row + 1} column '{_DERIVED_COLUMNS[col]}' is "
+            f"{derived[row, col]!r}, but its clicks and trials give {rebuilt[row, col]!r}"
+        )
+    return hist
 
 
 def write_tags_csv(stream: TimeTagStream, path: str):
-    data = np.column_stack([stream.channels, stream.times_ps])
-    np.savetxt(path, data, fmt="%d", delimiter=",", header="channel,time_ps", comments="")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("channel,time_ps\n")
+        for lo in range(0, stream.n_records, _TAG_ROWS_PER_WRITE):
+            rows = slice(lo, lo + _TAG_ROWS_PER_WRITE)
+            pairs = zip(stream.channels[rows].tolist(), stream.times_ps[rows].tolist())
+            fh.write("".join(f"{c},{t}\n" for c, t in pairs))
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
@@ -152,6 +167,14 @@ def read_tags_csv(path: str) -> TimeTagStream:
     else:
         data = np.loadtxt(body.splitlines(), delimiter=",", dtype=np.int64, ndmin=2)
         channels, times = data[:, 0], data[:, 1]
+    sync, detector = TimeTagStream.sync_channel, TimeTagStream.detector_channel
+    unknown = np.flatnonzero((channels != sync) & (channels != detector))
+    if len(unknown):
+        i = int(unknown[0])
+        raise ValueError(
+            f"tags file {path}: unknown channel {int(channels[i])} on line {i + 2}; "
+            f"expected {sync} (sync) or {detector} (detector)"
+        )
     return TimeTagStream(channels=channels, times_ps=times)
 
 

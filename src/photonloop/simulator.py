@@ -1,11 +1,23 @@
 """Pulse-level Monte Carlo of the loop detector.
 
-Photons route independently: each pulse draws a photon number from the
-source, distributes the photons over the time bins (or loss) with the
-per-photon exit probabilities, and ORs in per-bin dark counts. Randomness
-comes from counter-based Philox streams keyed by the seed and jumped per
-fixed-size pulse block, so results are bit-identical for a given seed no
-matter how the blocks are scheduled across workers.
+Photons route independently, so one block of pulses is sampled by one of
+two exact kernels:
+
+* Coherent light without an ``n_max_guard``: by Poisson splitting the bins
+  are independent, and bin j fires with p_j = 1 - (1 - nu) exp(-q_j nbar),
+  dark counts included. Each bin is sampled sparsely: a binomial number of
+  pulses, then that many distinct pulses (the misses when p_j > 1/2), at a
+  cost of O(min(clicks, misses)) per bin.
+* Every other source, and Coherent light under a guard (the guard needs the
+  per-pulse photon numbers): each pulse draws a photon number, a
+  multinomial distributes the photons over the bins and loss, and the dark
+  counts come from the sparse kernel with p_j = nu.
+
+A block's output is its list of (pulse, bin) click pairs, which the
+ensemble reduces with ``bincount`` and the time-tag emitter turns into
+records. Randomness comes from counter-based Philox streams keyed by the
+seed and jumped per fixed-size pulse block, so results are bit-identical
+for a given seed no matter how the blocks are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -19,7 +31,14 @@ import numpy as np
 
 from . import analytic
 from .errors import GuardExceeded
-from .models import ClickHistogram, ClickPatternStats, LoopConfig, PhotonSource, TimeTagStream
+from .models import (
+    ClickHistogram,
+    ClickPatternStats,
+    Coherent,
+    LoopConfig,
+    PhotonSource,
+    TimeTagStream,
+)
 
 __all__ = [
     "ArtifactModel",
@@ -117,37 +136,48 @@ def _check_guard(config: LoopConfig, ns: np.ndarray):
         )
 
 
-def _scatter_dark_counts(rng: np.random.Generator, fired: np.ndarray, nu: float):
-    """Flip Bernoulli(nu) dark counts into ``fired`` via sparse placement.
+def _sample_clicks(
+    rng: np.random.Generator, size: int, log_miss: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample independent per-bin clicks for ``size`` pulses, sparsely.
 
-    Draws the number of dark events for the whole block and places them on
-    distinct cells (redrawing on collision), which is distribution-identical
-    to per-cell Bernoulli draws but avoids materializing a uniform per cell.
-    Only used when dark events are rare enough that collisions are unlikely.
+    Bin j fires in each pulse independently with probability
+    1 - exp(log_miss[j]); taking the log of the no-click probability keeps
+    both tails exact. Per bin, draw k ~ Binomial(size, min(p, 1 - p)) and
+    pick k distinct pulses; when p > 1/2 those are the pulses that miss.
+    Returns 0-based (pulse, bin) index pairs, grouped by bin.
     """
-    n_cells = fired.size
-    k = int(rng.binomial(n_cells, nu))
-    while k:
-        idx = rng.integers(0, n_cells, size=k)
-        if len(np.unique(idx)) == k:
-            fired.reshape(-1)[idx] = True
-            break
+    hit = -np.expm1(log_miss)
+    miss = np.exp(log_miss)
+    flip = miss < hit
+    ks = rng.binomial(size, np.where(flip, miss, hit))
+    pulses, bins = [], []
+    for j in np.flatnonzero((ks > 0) | flip):
+        picked = rng.choice(size, ks[j], replace=False, shuffle=False)
+        if flip[j]:
+            fires = np.ones(size, dtype=bool)
+            fires[picked] = False
+            picked = np.flatnonzero(fires)
+        pulses.append(picked)
+        bins.append(np.full(len(picked), j, dtype=np.int64))
+    if not pulses:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(pulses), np.concatenate(bins)
 
 
 def _simulate_block(
     config: LoopConfig, source: PhotonSource, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Boolean fired matrix of shape (size, n_bins) for one block of pulses."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (pulse, bin) index pairs of the clicks in one block of pulses."""
+    log_no_dark = np.full(config.n_bins, np.log1p(-config.nu))
+    if isinstance(source, Coherent) and config.n_max_guard is None:
+        q = _routing_pvals(config)[:-1]
+        return _sample_clicks(rng, size, log_no_dark - q * source.nbar)
     ns = source.sample(rng, size)
     _check_guard(config, ns)
-    counts = rng.multinomial(ns, _routing_pvals(config))
-    fired = counts[:, :-1] > 0
-    if config.nu > 0.0:
-        if config.nu * fired.size < 1.0:
-            _scatter_dark_counts(rng, fired, config.nu)
-        else:
-            fired |= rng.random((size, config.n_bins)) < config.nu
-    return fired
+    fired = rng.multinomial(ns, _routing_pvals(config))[:, :-1] > 0
+    fired[_sample_clicks(rng, size, log_no_dark)] = True
+    return np.nonzero(fired)
 
 
 def _iter_blocks(n_pulses: int) -> Iterator[tuple[int, int, int]]:
@@ -161,8 +191,8 @@ def simulate_pulse(
     config: LoopConfig, source: PhotonSource, rng: np.random.Generator
 ) -> frozenset[int]:
     """Simulate a single pulse; returns the set of fired bins (1-based)."""
-    fired = _simulate_block(config, source, rng, 1)[0]
-    return frozenset((np.nonzero(fired)[0] + 1).tolist())
+    _pulse, bins = _simulate_block(config, source, rng, 1)
+    return frozenset((bins + 1).tolist())
 
 
 def simulate_ensemble(
@@ -174,6 +204,12 @@ def simulate_ensemble(
     ``(ClickHistogram, ClickPatternStats)``. With ``record_patterns`` the
     raw (n_pulses, n_bins) boolean pattern matrix is attached as well.
     Deterministic for a fixed seed, independent of ``n_workers``.
+
+    Each block yields the (pulse, bin) pairs of its clicks: from the sparse
+    per-bin kernel for Coherent light without ``n_max_guard``, otherwise
+    from a multinomial over per-pulse photon numbers (the guard has to see
+    them) plus sparse dark counts. Clicks per bin are a ``bincount`` of the
+    bins; the k-counts are a ``bincount`` of the per-pulse click counts.
 
     Artifacts act on detector records, which only :func:`emit_time_tags`
     produces; ``opts.artifact`` is rejected here rather than ignored.
@@ -187,11 +223,11 @@ def simulate_ensemble(
     n_bins = config.n_bins
 
     def run_block(args):
-        block, _start, size = args
-        fired = _simulate_block(config, source, _block_rng(opts.seed, block), size)
-        clicks = fired.sum(axis=0)
-        k_counts = np.bincount(fired.sum(axis=1), minlength=n_bins + 1)
-        return clicks, k_counts, fired if opts.record_patterns else None
+        block, start, size = args
+        pulses, bins = _simulate_block(config, source, _block_rng(opts.seed, block), size)
+        clicks = np.bincount(bins, minlength=n_bins)
+        k_counts = np.bincount(np.bincount(pulses, minlength=size), minlength=n_bins + 1)
+        return clicks, k_counts, (start + pulses, bins) if opts.record_patterns else None
 
     blocks = list(_iter_blocks(opts.n_pulses))
     if opts.n_workers > 1:
@@ -205,9 +241,11 @@ def simulate_ensemble(
     for block_clicks, block_k, _ in results:
         clicks += block_clicks
         k_counts += block_k
-    patterns = (
-        np.concatenate([r[2] for r in results], axis=0) if opts.record_patterns else None
-    )
+    patterns = None
+    if opts.record_patterns:
+        patterns = np.zeros((opts.n_pulses, n_bins), dtype=bool)
+        for _, _, pairs in results:
+            patterns[pairs] = True
 
     hist = ClickHistogram.from_clicks(clicks, opts.n_pulses)
     stats = ClickPatternStats.from_counts(k_counts, hist.p_hat)
@@ -253,14 +291,12 @@ def emit_time_tags(
     det_chunks: list[np.ndarray] = []
     sync_times = np.arange(opts.n_pulses, dtype=np.int64) * np.int64(rep_period_ps)
     for block, start, size in _iter_blocks(opts.n_pulses):
-        fired = _simulate_block(config, source, _block_rng(opts.seed, block), size)
-        pulse_idx, bin_idx = np.nonzero(fired)
-        t = sync_times[start + pulse_idx] + (bin_idx.astype(np.int64) + 1) * delay
+        pulses, bins = _simulate_block(config, source, _block_rng(opts.seed, block), size)
+        t = sync_times[start + pulses] + (bins + 1) * delay
         if artifact and len(t):
             art_rng = _block_rng(opts.seed, block, key_offset=_ARTIFACT_KEY_OFFSET)
             spur = t[art_rng.random(len(t)) < artifact.back_reflection_prob]
             t = np.concatenate([t, spur + np.int64(artifact.reflection_delay_ps)])
-            t.sort(kind="stable")
         det_chunks.append(t)
 
     det_times = np.concatenate(det_chunks) if det_chunks else np.empty(0, dtype=np.int64)

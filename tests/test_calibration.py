@@ -228,10 +228,21 @@ class TestFitLoopParams:
         hist = exact_histogram(cfg, nbar=2.0)
 
         def boom(*a, **kw):
-            raise RuntimeError("solver exploded")
+            raise ValueError("Residuals are not finite in the initial point.")
 
         monkeypatch.setattr(calibration, "least_squares", boom)
         with pytest.raises(FitDiverged):
+            calibration.fit_loop_params(hist, cfg)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        cfg = hdr_cfg()
+        hist = exact_histogram(cfg, nbar=2.0)
+
+        def broken(*a, **kw):
+            raise TypeError("broken model")
+
+        monkeypatch.setattr(analytic, "bin_exit_prob", broken)
+        with pytest.raises(TypeError, match="broken model"):
             calibration.fit_loop_params(hist, cfg)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from photonloop import analytic, Coherent, LoopConfig
+from photonloop import analytic, Coherent, LoopConfig, TimeTagStream
 from photonloop.cli import (
     main,
     parse_source,
@@ -217,6 +217,37 @@ class TestAnalyzeCommand:
         assert "2" in result.output
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize("value", ["0.9", "nan"])
+    def test_inconsistent_histogram_exits_2(self, runner, config_file, tmp_path, value):
+        hist = tmp_path / "h.csv"
+        run_ok(
+            runner,
+            ["simulate", "--config", config_file, "--source", "coherent:3",
+             "--pulses", "2000", "--seed", "3", "-o", str(hist)],
+        )
+        lines = hist.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = value  # row 2's p_hat
+        lines[2] = ",".join(fields)
+        hist.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["fit", "--config", config_file, "--hist", str(hist), "-o", str(tmp_path / "f.json")]
+        )
+        assert result.exit_code == 2
+        assert "row 2" in result.output and "'p_hat'" in result.output
+        assert "h.csv" in result.output
+
+    def test_unknown_tag_channel_exits_2(self, runner, config_file, tmp_path):
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,time_ps\n0,0\n1,156000\n7,312000\n")
+        result = runner.invoke(
+            main, ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2
+        assert "channel 7" in result.output and "line 4" in result.output
+
+
 class TestFitCommand:
     def test_fit_report(self, runner, tmp_path):
         cfg_path = tmp_path / "loop.json"
@@ -335,3 +366,17 @@ class TestTagsCsvRoundTrip:
         path = tmp_path / "tags.csv"
         write_tags_csv(stream, str(path))
         assert read_tags_csv(str(path)).n_records == 0
+
+    @pytest.mark.parametrize("n_records", [70_000, 0])
+    def test_writer_matches_savetxt(self, tmp_path, n_records):
+        rng = np.random.default_rng(17)
+        stream = TimeTagStream(
+            channels=rng.integers(0, 2, n_records),
+            times_ps=np.sort(rng.integers(0, 1 << 62, n_records)),
+        )
+        write_tags_csv(stream, str(tmp_path / "fast.csv"))
+        np.savetxt(
+            tmp_path / "ref.csv", np.column_stack([stream.channels, stream.times_ps]),
+            fmt="%d", delimiter=",", header="channel,time_ps", comments="",
+        )
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from photonloop import (
     ArtifactModel,
@@ -14,6 +15,8 @@ from photonloop import (
     simulator,
 )
 from photonloop.errors import GuardExceeded
+
+from conftest import enumerate_independent_patterns
 
 
 def rng(seed=0):
@@ -91,6 +94,80 @@ class TestSimulateEnsemble:
         res = simulator.simulate_ensemble(splitter_half_config, Coherent(3.0), opts)
         assert res.patterns.shape == (5_000, splitter_half_config.n_bins)
         np.testing.assert_array_equal(res.patterns.sum(axis=0), res.histogram.clicks)
+
+
+def _chi2_within_bounds(chi2, dof, coverage=0.999):
+    tail = (1.0 - coverage) / 2.0
+    return sps.chi2.ppf(tail, dof) <= chi2 <= sps.chi2.isf(tail, dof)
+
+
+class TestSparseKernel:
+    """The per-bin kernel is exact: clicks and patterns against closed forms."""
+
+    CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
+
+    def test_sample_clicks_edge_probabilities(self):
+        p = np.array([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])
+        size = 50_000
+        with np.errstate(divide="ignore"):
+            log_miss = np.log1p(-p)
+        pulses, bins = simulator._sample_clicks(rng(11), size, log_miss)
+        clicks = np.bincount(bins, minlength=len(p))
+        assert clicks[0] == 0
+        assert clicks[1] == 0
+        assert abs(clicks[2] - size / 2) < 5 * math.sqrt(size / 4)
+        assert clicks[3] == size
+        np.testing.assert_array_equal(np.sort(pulses[bins == 4]), np.arange(size))
+        for j in range(len(p)):
+            assert len(np.unique(pulses[bins == j])) == clicks[j]  # distinct pulses per bin
+
+    @pytest.mark.parametrize("nbar", [3.0, 300.0, 1e6])
+    def test_per_bin_clicks_match_closed_form(self, nbar):
+        # bins with p > 1/2 are sampled through their misses: bins 1-7 at
+        # nbar = 300, bins 1-17 at nbar = 1e6 (1-14 of them certain to fire)
+        source = Coherent(nbar)
+        p = np.array([analytic.click_prob_closed(self.CFG, source, j) for j in range(1, 21)])
+        m, seeds = 40_000, range(300, 320)
+        var = m * p * (1.0 - p)
+        tested = var > 5.0
+        certain = m * len(seeds) * np.minimum(p, 1.0 - p) < 1e-6
+        chi2, dof = 0.0, 0
+        for seed in seeds:
+            hist, _ = simulator.simulate_ensemble(
+                self.CFG, source, SimOptions(n_pulses=m, seed=seed)
+            )
+            z2 = (hist.clicks - m * p) ** 2 / np.where(tested, var, 1.0)
+            chi2 += float(z2[tested].sum())
+            dof += int(tested.sum())
+            np.testing.assert_array_equal(hist.clicks[certain], np.round(m * p[certain]))
+        assert dof >= 100
+        assert _chi2_within_bounds(chi2, dof), f"chi2/dof = {chi2 / dof:.3f} over {dof}"
+
+    def test_k_count_distribution_matches_independent_bins(self):
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=8)
+        source = Coherent(3.0)
+        p = np.array([analytic.click_prob_closed(cfg, source, j) for j in range(1, 9)])
+        expected_c = enumerate_independent_patterns(p)
+        m = 400_000
+        _, stats = simulator.simulate_ensemble(cfg, source, SimOptions(n_pulses=m, seed=21))
+        observed, expected = stats.c * m, expected_c * m
+        # pool the sparse upper tail so every cell expects at least 5 pulses
+        last = int(np.nonzero(expected >= 5.0)[0].max())
+        observed = np.append(observed[:last], observed[last:].sum())
+        expected = np.append(expected[:last], expected[last:].sum())
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert _chi2_within_bounds(chi2, len(expected) - 1), f"chi2 = {chi2:.2f}"
+
+    def test_guarded_coherent_matches_closed_form(self):
+        # a guard that is never crossed routes Coherent light through the multinomial
+        # and the sparse dark counts (test_guard_rejects_bright_pulses covers crossing it)
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20, n_max_guard=40)
+        source = Coherent(3.0)
+        p = np.array([analytic.click_prob_closed(cfg, source, j) for j in range(1, 21)])
+        m = 200_000
+        hist, _ = simulator.simulate_ensemble(cfg, source, SimOptions(n_pulses=m, seed=23))
+        chi2 = float(((hist.clicks - m * p) ** 2 / (m * p * (1.0 - p))).sum())
+        assert _chi2_within_bounds(chi2, len(p)), f"chi2 = {chi2:.2f}"
 
 
 class TestEmitTimeTags:
