@@ -14,16 +14,19 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
+import re
 import sys
-from typing import Optional
+import warnings
+from typing import Iterator, Optional
 
 import click
 import numpy as np
 
 from . import calibration, clickstats, simulator
-from .errors import PhotonLoopError
+from .errors import PhotonLoopError, UnsortedStream
 from .models import (
     ClickHistogram,
     Coherent,
@@ -42,6 +45,7 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(LoopConfig)}
 _REQUIRED_FIELDS = {"mode", "R", "eta", "nu"}
 _INTEGER_FIELDS = {"n_bins", "loop_delay_ps", "gate_width_ps", "n_max_guard"}
 _DERIVED_COLUMNS = ("p_hat", "ci_lo", "ci_hi")
+_HISTOGRAM_COLUMNS = ("bin", "clicks", "trials") + _DERIVED_COLUMNS
 #: Tag rows formatted per write: bounds the memory of one formatted chunk.
 _TAG_ROWS_PER_WRITE = 16_384
 
@@ -100,7 +104,7 @@ def parse_source(text: str) -> PhotonSource:
 def write_histogram_csv(hist: ClickHistogram, path: str):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bin", "clicks", "trials", "p_hat", "ci_lo", "ci_hi"])
+        writer.writerow(_HISTOGRAM_COLUMNS)
         for j in range(hist.n_bins):
             writer.writerow(
                 [
@@ -123,11 +127,18 @@ def read_histogram_csv(path: str) -> ClickHistogram:
     """
     bins, clicks, trials, derived = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            bins.append(int(row["bin"]))
-            clicks.append(int(row["clicks"]))
-            trials.append(int(row["trials"]))
-            derived.append([float(row[name]) for name in _DERIVED_COLUMNS])
+        reader = csv.DictReader(fh)
+        missing = [name for name in _HISTOGRAM_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"histogram file {path} has no '{missing[0]}' column")
+        for row in reader:
+            try:
+                bins.append(int(row["bin"]))
+                clicks.append(int(row["clicks"]))
+                trials.append(int(row["trials"]))
+                derived.append([float(row[name]) for name in _DERIVED_COLUMNS])
+            except (TypeError, ValueError):
+                raise ValueError(_bad_histogram_cell(path, reader.line_num, row)) from None
     if not bins:
         raise ValueError(f"histogram file {path} has no rows")
     if bins != list(range(1, len(bins) + 1)):
@@ -157,25 +168,76 @@ def write_tags_csv(stream: TimeTagStream, path: str):
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
+    """Read a tags CSV in one pass; errors name the file line (header = line 1)."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "channel,time_ps":
             raise ValueError(f"tags file {path}: expected header 'channel,time_ps'")
-        body = fh.read()
-    if not body.strip():
-        channels = times = np.empty(0, dtype=np.int64)
-    else:
-        data = np.loadtxt(body.splitlines(), delimiter=",", dtype=np.int64, ndmin=2)
-        channels, times = data[:, 0], data[:, 1]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is an empty stream
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_bad_tag_cell(path) or f"tags file {path}: {exc}") from None
+    if len(data) == 0:
+        data = data.reshape(0, 2)
+    elif data.shape[1] != 2:
+        raise ValueError(_bad_tag_cell(path))
+    channels, times = data[:, 0], data[:, 1]
     sync, detector = TimeTagStream.sync_channel, TimeTagStream.detector_channel
     unknown = np.flatnonzero((channels != sync) & (channels != detector))
     if len(unknown):
         i = int(unknown[0])
         raise ValueError(
-            f"tags file {path}: unknown channel {int(channels[i])} on line {i + 2}; "
+            f"tags file {path}: unknown channel {int(channels[i])} on line {_tag_line(path, i)}; "
             f"expected {sync} (sync) or {detector} (detector)"
         )
-    return TimeTagStream(channels=channels, times_ps=times)
+    try:
+        return TimeTagStream(channels=channels, times_ps=times)
+    except UnsortedStream as exc:
+        raise ValueError(
+            f"tags file {path}: time_ps on line {_tag_line(path, exc.index)} is earlier "
+            "than on the line before; records must be sorted by time"
+        ) from None
+
+
+def _tag_lines(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(file line, cells) of every record of a tags file, skipping what np.loadtxt skips."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for number, line in enumerate(fh, start=2):
+            text = line.partition("#")[0].strip()
+            if text:
+                yield number, text.split(",")
+
+
+def _tag_line(path: str, record: int) -> int:
+    """File line of the 0-based ``record``; rescans the file, so only for errors."""
+    return next(itertools.islice(_tag_lines(path), record, None))[0]
+
+
+def _bad_tag_cell(path: str) -> Optional[str]:
+    """Describe the first line of a tags file that is not two int64 cells."""
+    for number, cells in _tag_lines(path):
+        if len(cells) != 2:
+            return f"tags file {path}: line {number} has {len(cells)} columns, expected 2"
+        for name, cell in zip(("channel", "time_ps"), cells):
+            cell = cell.strip()
+            if not re.fullmatch(r"[+-]?\d+", cell) or not -(1 << 63) <= int(cell) < 1 << 63:
+                return f"tags file {path}: line {number} column '{name}' is {cell!r}, not an integer"
+    return None
+
+
+def _bad_histogram_cell(path: str, line: int, row: dict) -> str:
+    """Describe the first cell of a histogram row that does not parse."""
+    for name in _HISTOGRAM_COLUMNS:
+        kind = float if name in _DERIVED_COLUMNS else int
+        try:
+            kind(row[name])
+        except (TypeError, ValueError):
+            what = "a number" if kind is float else "an integer"
+            return f"histogram file {path}: line {line} column '{name}' is {row[name]!r}, not {what}"
 
 
 def _write_report(path: str, payload: dict):
@@ -213,7 +275,7 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--source", "source_spec", required=True, help="e.g. coherent:3 or fock:1")
-@click.option("--pulses", type=int, required=True)
+@click.option("--pulses", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("-o", "--output", "hist_path", required=True, help="histogram CSV output")
 @click.option("--emit-tags", "tags_path", default=None, help="also write a time-tag CSV")
@@ -247,19 +309,17 @@ def simulate(
             dead_time_ps=dead_time_ps,
         )
     opts = simulator.SimOptions(n_pulses=pulses, seed=seed, artifact=artifact)
-    if artifact is None:
-        hist, _stats = simulator.simulate_ensemble(config, source, opts)
-        write_histogram_csv(hist, hist_path)
-        if tags_path is None:
-            return
-    if rep_period_ps is None:
-        rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
-    stream = simulator.emit_time_tags(config, source, opts, rep_period_ps)
-    if artifact is not None:
-        # artifacts act on the detector records, so the histogram is gated from them
-        write_histogram_csv(clickstats.ingest_time_tags(stream, config).histogram, hist_path)
-    if tags_path is not None:
-        write_tags_csv(stream, tags_path)
+    if tags_path is None and artifact is None:
+        hist = simulator.simulate_ensemble(config, source, opts).histogram
+    else:
+        # one simulation: the histogram is gated from the tags, artifacts included
+        if rep_period_ps is None:
+            rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
+        stream = simulator.emit_time_tags(config, source, opts, rep_period_ps)
+        hist = clickstats.ingest_time_tags(stream, config).histogram
+        if tags_path is not None:
+            write_tags_csv(stream, tags_path)
+    write_histogram_csv(hist, hist_path)
 
 
 @main.command()

@@ -49,17 +49,24 @@ def ingest_time_tags(stream: TimeTagStream, config: LoopConfig) -> IngestResult:
     on ``t_sync + j * loop_delay_ps`` (left edge inclusive, right edge
     exclusive); a bin fires when at least one detector record falls inside.
     Detector records outside every gate are discarded and tallied.
+
+    Several records inside one gate count as one click. The dedupe relies on
+    the stream's time order: it makes the in-gate keys
+    ``pulse * n_bins + (j - 1)`` non-decreasing, so repeats are adjacent and
+    one linear pass drops them.
     """
-    times = stream.times_ps
+    times, channels = stream.times_ps, stream.channels
     if len(times) > 1:
         bad = np.nonzero(np.diff(times) < 0)[0]
         if len(bad):
             raise UnsortedStream(int(bad[0]) + 1)
 
-    sync_times = times[stream.channels == stream.sync_channel]
+    # compress and flatnonzero beat boolean indexing on interleaved masks
+    sync_times = np.compress(channels == stream.sync_channel, times)
     if len(sync_times) == 0:
         raise NoSyncRecords("stream contains no sync records")
-    det_times = times[stream.channels == stream.detector_channel]
+    det_at = np.flatnonzero(channels == stream.detector_channel)
+    det_times = times[det_at]
 
     n_bins = config.n_bins
     delay = config.loop_delay_ps
@@ -69,22 +76,19 @@ def ingest_time_tags(stream: TimeTagStream, config: LoopConfig) -> IngestResult:
     offset = det_times - sync_times[np.clip(pulse, 0, None)]
     j = (offset + delay // 2) // delay
     residual = offset - j * delay
-    in_gate = (
+    hit = np.flatnonzero(
         (pulse >= 0)
         & (j >= 1)
         & (j <= n_bins)
         & (2 * residual >= -gate)
         & (2 * residual < gate)
     )
-    n_discarded = int(len(det_times) - in_gate.sum())
+    n_discarded = len(det_times) - len(hit)
 
-    # deduplicate multiple records inside one gate
-    keys = np.unique(pulse[in_gate] * n_bins + (j[in_gate] - 1))
-    bin_of = (keys % n_bins).astype(np.int64)
-    pulse_of = keys // n_bins
-
-    clicks = np.bincount(bin_of, minlength=n_bins)
-    fired_per_pulse = np.bincount(pulse_of, minlength=len(sync_times))
+    pulse, bin_of = pulse[hit], j[hit] - 1
+    first = np.diff(pulse * n_bins + bin_of, prepend=-1) != 0
+    clicks = np.bincount(bin_of[first], minlength=n_bins)
+    fired_per_pulse = np.bincount(pulse[first], minlength=len(sync_times))
     k_counts = np.bincount(fired_per_pulse, minlength=n_bins + 1)
 
     hist = ClickHistogram.from_clicks(clicks, len(sync_times))

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from photonloop import analytic, Coherent, LoopConfig, TimeTagStream
+from photonloop import analytic, simulator, Coherent, LoopConfig, TimeTagStream
 from photonloop.cli import (
     main,
     parse_source,
@@ -88,6 +89,26 @@ class TestSimulateCommand:
         stream = read_tags_csv(str(tmp_path / "t.csv"))
         assert (stream.channels == 0).sum() == 500
         assert stream.n_records > 500
+
+    @pytest.mark.parametrize("source", ["lossyfock:1:0.6", "coherent:3"])
+    def test_tagged_histogram_matches_untagged(self, runner, config_file, tmp_path, source):
+        # -o of a tagged run is gated from its own tags, yet equals the ensemble's
+        args = [
+            "simulate", "--config", config_file, "--source", source,
+            "--pulses", str(simulator.BLOCK_SIZE + 500), "--seed", "13",
+        ]
+        run_ok(runner, args + ["-o", str(tmp_path / "plain.csv")])
+        run_ok(runner, args + ["-o", str(tmp_path / "tagged.csv"), "--emit-tags", str(tmp_path / "t.csv")])
+        assert (tmp_path / "tagged.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_zero_pulses_exits_2(self, runner, config_file, tmp_path):
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "0",
+             "-o", str(tmp_path / "h.csv"), "--emit-tags", str(tmp_path / "t.csv")],
+        )
+        assert result.exit_code == 2
+        assert "--pulses" in result.output
 
     def test_invalid_reflectivity_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -213,8 +234,8 @@ class TestAnalyzeCommand:
             ["analyze", "--config", config_file, "--tags", str(tags),
              "-o", str(tmp_path / "r.json")],
         )
-        assert result.exit_code == 3
-        assert "2" in result.output
+        assert result.exit_code == 2
+        assert "bad.csv" in result.output and "line 4" in result.output
 
 
 class TestMalformedInputs:
@@ -237,6 +258,45 @@ class TestMalformedInputs:
         assert result.exit_code == 2
         assert "row 2" in result.output and "'p_hat'" in result.output
         assert "h.csv" in result.output
+
+    def test_non_integer_histogram_cell_exits_2(self, runner, config_file, tmp_path):
+        hist = tmp_path / "h.csv"
+        run_ok(
+            runner,
+            ["simulate", "--config", config_file, "--source", "coherent:3",
+             "--pulses", "2000", "--seed", "3", "-o", str(hist)],
+        )
+        lines = hist.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[1] = "3.5"  # row 2's clicks, on file line 3
+        lines[2] = ",".join(fields)
+        hist.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["fit", "--config", config_file, "--hist", str(hist), "-o", str(tmp_path / "f.json")]
+        )
+        assert result.exit_code == 2
+        assert "h.csv" in result.output and "line 3" in result.output
+        assert "'clicks'" in result.output and "'3.5'" in result.output
+
+    @pytest.mark.parametrize(
+        "body, line, column",
+        [
+            ("0,0\n1,156000\n1,x\n", 4, "'time_ps'"),
+            ("0,0\n\n2.5,156000\n", 4, "'channel'"),
+            ("0,0\n1,99999999999999999999\n", 3, "'time_ps'"),
+            ("0,0\n1,156000,7\n", 3, "3 columns"),
+            ("0\n1\n", 2, "1 columns"),
+        ],
+    )
+    def test_non_integer_tag_cell_exits_2(self, runner, config_file, tmp_path, body, line, column):
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,time_ps\n" + body)
+        result = runner.invoke(
+            main, ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2
+        assert "t.csv" in result.output and f"line {line}" in result.output
+        assert column in result.output
 
     def test_unknown_tag_channel_exits_2(self, runner, config_file, tmp_path):
         tags = tmp_path / "t.csv"
@@ -366,6 +426,17 @@ class TestTagsCsvRoundTrip:
         path = tmp_path / "tags.csv"
         write_tags_csv(stream, str(path))
         assert read_tags_csv(str(path)).n_records == 0
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n"])
+    def test_empty_file_reads_without_warning(self, tmp_path, body):
+        path = tmp_path / "tags.csv"
+        path.write_text("channel,time_ps\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = read_tags_csv(str(path))
+        assert stream.n_records == 0
+        write_tags_csv(stream, str(tmp_path / "again.csv"))
+        assert (tmp_path / "again.csv").read_text() == "channel,time_ps\n"
 
     @pytest.mark.parametrize("n_records", [70_000, 0])
     def test_writer_matches_savetxt(self, tmp_path, n_records):

@@ -100,6 +100,105 @@ class TestIngest:
         assert res.pattern_stats.c[1] == pytest.approx(0.5)
 
 
+def _ingest_with_unique(stream, config):
+    """Reference gating that deduplicates with np.unique, whatever the key order.
+
+    Returns (clicks, k_counts, n_discarded).
+    """
+    sync = stream.times_ps[stream.channels == stream.sync_channel]
+    det = stream.times_ps[stream.channels == stream.detector_channel]
+    n_bins, delay, gate = config.n_bins, config.loop_delay_ps, config.gate_width_ps
+    pulse = np.searchsorted(sync, det, side="right") - 1
+    offset = det - sync[np.clip(pulse, 0, None)]
+    j = (offset + delay // 2) // delay
+    residual = offset - j * delay
+    in_gate = (pulse >= 0) & (j >= 1) & (j <= n_bins) & (2 * residual >= -gate) & (2 * residual < gate)
+    keys = np.unique(pulse[in_gate] * n_bins + (j[in_gate] - 1))
+    clicks = np.bincount(keys % n_bins, minlength=n_bins)
+    k_counts = np.bincount(np.bincount(keys // n_bins, minlength=len(sync)), minlength=n_bins + 1)
+    return clicks, k_counts, int(len(det) - in_gate.sum())
+
+
+@st.composite
+def _gated_streams(draw):
+    """A config and a sorted stream mixing in-gate repeats, stray and early records.
+
+    Records of equal time come in any order, and the last gates of a pulse
+    may reach past the next sync.
+    """
+    n_bins = draw(st.integers(1, 6))
+    delay, gate = 1000, draw(st.sampled_from([2, 100, 999]))
+    config = LoopConfig(
+        mode="passive", R=0.5, eta=0.9, nu=0.0,
+        n_bins=n_bins, loop_delay_ps=delay, gate_width_ps=gate,
+    )
+    period = n_bins * delay + draw(st.integers(1, 2 * delay))
+    n_sync = draw(st.integers(1, 6))
+    syncs = [i * period for i in range(n_sync)]
+    records = [(0, t) for t in syncs]
+    # records aimed at gate j of pulse i; several may share one gate
+    aimed = st.tuples(
+        st.integers(-1, n_sync - 1), st.integers(0, n_bins + 1),
+        st.integers(-gate // 2, (gate - 1) // 2), st.integers(1, 3),
+    )
+    for i, j, residual, repeats in draw(st.lists(aimed, max_size=30)):
+        start = syncs[i] if i >= 0 else -period
+        records += [(1, start + j * delay + residual)] * repeats
+    # stray records anywhere, before the first sync included
+    stray = st.integers(-2 * delay, n_sync * period + delay)
+    records += [(1, t) for t in draw(st.lists(stray, max_size=20))]
+    # detector records at a sync's time, before or after it in the stream
+    records += [(1, t) for t in draw(st.lists(st.sampled_from(syncs), max_size=3))]
+    records = draw(st.permutations(records))
+    records.sort(key=lambda r: r[1])
+    stream = TimeTagStream(channels=[r[0] for r in records], times_ps=[r[1] for r in records])
+    return stream, config
+
+
+class TestIngestDedupe:
+    """The linear dedupe must agree with np.unique on every sorted stream."""
+
+    @staticmethod
+    def _assert_matches_unique(stream, config):
+        res = clickstats.ingest_time_tags(stream, config)
+        clicks, k_counts, n_discarded = _ingest_with_unique(stream, config)
+        np.testing.assert_array_equal(res.histogram.clicks, clicks)
+        np.testing.assert_array_equal(res.pattern_stats.c, k_counts / k_counts.sum())
+        assert res.n_discarded == n_discarded
+
+    @given(_gated_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_random_streams(self, case):
+        self._assert_matches_unique(*case)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        extra_pulses=st.integers(-3, 40),
+        reflection=st.tuples(st.integers(1, 4), st.integers(-40, 40)).filter(lambda r: r[1] != 0),
+        prob=st.floats(0.05, 0.9),
+        dead_time=st.sampled_from([0, 10, 40_000]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_emitted_streams_with_spurs_across_block_edges(
+        self, seed, extra_pulses, reflection, prob, dead_time
+    ):
+        config = LoopConfig(
+            mode="passive", R=0.5, eta=0.9, nu=1e-3,
+            n_bins=6, loop_delay_ps=100_000, gate_width_ps=100,
+        )
+        # spurs land near a later gate (inside it when |offset| < gate / 2),
+        # and past the next sync, so the last pulses of block 0 spill into block 1
+        multiple, offset = reflection
+        artifact = simulator.ArtifactModel(
+            back_reflection_prob=prob,
+            reflection_delay_ps=(multiple + 4) * config.loop_delay_ps + offset,
+            dead_time_ps=dead_time,
+        )
+        opts = SimOptions(n_pulses=simulator.BLOCK_SIZE + extra_pulses, seed=seed, artifact=artifact)
+        stream = simulator.emit_time_tags(config, Coherent(20.0), opts, 8 * config.loop_delay_ps)
+        self._assert_matches_unique(stream, config)
+
+
 class TestWitnesses:
     def test_two_even_bins_is_poisson_binomial_baseline(self):
         stats = stats_from_probs([0.5, 0.5])
