@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import calibration, clickstats, simulator
-from .errors import PhotonLoopError, UnsortedStream
+from .errors import NoSyncRecords, PhotonLoopError, UnsortedStream
 from .models import (
     ClickHistogram,
     Coherent,
@@ -308,14 +308,14 @@ def simulate(
             reflection_delay_ps=reflection_delay_ps,
             dead_time_ps=dead_time_ps,
         )
-    opts = simulator.SimOptions(n_pulses=pulses, seed=seed, artifact=artifact)
+    opts = simulator.SimOptions(n_pulses=pulses, seed=seed)
     if tags_path is None and artifact is None:
         hist = simulator.simulate_ensemble(config, source, opts).histogram
     else:
         # one simulation: the histogram is gated from the tags, artifacts included
         if rep_period_ps is None:
             rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
-        stream = simulator.emit_time_tags(config, source, opts, rep_period_ps)
+        stream = simulator.emit_time_tags(config, source, opts, rep_period_ps, artifact)
         hist = clickstats.ingest_time_tags(stream, config).histogram
         if tags_path is not None:
             write_tags_csv(stream, tags_path)
@@ -335,7 +335,11 @@ def analyze(config_path, tags_path, report_path, hist_output, witness_bins, boot
     """Gate a time-tag stream and report click statistics and witnesses."""
     config = load_loop_config(config_path)
     stream = read_tags_csv(tags_path)
-    hist, stats, discarded = _ingest(stream, config)
+    try:
+        gated = clickstats.ingest_time_tags(stream, config)
+    except NoSyncRecords:
+        raise ValueError(f"tags file {tags_path} has no sync (channel 0) records") from None
+    hist, stats = gated
     if hist_output is not None:
         write_histogram_csv(hist, hist_output)
 
@@ -373,14 +377,9 @@ def analyze(config_path, tags_path, report_path, hist_output, witness_bins, boot
             "n_degenerate_qpb": boot.n_degenerate_qpb,
             "n_degenerate_qb": boot.n_degenerate_qb,
             "degenerate_reason": degenerate_reason,
-            "n_discarded_records": discarded,
+            "n_discarded_records": gated.n_discarded,
         },
     )
-
-
-def _ingest(stream, config):
-    result = clickstats.ingest_time_tags(stream, config)
-    return result.histogram, result.pattern_stats, result.n_discarded
 
 
 @main.command()

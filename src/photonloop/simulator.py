@@ -15,17 +15,17 @@ two exact kernels:
 
 A block's output is its list of (pulse, bin) click pairs, which the
 ensemble reduces with ``bincount`` and the time-tag emitter turns into
-records. Randomness comes from counter-based Philox streams keyed by the
-seed and jumped per fixed-size pulse block, so results are bit-identical
-for a given seed no matter how the blocks are scheduled across workers.
+records. Both run their blocks through one block map, ``_map_blocks``.
+Randomness comes from counter-based Philox streams keyed by the seed and
+jumped per fixed-size pulse block, so histograms and tag streams are
+bit-identical for a given seed no matter how many workers run the blocks.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -87,12 +87,15 @@ class ArtifactModel:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Run options for the Monte Carlo: pulse count, seed, extras."""
+    """Run options every Monte Carlo entry point honours.
+
+    ``n_pulses`` pulses are drawn from Philox streams keyed by ``seed``, in
+    blocks of ``BLOCK_SIZE`` spread over ``n_workers`` threads; the output
+    does not depend on ``n_workers``.
+    """
 
     n_pulses: int
     seed: int = 0
-    record_patterns: bool = False
-    artifact: Optional[ArtifactModel] = None
     n_workers: int = 1
 
     def __post_init__(self):
@@ -110,18 +113,9 @@ class SimulationResult:
 
     histogram: ClickHistogram
     pattern_stats: ClickPatternStats
-    patterns: Optional[np.ndarray] = None
 
     def __iter__(self):
         return iter((self.histogram, self.pattern_stats))
-
-
-@lru_cache(maxsize=32)
-def _routing_pvals(config: LoopConfig) -> np.ndarray:
-    """Multinomial cell probabilities: q_1..q_N plus the loss remainder."""
-    q = analytic.bin_exit_probs(config)
-    loss = max(0.0, 1.0 - q.sum())
-    return np.append(q, loss)
 
 
 def _block_rng(seed: int, block_index: int, key_offset: int = 0) -> np.random.Generator:
@@ -166,32 +160,49 @@ def _sample_clicks(
 
 
 def _simulate_block(
-    config: LoopConfig, source: PhotonSource, rng: np.random.Generator, size: int
+    config: LoopConfig, source: PhotonSource, q: np.ndarray, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (pulse, bin) index pairs of the clicks in one block of pulses."""
+    """0-based (pulse, bin) click pairs of one block; ``q`` is ``bin_exit_probs(config)``."""
     log_no_dark = np.full(config.n_bins, np.log1p(-config.nu))
     if isinstance(source, Coherent) and config.n_max_guard is None:
-        q = _routing_pvals(config)[:-1]
         return _sample_clicks(rng, size, log_no_dark - q * source.nbar)
     ns = source.sample(rng, size)
     _check_guard(config, ns)
-    fired = rng.multinomial(ns, _routing_pvals(config))[:, :-1] > 0
+    # multinomial cells: q_1..q_N plus the loss remainder
+    fired = rng.multinomial(ns, np.append(q, max(0.0, 1.0 - q.sum())))[:, :-1] > 0
     fired[_sample_clicks(rng, size, log_no_dark)] = True
     return np.nonzero(fired)
 
 
-def _iter_blocks(n_pulses: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (block_index, start_pulse, size) covering n_pulses."""
-    for block in range(0, -(-n_pulses // BLOCK_SIZE) if n_pulses else 0):
-        start = block * BLOCK_SIZE
-        yield block, start, min(BLOCK_SIZE, n_pulses - start)
+def _map_blocks(
+    config: LoopConfig, source: PhotonSource, opts: SimOptions, fn: Callable
+) -> list:
+    """``fn(block, size, pulses, bins)`` of every block, in block order.
+
+    Block b holds ``size`` pulses from ``b * BLOCK_SIZE`` on and draws from
+    the seed's Philox stream jumped b times; ``pulses`` (counted within the
+    block) and ``bins`` are its 0-based click pairs. ``fn`` runs on the
+    worker threads, and the list does not depend on ``opts.n_workers``.
+    """
+    q = analytic.bin_exit_probs(config)
+
+    def run(block: int):
+        size = min(BLOCK_SIZE, opts.n_pulses - block * BLOCK_SIZE)
+        pulses, bins = _simulate_block(config, source, q, _block_rng(opts.seed, block), size)
+        return fn(block, size, pulses, bins)
+
+    blocks = range(-(-opts.n_pulses // BLOCK_SIZE))
+    if opts.n_workers > 1:
+        with ThreadPoolExecutor(max_workers=opts.n_workers) as pool:
+            return list(pool.map(run, blocks))
+    return [run(block) for block in blocks]
 
 
 def simulate_pulse(
     config: LoopConfig, source: PhotonSource, rng: np.random.Generator
 ) -> frozenset[int]:
     """Simulate a single pulse; returns the set of fired bins (1-based)."""
-    _pulse, bins = _simulate_block(config, source, rng, 1)
+    _pulse, bins = _simulate_block(config, source, analytic.bin_exit_probs(config), rng, 1)
     return frozenset((bins + 1).tolist())
 
 
@@ -201,55 +212,34 @@ def simulate_ensemble(
     """Aggregate click statistics over ``opts.n_pulses`` pulses.
 
     Returns a :class:`SimulationResult` that unpacks as
-    ``(ClickHistogram, ClickPatternStats)``. With ``record_patterns`` the
-    raw (n_pulses, n_bins) boolean pattern matrix is attached as well.
-    Deterministic for a fixed seed, independent of ``n_workers``.
+    ``(ClickHistogram, ClickPatternStats)``. Deterministic for a fixed
+    seed, independent of ``n_workers``.
 
     Each block yields the (pulse, bin) pairs of its clicks: from the sparse
     per-bin kernel for Coherent light without ``n_max_guard``, otherwise
     from a multinomial over per-pulse photon numbers (the guard has to see
     them) plus sparse dark counts. Clicks per bin are a ``bincount`` of the
     bins; the k-counts are a ``bincount`` of the per-pulse click counts.
-
-    Artifacts act on detector records, which only :func:`emit_time_tags`
-    produces; ``opts.artifact`` is rejected here rather than ignored.
+    Artifacts act on detector records, so only :func:`emit_time_tags`
+    models them.
     """
     if opts.n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {opts.n_pulses}")
-    if opts.artifact is not None:
-        raise ValueError(
-            "simulate_ensemble does not model artifacts; gate the stream of emit_time_tags"
-        )
     n_bins = config.n_bins
 
-    def run_block(args):
-        block, start, size = args
-        pulses, bins = _simulate_block(config, source, _block_rng(opts.seed, block), size)
+    def tally(_block, size, pulses, bins):
         clicks = np.bincount(bins, minlength=n_bins)
         k_counts = np.bincount(np.bincount(pulses, minlength=size), minlength=n_bins + 1)
-        return clicks, k_counts, (start + pulses, bins) if opts.record_patterns else None
-
-    blocks = list(_iter_blocks(opts.n_pulses))
-    if opts.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=opts.n_workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
+        return clicks, k_counts
 
     clicks = np.zeros(n_bins, dtype=np.int64)
     k_counts = np.zeros(n_bins + 1, dtype=np.int64)
-    for block_clicks, block_k, _ in results:
+    for block_clicks, block_k in _map_blocks(config, source, opts, tally):
         clicks += block_clicks
         k_counts += block_k
-    patterns = None
-    if opts.record_patterns:
-        patterns = np.zeros((opts.n_pulses, n_bins), dtype=bool)
-        for _, _, pairs in results:
-            patterns[pairs] = True
-
     hist = ClickHistogram.from_clicks(clicks, opts.n_pulses)
     stats = ClickPatternStats.from_counts(k_counts, hist.p_hat)
-    return SimulationResult(histogram=hist, pattern_stats=stats, patterns=patterns)
+    return SimulationResult(histogram=hist, pattern_stats=stats)
 
 
 def _apply_dead_time(times: np.ndarray, dead_time_ps: int) -> np.ndarray:
@@ -265,22 +255,25 @@ def _apply_dead_time(times: np.ndarray, dead_time_ps: int) -> np.ndarray:
 
 
 def emit_time_tags(
-    config: LoopConfig, source: PhotonSource, opts: SimOptions, rep_period_ps: int
+    config: LoopConfig,
+    source: PhotonSource,
+    opts: SimOptions,
+    rep_period_ps: int,
+    artifact: Optional[ArtifactModel] = None,
 ) -> TimeTagStream:
     """Produce a synthetic time-tag stream for ``opts.n_pulses`` pulses.
 
     One sync record marks each pulse start; a detector record is placed at
-    ``start + j * loop_delay_ps`` for every fired bin j. With artifacts
-    disabled, ingesting the stream reproduces :func:`simulate_ensemble`
-    exactly (the pattern RNG stream is shared). With ``opts.artifact`` set,
-    back-reflection records and dead-time suppression are applied to the
-    detector channel.
+    ``start + j * loop_delay_ps`` for every fired bin j. Without
+    ``artifact``, ingesting the stream reproduces :func:`simulate_ensemble`
+    exactly (the pattern RNG stream is shared). With it, back-reflection
+    records and dead-time suppression are applied to the detector channel.
+    Deterministic for a fixed seed, independent of ``opts.n_workers``.
     """
     if rep_period_ps <= config.n_bins * config.loop_delay_ps:
         raise ValueError(
             f"rep_period_ps must exceed n_bins * loop_delay_ps, got {rep_period_ps}"
         )
-    artifact = opts.artifact
     if artifact and artifact.reflection_delay_ps % config.loop_delay_ps == 0:
         raise ValueError(
             "reflection_delay_ps must not be a multiple of loop_delay_ps; "
@@ -288,17 +281,17 @@ def emit_time_tags(
         )
 
     delay = np.int64(config.loop_delay_ps)
-    det_chunks: list[np.ndarray] = []
     sync_times = np.arange(opts.n_pulses, dtype=np.int64) * np.int64(rep_period_ps)
-    for block, start, size in _iter_blocks(opts.n_pulses):
-        pulses, bins = _simulate_block(config, source, _block_rng(opts.seed, block), size)
-        t = sync_times[start + pulses] + (bins + 1) * delay
+
+    def detector_times(block, _size, pulses, bins):
+        t = sync_times[block * BLOCK_SIZE + pulses] + (bins + 1) * delay
         if artifact and len(t):
             art_rng = _block_rng(opts.seed, block, key_offset=_ARTIFACT_KEY_OFFSET)
             spur = t[art_rng.random(len(t)) < artifact.back_reflection_prob]
             t = np.concatenate([t, spur + np.int64(artifact.reflection_delay_ps)])
-        det_chunks.append(t)
+        return t
 
+    det_chunks = _map_blocks(config, source, opts, detector_times)
     det_times = np.concatenate(det_chunks) if det_chunks else np.empty(0, dtype=np.int64)
     if artifact:
         det_times = np.sort(det_times, kind="stable")  # spurs may cross block edges

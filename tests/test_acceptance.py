@@ -241,8 +241,8 @@ def test_criterion_8_back_reflection_artifact():
     sigma = np.sqrt(np.maximum(analytic_p * (1 - analytic_p), 1e-9) / m)
 
     def deviations(artifact, seed):
-        opts = SimOptions(n_pulses=m, seed=seed, artifact=artifact)
-        stream = simulator.emit_time_tags(cfg, source, opts, 50 * cfg.loop_delay_ps)
+        opts = SimOptions(n_pulses=m, seed=seed)
+        stream = simulator.emit_time_tags(cfg, source, opts, 50 * cfg.loop_delay_ps, artifact)
         res = clickstats.ingest_time_tags(stream, cfg)
         return (res.histogram.p_hat - analytic_p) / sigma
 

@@ -1,9 +1,12 @@
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from photonloop import analytic, simulator, Coherent, LoopConfig, TimeTagStream
 from photonloop.cli import (
@@ -238,6 +241,38 @@ class TestAnalyzeCommand:
         assert "bad.csv" in result.output and "line 4" in result.output
 
 
+_ASCII = st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#")
+
+
+@st.composite
+def malformed_tags(draw):
+    """(kind, text) of a tags file broken in one way; ``#`` starts a comment, so none is drawn."""
+    kind = draw(st.sampled_from(["header", "cell", "columns", "channel", "unsorted", "no_sync"]))
+    n = draw(st.integers(0 if kind == "no_sync" else 2, 6))
+    times = sorted(draw(st.lists(st.integers(10_000, 10**9), min_size=n, max_size=n)))
+    channels = [0] + draw(st.lists(st.sampled_from([0, 1]), min_size=n - 1, max_size=n - 1)) if n else []
+    rows = [[str(c), str(t)] for c, t in zip(channels, times)]
+    header = "channel,time_ps"
+    i = draw(st.integers(1, n - 1)) if n > 1 else 0
+    if kind == "header":
+        header = draw(st.text(_ASCII, max_size=20).filter(lambda h: h.strip() != "channel,time_ps"))
+    elif kind == "cell":
+        not_int64 = st.one_of(
+            st.text(_ASCII, max_size=8).filter(lambda c: not re.fullmatch(r"\s*[+-]?\d+\s*", c)),
+            st.integers(1 << 63, 1 << 80).map(str),
+        )
+        rows[i][draw(st.integers(0, 1))] = draw(not_int64)
+    elif kind == "columns":
+        rows[i] = rows[i][:1] if draw(st.booleans()) else rows[i] + ["7"] * draw(st.integers(1, 3))
+    elif kind == "channel":
+        rows[i][0] = draw(st.sampled_from(["-1", "2", "7", "10"]))
+    elif kind == "unsorted":
+        rows[i][1] = str(times[i - 1] - draw(st.integers(1, 10_000)))
+    else:
+        rows = [["1", row[1]] for row in rows]
+    return kind, "".join(line + "\n" for line in [header] + [",".join(row) for row in rows])
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("value", ["0.9", "nan"])
     def test_inconsistent_histogram_exits_2(self, runner, config_file, tmp_path, value):
@@ -306,6 +341,33 @@ class TestMalformedInputs:
         )
         assert result.exit_code == 2
         assert "channel 7" in result.output and "line 4" in result.output
+
+    @pytest.mark.parametrize("body", ["", "1,156000\n1,312000\n"], ids=["header-only", "detector-only"])
+    def test_no_sync_record_exits_2(self, runner, config_file, tmp_path, body):
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,time_ps\n" + body)
+        result = runner.invoke(
+            main, ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2
+        assert "t.csv" in result.output and "no sync" in result.output
+
+    @given(malformed=malformed_tags())
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # files are rewritten per example
+    )
+    def test_malformed_tags_exit_2_naming_file(self, runner, config_file, tmp_path, malformed):
+        kind, text = malformed
+        tags = tmp_path / "t.csv"
+        tags.write_text(text)
+        result = runner.invoke(
+            main, ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json")]
+        )
+        assert isinstance(result.exception, SystemExit), (kind, text, result.exception)
+        assert result.exit_code == 2, (kind, text, result.output)
+        assert str(tags) in result.output, (kind, text, result.output)
 
 
 class TestFitCommand:

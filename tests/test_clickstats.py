@@ -194,8 +194,8 @@ class TestIngestDedupe:
             reflection_delay_ps=(multiple + 4) * config.loop_delay_ps + offset,
             dead_time_ps=dead_time,
         )
-        opts = SimOptions(n_pulses=simulator.BLOCK_SIZE + extra_pulses, seed=seed, artifact=artifact)
-        stream = simulator.emit_time_tags(config, Coherent(20.0), opts, 8 * config.loop_delay_ps)
+        opts = SimOptions(n_pulses=simulator.BLOCK_SIZE + extra_pulses, seed=seed)
+        stream = simulator.emit_time_tags(config, Coherent(20.0), opts, 8 * config.loop_delay_ps, artifact)
         self._assert_matches_unique(stream, config)
 
 

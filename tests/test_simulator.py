@@ -9,6 +9,7 @@ from photonloop import (
     Coherent,
     Fock,
     LoopConfig,
+    LossyFock,
     SimOptions,
     analytic,
     clickstats,
@@ -76,6 +77,23 @@ class TestSimulateEnsemble:
         )
         np.testing.assert_array_equal(h1.clicks, h4.clicks)
 
+        # tag streams too, spurs and dead time included, on both kernels
+        delay = splitter_half_config.loop_delay_ps
+        art = ArtifactModel(
+            back_reflection_prob=0.1, reflection_delay_ps=delay // 2, dead_time_ps=delay // 3
+        )
+        for source in (Coherent(3.0), LossyFock(1, 0.6)):
+            for artifact in (None, art):
+                s1, s4 = (
+                    simulator.emit_time_tags(
+                        splitter_half_config, source, SimOptions(**base, n_workers=workers),
+                        200 * delay, artifact,
+                    )
+                    for workers in (1, 4)
+                )
+                np.testing.assert_array_equal(s1.channels, s4.channels)
+                np.testing.assert_array_equal(s1.times_ps, s4.times_ps)
+
     def test_lossless_single_photon_fires_exactly_one_bin(self):
         cfg = LoopConfig(mode="passive", R=0.5, eta=1.0, nu=0.0, n_bins=60)
         _, stats = simulator.simulate_ensemble(cfg, Fock(1), SimOptions(n_pulses=50_000, seed=6))
@@ -88,12 +106,6 @@ class TestSimulateEnsemble:
         expected = cfg.n_bins * cfg.nu
         se = math.sqrt(expected / m)
         assert abs(stats.mean_c - expected) < 3 * se
-
-    def test_recorded_patterns_consistent_with_histogram(self, splitter_half_config):
-        opts = SimOptions(n_pulses=5_000, seed=8, record_patterns=True)
-        res = simulator.simulate_ensemble(splitter_half_config, Coherent(3.0), opts)
-        assert res.patterns.shape == (5_000, splitter_half_config.n_bins)
-        np.testing.assert_array_equal(res.patterns.sum(axis=0), res.histogram.clicks)
 
 
 def _chi2_within_bounds(chi2, dof, coverage=0.999):
@@ -206,13 +218,6 @@ class TestEmitTimeTags:
                 splitter_half_config, Coherent(3.0), SimOptions(n_pulses=10), 10
             )
 
-    def test_ensemble_rejects_artifact(self, splitter_half_config):
-        art = ArtifactModel(back_reflection_prob=0.1, reflection_delay_ps=1, dead_time_ps=0)
-        with pytest.raises(ValueError, match="artifact"):
-            simulator.simulate_ensemble(
-                splitter_half_config, Coherent(3.0), SimOptions(n_pulses=10, artifact=art)
-            )
-
     def test_reflection_delay_must_miss_gates(self, splitter_half_config):
         art = ArtifactModel(
             back_reflection_prob=0.1,
@@ -223,8 +228,9 @@ class TestEmitTimeTags:
             simulator.emit_time_tags(
                 splitter_half_config,
                 Coherent(3.0),
-                SimOptions(n_pulses=10, artifact=art),
+                SimOptions(n_pulses=10),
                 200 * splitter_half_config.loop_delay_ps,
+                art,
             )
 
 
@@ -235,8 +241,8 @@ class TestBackReflectionArtifact:
     SRC = Coherent(1000.0)
 
     def _run(self, artifact, m=20_000):
-        opts = SimOptions(n_pulses=m, seed=77, artifact=artifact)
-        stream = simulator.emit_time_tags(self.CFG, self.SRC, opts, 50 * self.CFG.loop_delay_ps)
+        opts = SimOptions(n_pulses=m, seed=77)
+        stream = simulator.emit_time_tags(self.CFG, self.SRC, opts, 50 * self.CFG.loop_delay_ps, artifact)
         res = clickstats.ingest_time_tags(stream, self.CFG)
         p = np.array(
             [analytic.click_prob_closed(self.CFG, self.SRC, j) for j in range(1, 41)]
