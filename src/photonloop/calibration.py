@@ -15,8 +15,6 @@ from dataclasses import replace
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy import constants
-from scipy.optimize import least_squares
 
 from . import analytic
 from .errors import (
@@ -44,6 +42,12 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call: scipy is off the import path."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
+
+
 def power_to_photons(power_watts: float, rep_rate_hz: float, wavelength_m: float) -> float:
     """Mean photons per pulse corresponding to an average power reading."""
     if rep_rate_hz <= 0:
@@ -52,7 +56,7 @@ def power_to_photons(power_watts: float, rep_rate_hz: float, wavelength_m: float
         raise ValueError(f"wavelength_m must be positive, got {wavelength_m}")
     if power_watts < 0:
         raise ValueError(f"power_watts must be non-negative, got {power_watts}")
-    photon_energy = constants.h * constants.c / wavelength_m
+    photon_energy = 6.62607015e-34 * 299792458.0 / wavelength_m  # exact SI h [J s] and c [m/s]
     return power_watts / (photon_energy * rep_rate_hz)
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy import stats as _sps
 
 from .errors import UnsortedStream
 
@@ -166,10 +166,12 @@ class Coherent(PhotonSource):
         return float(self.nbar)
 
     def pmf(self, n):
-        return _sps.poisson.pmf(n, self.nbar)
+        from scipy import stats
+        return stats.poisson.pmf(n, self.nbar)
 
     def truncation_bound(self, tail_tol):
-        return int(_sps.poisson.isf(tail_tol, self.nbar)) + 1
+        from scipy import stats
+        return int(stats.poisson.isf(tail_tol, self.nbar)) + 1
 
     def sample(self, rng, size):
         return rng.poisson(self.nbar, size=size).astype(np.int64)
@@ -193,12 +195,14 @@ class Thermal(PhotonSource):
 
     def pmf(self, n):
         # nbar^n / (1+nbar)^(n+1), i.e. negative binomial with shape 1
-        return _sps.nbinom.pmf(n, 1.0, self._p)
+        from scipy import stats
+        return stats.nbinom.pmf(n, 1.0, self._p)
 
     def truncation_bound(self, tail_tol):
+        from scipy import stats
         if self.nbar == 0:
             return 0
-        return int(_sps.nbinom.isf(tail_tol, 1.0, self._p)) + 1
+        return int(stats.nbinom.isf(tail_tol, 1.0, self._p)) + 1
 
     def sample(self, rng, size):
         return rng.negative_binomial(1.0, self._p, size=size).astype(np.int64)
@@ -228,12 +232,14 @@ class MultiThermal(PhotonSource):
         return float(self.nbar)
 
     def pmf(self, n):
-        return _sps.nbinom.pmf(n, self.K, self._p)
+        from scipy import stats
+        return stats.nbinom.pmf(n, self.K, self._p)
 
     def truncation_bound(self, tail_tol):
+        from scipy import stats
         if self.nbar == 0:
             return 0
-        return int(_sps.nbinom.isf(tail_tol, self.K, self._p)) + 1
+        return int(stats.nbinom.isf(tail_tol, self.K, self._p)) + 1
 
     def sample(self, rng, size):
         return rng.negative_binomial(self.K, self._p, size=size).astype(np.int64)
@@ -258,7 +264,8 @@ class LossyFock(PhotonSource):
         return float(self.n) * self.t
 
     def pmf(self, n):
-        return _sps.binom.pmf(n, self.n, self.t)
+        from scipy import stats
+        return stats.binom.pmf(n, self.n, self.t)
 
     def truncation_bound(self, tail_tol):
         return self.n
@@ -292,7 +299,7 @@ def wilson_interval(
     trials : int
         Number of Bernoulli trials (pulses).
     coverage : float
-        Two-sided coverage; default 0.683 (one Gaussian sigma).
+        Two-sided coverage in (0, 1); default 0.683 (one Gaussian sigma).
 
     Returns
     -------
@@ -301,7 +308,8 @@ def wilson_interval(
     _require(trials >= 1, f"trials must be >= 1, got {trials}")
     clicks = np.asarray(clicks)
     _require(bool(((clicks >= 0) & (clicks <= trials)).all()), "clicks must lie in [0, trials]")
-    z = _sps.norm.ppf(0.5 + coverage / 2.0)
+    _require(0.0 < coverage < 1.0, f"coverage must lie in (0, 1), got {coverage}")
+    z = NormalDist().inv_cdf(0.5 + coverage / 2.0)
     p = clicks.astype(float) / trials
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom

@@ -47,6 +47,12 @@ class TestPowerToPhotons:
     def test_zero_power(self):
         assert calibration.power_to_photons(0.0, 50e3, 1550e-9) == 0.0
 
+    def test_bit_identical_to_scipy_constants(self):
+        from scipy import constants
+
+        ref = 1.61e-9 / (constants.h * constants.c / 1550e-9 * 50e3)
+        assert calibration.power_to_photons(1.61e-9, 50e3, 1550e-9) == ref
+
     def test_linear_in_rep_rate(self):
         one = calibration.power_to_photons(1e-9, 50e3, 1550e-9)
         two = calibration.power_to_photons(1e-9, 100e3, 1550e-9)

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import photonloop
 from photonloop import analytic, simulator, Coherent, LoopConfig, TimeTagStream
 from photonloop.cli import (
     main,
@@ -513,3 +518,45 @@ class TestTagsCsvRoundTrip:
             fmt="%d", delimiter=",", header="channel,time_ps", comments="",
         )
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this photonloop."""
+    src = str(Path(photonloop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        proc = _run_python(
+            "import sys, photonloop.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_simulate_and_analyze_run_without_scipy(self, config_file, tmp_path):
+        hist, tagged, tags, report = (str(tmp_path / n) for n in ("h.csv", "g.csv", "t.csv", "r.json"))
+        sim = ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "2000"]
+        commands = [
+            sim + ["-o", hist],
+            sim + ["-o", tagged, "--emit-tags", tags],
+            ["analyze", "--config", config_file, "--tags", tags, "-o", report,
+             "--bootstrap-iterations", "100"],
+        ]
+        proc = _run_python(
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from photonloop.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        main(args)\n"
+            "    except SystemExit as exc:\n"
+            "        print(exc.code)\n",
+            json.dumps(commands),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0"], proc.stderr

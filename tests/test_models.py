@@ -21,6 +21,8 @@ from photonloop import (
 from photonloop.errors import UnsortedStream
 from photonloop.models import wilson_interval
 
+THREE_SIGMA = 0.9973002039367398  # criterion 2's coverage, as in test_acceptance
+
 ALL_SOURCES = [
     Fock(0),
     Fock(3),
@@ -128,6 +130,42 @@ class TestWilsonInterval:
     def test_nonzero_width_at_extremes(self):
         lo, hi = wilson_interval(np.array([0, 1000]), 1000)
         assert hi[0] > 0.0 and lo[1] < 1.0
+
+    @pytest.mark.parametrize("coverage", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_rejects_coverage_outside_unit_interval(self, coverage):
+        with pytest.raises(ValueError, match="coverage"):
+            wilson_interval(np.array([3]), 10, coverage)
+        with pytest.raises(ValueError, match="coverage"):
+            ClickHistogram.from_clicks([3], 10, coverage)
+
+    @staticmethod
+    def _scipy_reference(clicks, trials, coverage):
+        """The Wilson interval written out, with z from ``scipy.stats.norm.ppf``."""
+        from scipy.stats import norm
+
+        z = norm.ppf(0.5 + coverage / 2.0)
+        p = clicks / trials
+        denom = 1.0 + z**2 / trials
+        center = (p + z**2 / (2 * trials)) / denom
+        half = (z / denom) * np.sqrt(p * (1.0 - p) / trials + z**2 / (4.0 * trials**2))
+        lo = np.minimum(np.clip(center - half, 0.0, None), p)
+        return lo, np.maximum(np.clip(center + half, None, 1.0), p)
+
+    @pytest.mark.parametrize("trials", [7, 1000, 10**6])
+    def test_default_coverage_bit_identical_to_scipy(self, trials):
+        # keeps every histogram CSV byte-identical to the scipy-based releases
+        clicks = np.unique(np.r_[np.linspace(0, trials, 500).astype(np.int64), 1, trials - 1])
+        got = wilson_interval(clicks, trials)
+        ref = self._scipy_reference(clicks, trials, 0.683)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("trials", [7, 1000, 10**6])
+    def test_three_sigma_agrees_with_scipy(self, trials):
+        clicks = np.unique(np.r_[np.linspace(0, trials, 500).astype(np.int64), 1, trials - 1])
+        got = wilson_interval(clicks, trials, THREE_SIGMA)
+        ref = self._scipy_reference(clicks, trials, THREE_SIGMA)
+        # z differs by one ulp; lo = center - half cancels at low counts, so allow 2 ulps of 1
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=2 * np.finfo(float).eps)
 
 
 class TestClickHistogram:
