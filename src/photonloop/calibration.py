@@ -176,12 +176,6 @@ def weighted_mean_nout(
     return float((weights @ x[ok]) / weights.sum()), float(1.0 / math.sqrt(weights.sum()))
 
 
-def _decay_slope(log_l: np.ndarray, js: np.ndarray) -> float:
-    if len(js) < 2:
-        return math.log(0.5)
-    return float(np.polyfit(js, log_l, 1)[0])
-
-
 def _fit_starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
     rng = np.random.Generator(np.random.Philox(key=20240712))
     starts = [x0]
@@ -211,6 +205,13 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
     (upward-fluctuating near-saturated bins would otherwise get
     systematically smaller errors and larger weights).
     """
+    passive = config_prior.mode is Mode.PASSIVE
+    n_params = 3 if passive else 2
+    if hist.n_bins < n_params:
+        raise ValueError(
+            f"a {config_prior.mode.value} fit has {n_params} parameters and needs at least "
+            f"{n_params} bins, but the histogram has {hist.n_bins}"
+        )
     p_hat = hist.p_hat
     if p_hat[0] > 0.99:
         raise SaturatedFirstBin(
@@ -228,10 +229,9 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
     decay = usable.copy()
     decay[0] = False
     js = np.nonzero(decay)[0] + 1
-    slope = _decay_slope(np.log(L[decay]), js) if decay.sum() >= 2 else math.log(0.5)
+    slope = float(np.polyfit(js, np.log(L[decay]), 1)[0]) if len(js) >= 2 else math.log(0.5)
     s0 = min(max(math.exp(slope), 1e-3), 0.999)
 
-    passive = config_prior.mode is Mode.PASSIVE
     if passive:
         if usable[0] and usable[1]:
             ratio = L[1] / L[0]
@@ -254,71 +254,48 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
         loop = replace(config_prior, R=x[0], eta=x[1] if passive else 1.0)
         return 1.0 - (1.0 - nu) * np.exp(-analytic.bin_exit_prob(loop, bins) * x[-1])
 
-    best = None
-    for start in _fit_starts(x0, lo, hi):
+    def solve(start, sigma):
+        """The trf solve from ``start``; None if it raised, failed or ended at a non-finite cost."""
         try:
             res = least_squares(
                 lambda x: (model(x) - p_hat) / sigma, start, bounds=(lo, hi), method="trf"
             )
         except (ValueError, np.linalg.LinAlgError):
-            continue
-        if res.success and math.isfinite(res.cost) and (best is None or res.cost < best.cost):
+            return None
+        return res if res.success and math.isfinite(res.cost) else None
+
+    best = None
+    for start in _fit_starts(x0, lo, hi):
+        res = solve(start, sigma)
+        if res is not None and (best is None or res.cost < best.cost):
             best = res
     if best is None:
         raise FitDiverged("least-squares failed from every start point")
 
     for _ in range(2):
         p_model = model(best.x)
-        sigma = np.sqrt(
-            np.maximum(p_model * (1.0 - p_model), 1.0 / hist.trials) / hist.trials
-        )
-        try:
-            res = least_squares(
-                lambda x: (model(x) - p_hat) / sigma, best.x, bounds=(lo, hi), method="trf"
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            break
-        if not (res.success and math.isfinite(res.cost)):
+        sigma = np.sqrt(np.maximum(p_model * (1.0 - p_model), 1.0 / hist.trials) / hist.trials)
+        res = solve(best.x, sigma)
+        if res is None:
             break
         best = res
 
     jac = best.jac
     cov = np.linalg.pinv(jac.T @ jac)
     perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    residual_norm = float(2.0 * best.cost)
-    dof = n_bins - len(x0)
-
     if passive:
-        r, eta, nbar = best.x
-        var_prod = (
-            (eta * perr[0]) ** 2 + (r * perr[1]) ** 2 + 2.0 * r * eta * cov[0, 1]
-        )
-        return FitResult(
-            R_hat=float(r),
-            eta_hat=float(eta),
-            nbar_hat=float(nbar),
-            sigma_R=float(perr[0]),
-            sigma_eta=float(perr[1]),
-            sigma_nbar=float(perr[2]),
-            residual_norm=residual_norm,
-            dof=dof,
-            r_eta_hat=float(r * eta),
-            sigma_r_eta=float(math.sqrt(max(var_prod, 0.0))),
-            identifiable=True,
-        )
-    nan = float("nan")
+        r, eta = best.x[:2]
+        var_prod = (eta * perr[0]) ** 2 + (r * perr[1]) ** 2 + 2.0 * r * eta * cov[0, 1]
+        per_param, r_eta, sigma_r_eta = (*best.x, *perr), r * eta, math.sqrt(max(var_prod, 0.0))
+    else:
+        per_param, r_eta, sigma_r_eta = (math.nan,) * 6, best.x[0], perr[0]
     return FitResult(
-        R_hat=nan,
-        eta_hat=nan,
-        nbar_hat=nan,
-        sigma_R=nan,
-        sigma_eta=nan,
-        sigma_nbar=nan,
-        residual_norm=residual_norm,
-        dof=dof,
-        r_eta_hat=float(best.x[0]),
-        sigma_r_eta=float(perr[0]),
-        identifiable=False,
+        *(float(v) for v in per_param),  # R, eta, nbar, then their sigmas, in field order
+        residual_norm=float(2.0 * best.cost),
+        dof=n_bins - n_params,
+        r_eta_hat=float(r_eta),
+        sigma_r_eta=float(sigma_r_eta),
+        identifiable=passive,
     )
 
 
@@ -399,11 +376,14 @@ def calibrate(
     inversion goes through log(1/(1 - p)), and with fewer misses the log of
     the noisy miss rate is both unstable and systematically biased high.
     Bins from ``j_min`` on enter the weighted mean (``j_min=None`` selects
-    it automatically, see :func:`_auto_j_min`). When a power-meter photon
+    it automatically, see :func:`_auto_j_min`; a given ``j_min`` outside
+    1..n_bins raises ``ValueError``). When a power-meter photon
     number ``n_pm`` is given, the system detection efficiency (with
     uncertainty) and the dynamic range are attached; otherwise the dynamic
     range is referenced to the measured photon number.
     """
+    if j_min is not None and not 1 <= j_min <= hist_bright.n_bins:
+        raise ValueError(f"j_min must lie in 1..{hist_bright.n_bins}, got {j_min}")
     if fit.identifiable:
         cal_cfg = replace(
             config,

@@ -437,6 +437,15 @@ def calibrate(
     n_dark,
 ):
     """Run the full calibration: fit on the attenuated run, invert the bright run."""
+    reading = {"--power": power, "--rep-rate": rep_rate, "--wavelength": wavelength}
+    missing = [flag for flag, value in reading.items() if value is None]
+    if 0 < len(missing) < len(reading):
+        raise ValueError(
+            f"{' and '.join(missing)} missing: give --power, --rep-rate and --wavelength "
+            "together or none of them"
+        )
+    if sigma_power > 0 and power is None:
+        raise ValueError("--sigma-power needs --power, --rep-rate and --wavelength")
     config = load_loop_config(config_path)
     bright = read_histogram_csv(bright_path)
     atten = read_histogram_csv(atten_path)
@@ -444,7 +453,7 @@ def calibrate(
     fit_result = calibration.fit_loop_params(atten, config)
 
     n_pm = sigma_n_pm = None
-    if power is not None and rep_rate is not None and wavelength is not None:
+    if not missing:
         n_pm = calibration.power_to_photons(power, rep_rate, wavelength)
         sigma_n_pm = (
             calibration.power_to_photons(sigma_power, rep_rate, wavelength)

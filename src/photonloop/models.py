@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -405,13 +405,15 @@ class TimeTagStream:
     """Raw time-tagger records: one channel id and one timestamp per event.
 
     Records must be sorted by time (non-decreasing); construction raises
-    ``UnsortedStream`` naming the first offending record otherwise.
+    ``UnsortedStream`` naming the first offending record otherwise. Channel
+    ids are the class constants ``sync_channel`` and ``detector_channel``.
     """
+
+    sync_channel: ClassVar[int] = 0
+    detector_channel: ClassVar[int] = 1
 
     channels: np.ndarray
     times_ps: np.ndarray
-    sync_channel: int = 0
-    detector_channel: int = 1
 
     def __post_init__(self):
         channels = np.asarray(self.channels, dtype=np.int64)

@@ -292,14 +292,16 @@ def emit_time_tags(
         return t
 
     det_chunks = _map_blocks(config, source, opts, detector_times)
-    det_times = np.concatenate(det_chunks) if det_chunks else np.empty(0, dtype=np.int64)
+    det_times = np.sort(np.concatenate(det_chunks)) if det_chunks else np.empty(0, dtype=np.int64)
     if artifact:
-        det_times = np.sort(det_times, kind="stable")  # spurs may cross block edges
         det_times = det_times[_apply_dead_time(det_times, artifact.dead_time_ps)]
 
-    channels = np.concatenate(
-        [np.zeros(len(sync_times), dtype=np.int64), np.ones(len(det_times), dtype=np.int64)]
-    )
-    times = np.concatenate([sync_times, det_times])
-    order = np.lexsort((channels, times))
-    return TimeTagStream(channels=channels[order], times_ps=times[order])
+    # merge the (already ordered) sync train in; a sync goes before a detector record at its time
+    n_records = len(sync_times) + len(det_times)
+    is_sync = np.zeros(n_records, dtype=bool)
+    is_sync[np.searchsorted(det_times, sync_times) + np.arange(len(sync_times))] = True
+    times = np.empty(n_records, dtype=np.int64)
+    times[is_sync] = sync_times
+    times[~is_sync] = det_times
+    channels = np.where(is_sync, TimeTagStream.sync_channel, TimeTagStream.detector_channel)
+    return TimeTagStream(channels=channels, times_ps=times)

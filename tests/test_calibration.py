@@ -372,6 +372,12 @@ class TestCalibrate:
         with pytest.raises(NoValidBins):
             calibration.calibrate(hist, perfect_fit(cfg), cfg)
 
+    @pytest.mark.parametrize("j_min", [0, -3, 131])
+    def test_j_min_outside_bins_rejected(self, j_min):
+        cfg = hdr_cfg()
+        with pytest.raises(ValueError, match=f"j_min must lie in 1..130, got {j_min}"):
+            calibration.calibrate(exact_histogram(cfg, nbar=2.0), perfect_fit(cfg), cfg, j_min=j_min)
+
     def test_explicit_j_min_honored(self):
         cfg = hdr_cfg()
         nbar_in = analytic.invert_total_output(cfg, 208_011.0)

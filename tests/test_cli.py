@@ -397,6 +397,31 @@ class TestFitCommand:
         assert abs(fit["R_hat"] - 0.91370) < 0.005
         assert abs(fit["eta_hat"] - 0.8615) < 0.01
 
+    @pytest.mark.parametrize(
+        "mode, n_bins, exit_code",
+        [("passive", 1, 2), ("passive", 2, 2), ("active", 1, 2), ("passive", 3, 0), ("active", 2, 0)],
+    )
+    def test_fewer_bins_than_parameters_exits_2(self, runner, tmp_path, mode, n_bins, exit_code):
+        cfg_path, hist, out = tmp_path / "loop.json", str(tmp_path / "h.csv"), tmp_path / "fit.json"
+        cfg_path.write_text(
+            json.dumps({"mode": mode, "R": 0.5, "eta": 0.9, "nu": 1e-4, "n_bins": n_bins})
+        )
+        run_ok(
+            runner,
+            ["simulate", "--config", str(cfg_path), "--source", "coherent:2",
+             "--pulses", "100000", "--seed", "5", "-o", hist],
+        )
+        result = runner.invoke(main, ["fit", "--config", str(cfg_path), "--hist", hist, "-o", str(out)])
+        assert result.exit_code == exit_code, result.output
+        if exit_code == 2:
+            n_params = 3 if mode == "passive" else 2
+            assert f"{n_params} parameters" in result.output
+            assert f"the histogram has {n_bins}" in result.output
+        else:  # exactly determined: still fitted, near the truth
+            fit = json.loads(out.read_text())
+            assert fit["dof"] == 0
+            assert abs(fit["r_eta_hat"] - 0.45) < 0.02
+
 
 class TestCalibrateCommand:
     def _setup(self, runner, tmp_path):
@@ -418,6 +443,41 @@ class TestCalibrateCommand:
              "--pulses", "200000", "--seed", "42", "-o", str(tmp_path / "atten.csv")],
         )
         return cfg_path
+
+    @pytest.fixture(scope="class")
+    def calibrate_args(self, tmp_path_factory):
+        """``calibrate`` arguments without a power reading, over one simulated pair of runs."""
+        tmp_path = tmp_path_factory.mktemp("calibrate")
+        cfg_path = self._setup(CliRunner(), tmp_path)
+        return ["calibrate", "--config", str(cfg_path),
+                "--bright", str(tmp_path / "bright.csv"),
+                "--attenuated", str(tmp_path / "atten.csv"),
+                "-o", str(tmp_path / "cal.json")]
+
+    @pytest.mark.parametrize(
+        "given, missing",
+        [
+            (["--power", "1.61e-9", "--rep-rate", "50e3"], "--wavelength"),
+            (["--power", "1.61e-9"], "--rep-rate and --wavelength"),
+            (["--rep-rate", "50e3", "--wavelength", "1550e-9"], "--power"),
+        ],
+        ids=["no-wavelength", "power-only", "no-power"],
+    )
+    def test_partial_power_reading_exits_2(self, runner, calibrate_args, given, missing):
+        result = runner.invoke(main, calibrate_args + given)
+        assert result.exit_code == 2, result.output
+        assert f"{missing} missing" in result.output
+
+    def test_sigma_power_without_power_exits_2(self, runner, calibrate_args):
+        result = runner.invoke(main, calibrate_args + ["--sigma-power", "1e-10"])
+        assert result.exit_code == 2, result.output
+        assert "--sigma-power needs --power" in result.output
+
+    @pytest.mark.parametrize("j_min", [0, 131, 500])
+    def test_j_min_outside_bins_exits_2(self, runner, calibrate_args, j_min):
+        result = runner.invoke(main, calibrate_args + ["--j-min", str(j_min)])
+        assert result.exit_code == 2, result.output
+        assert f"j_min must lie in 1..130, got {j_min}" in result.output
 
     def test_full_report(self, runner, tmp_path):
         cfg_path = self._setup(runner, tmp_path)

@@ -206,3 +206,9 @@ class TestTimeTagStream:
     def test_sorted_stream_accepted(self):
         stream = TimeTagStream(channels=[0, 1], times_ps=[0, 7])
         assert stream.n_records == 2
+
+    def test_channel_ids_are_class_constants(self):
+        assert [f.name for f in dataclasses.fields(TimeTagStream)] == ["channels", "times_ps"]
+        assert (TimeTagStream.sync_channel, TimeTagStream.detector_channel) == (0, 1)
+        with pytest.raises(TypeError):
+            TimeTagStream(channels=[0], times_ps=[0], sync_channel=2)

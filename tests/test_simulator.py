@@ -233,6 +233,20 @@ class TestEmitTimeTags:
                 art,
             )
 
+    def test_sync_precedes_detector_record_at_same_time(self):
+        # spurs of bin-1 records land exactly on the next sync: 156000 + 6708001 = 6864001
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=40)
+        art = ArtifactModel(back_reflection_prob=0.3, reflection_delay_ps=6_708_001, dead_time_ps=0)
+        stream = simulator.emit_time_tags(
+            cfg, Coherent(3.0), SimOptions(n_pulses=5_000, seed=5), 6_864_001, art
+        )
+        sync = stream.channels == stream.sync_channel
+        ties = np.isin(stream.times_ps[~sync], stream.times_ps[sync]).sum()
+        assert ties > 500
+        # already in (time, channel) order: the stable two-key sort leaves it as it is
+        order = np.lexsort((stream.channels, stream.times_ps))
+        np.testing.assert_array_equal(order, np.arange(stream.n_records))
+
 
 class TestBackReflectionArtifact:
     """Dead time from spurious back-reflections undercounts early bins."""
