@@ -437,6 +437,8 @@ def calibrate(
     n_dark,
 ):
     """Run the full calibration: fit on the attenuated run, invert the bright run."""
+    if not 0.0 <= sigma_power < math.inf:
+        raise ValueError(f"--sigma-power must be a finite non-negative number, got {sigma_power}")
     reading = {"--power": power, "--rep-rate": rep_rate, "--wavelength": wavelength}
     missing = [flag for flag, value in reading.items() if value is None]
     if 0 < len(missing) < len(reading):

@@ -62,7 +62,8 @@ def ingest_time_tags(stream: TimeTagStream, config: LoopConfig) -> IngestResult:
             raise UnsortedStream(int(bad[0]) + 1)
 
     # compress and flatnonzero beat boolean indexing on interleaved masks
-    sync_times = np.compress(channels == stream.sync_channel, times)
+    is_sync = channels == stream.sync_channel
+    sync_times = np.compress(is_sync, times)
     if len(sync_times) == 0:
         raise NoSyncRecords("stream contains no sync records")
     det_at = np.flatnonzero(channels == stream.detector_channel)
@@ -72,7 +73,11 @@ def ingest_time_tags(stream: TimeTagStream, config: LoopConfig) -> IngestResult:
     delay = config.loop_delay_ps
     gate = config.gate_width_ps
 
-    pulse = np.searchsorted(sync_times, det_times, side="right") - 1
+    # a record's pulse is the last sync at or before its time: in time order, the
+    # running count of syncs, plus any sync that shares its time but comes after it
+    pulse = np.cumsum(is_sync)[det_at] - 1
+    tied = np.flatnonzero(sync_times[np.minimum(pulse + 1, len(sync_times) - 1)] == det_times)
+    pulse[tied] = np.searchsorted(sync_times, det_times[tied], side="right") - 1
     offset = det_times - sync_times[np.clip(pulse, 0, None)]
     j = (offset + delay // 2) // delay
     residual = offset - j * delay

@@ -6,19 +6,23 @@ two exact kernels:
 * Coherent light without an ``n_max_guard``: by Poisson splitting the bins
   are independent, and bin j fires with p_j = 1 - (1 - nu) exp(-q_j nbar),
   dark counts included. Each bin is sampled sparsely: a binomial number of
-  pulses, then that many distinct pulses (the misses when p_j > 1/2), at a
-  cost of O(min(clicks, misses)) per bin.
+  pulses, then that many distinct pulses, at a cost of O(min(clicks,
+  misses)) per bin. A bin with p_j > 1/2 is *flipped*: its drawn pulses
+  are the ones that miss.
 * Every other source, and Coherent light under a guard (the guard needs the
   per-pulse photon numbers): each pulse draws a photon number, a
   multinomial distributes the photons over the bins and loss, and the dark
   counts come from the sparse kernel with p_j = nu.
 
-A block's output is its list of (pulse, bin) click pairs, which the
-ensemble reduces with ``bincount`` and the time-tag emitter turns into
-records. Both run their blocks through one block map, ``_map_blocks``.
-Randomness comes from counter-based Philox streams keyed by the seed and
-jumped per fixed-size pulse block, so histograms and tag streams are
-bit-identical for a given seed no matter how many workers run the blocks.
+A block's output is its list of (pulse, bin) pairs plus the flip mask: the
+pairs of a flipped bin are its misses, all others its clicks. The ensemble
+tallies that encoding directly, in O(min(clicks, misses)); only the
+time-tag emitter, whose output is O(clicks) anyway, expands misses into
+clicks (``_hit_pairs``). Both run their blocks through one block map,
+``_map_blocks``. Randomness comes from counter-based Philox streams keyed
+by the seed and jumped per fixed-size pulse block, so histograms and tag
+streams are bit-identical for a given seed no matter how many workers run
+the blocks.
 """
 
 from __future__ import annotations
@@ -132,37 +136,59 @@ def _check_guard(config: LoopConfig, ns: np.ndarray):
 
 def _sample_clicks(
     rng: np.random.Generator, size: int, log_miss: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample independent per-bin clicks for ``size`` pulses, sparsely.
 
     Bin j fires in each pulse independently with probability
     1 - exp(log_miss[j]); taking the log of the no-click probability keeps
     both tails exact. Per bin, draw k ~ Binomial(size, min(p, 1 - p)) and
-    pick k distinct pulses; when p > 1/2 those are the pulses that miss.
-    Returns 0-based (pulse, bin) index pairs, grouped by bin.
+    pick k distinct pulses. Returns 0-based ``(pulses, bins, flip)``: the
+    (pulse, bin) pairs, grouped by bin, and the per-bin mask of p > 1/2.
+    The pairs of a bin with ``flip`` set are the pulses that *miss* it, so
+    a flipped bin without pairs fires in every pulse.
     """
     hit = -np.expm1(log_miss)
     miss = np.exp(log_miss)
     flip = miss < hit
     ks = rng.binomial(size, np.where(flip, miss, hit))
-    pulses, bins = [], []
-    for j in np.flatnonzero((ks > 0) | flip):
-        picked = rng.choice(size, ks[j], replace=False, shuffle=False)
+    js = np.flatnonzero(ks)
+    if not len(js):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), flip
+    pulses = [rng.choice(size, ks[j], replace=False, shuffle=False) for j in js]
+    return np.concatenate(pulses), np.repeat(js, ks[js]), flip
+
+
+def _hit_pairs(
+    size: int, pulses: np.ndarray, bins: np.ndarray, flip: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand :func:`_sample_clicks` output into (pulse, bin) click pairs.
+
+    Each flipped bin's misses become its clicks, in ascending pulse order;
+    the other bins keep their pairs as drawn. The result stays grouped by
+    bin, in bin order. Costs O(size) per flipped bin.
+    """
+    if not flip.any():
+        return pulses, bins
+    edges = np.searchsorted(bins, np.arange(len(flip) + 1))
+    hits = []
+    for j in range(len(flip)):
+        picked = pulses[edges[j] : edges[j + 1]]
         if flip[j]:
             fires = np.ones(size, dtype=bool)
             fires[picked] = False
             picked = np.flatnonzero(fires)
-        pulses.append(picked)
-        bins.append(np.full(len(picked), j, dtype=np.int64))
-    if not pulses:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(pulses), np.concatenate(bins)
+        hits.append(picked)
+    return np.concatenate(hits), np.repeat(np.arange(len(flip)), [len(h) for h in hits])
 
 
 def _simulate_block(
     config: LoopConfig, source: PhotonSource, q: np.ndarray, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (pulse, bin) click pairs of one block; ``q`` is ``bin_exit_probs(config)``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pulses, bins, flip)`` of one block, encoded as by :func:`_sample_clicks`.
+
+    ``q`` is ``bin_exit_probs(config)``. The multinomial path returns click
+    pairs only, with an all-False ``flip``.
+    """
     log_no_dark = np.full(config.n_bins, np.log1p(-config.nu))
     if isinstance(source, Coherent) and config.n_max_guard is None:
         return _sample_clicks(rng, size, log_no_dark - q * source.nbar)
@@ -170,26 +196,27 @@ def _simulate_block(
     _check_guard(config, ns)
     # multinomial cells: q_1..q_N plus the loss remainder
     fired = rng.multinomial(ns, np.append(q, max(0.0, 1.0 - q.sum())))[:, :-1] > 0
-    fired[_sample_clicks(rng, size, log_no_dark)] = True
-    return np.nonzero(fired)
+    fired[_hit_pairs(size, *_sample_clicks(rng, size, log_no_dark))] = True
+    return (*np.nonzero(fired), np.zeros(config.n_bins, dtype=bool))
 
 
 def _map_blocks(
     config: LoopConfig, source: PhotonSource, opts: SimOptions, fn: Callable
 ) -> list:
-    """``fn(block, size, pulses, bins)`` of every block, in block order.
+    """``fn(block, size, pulses, bins, flip)`` of every block, in block order.
 
     Block b holds ``size`` pulses from ``b * BLOCK_SIZE`` on and draws from
     the seed's Philox stream jumped b times; ``pulses`` (counted within the
-    block) and ``bins`` are its 0-based click pairs. ``fn`` runs on the
-    worker threads, and the list does not depend on ``opts.n_workers``.
+    block), ``bins`` and ``flip`` are its 0-based pairs in the encoding of
+    :func:`_sample_clicks`. ``fn`` runs on the worker threads, and the list
+    does not depend on ``opts.n_workers``.
     """
     q = analytic.bin_exit_probs(config)
 
     def run(block: int):
         size = min(BLOCK_SIZE, opts.n_pulses - block * BLOCK_SIZE)
-        pulses, bins = _simulate_block(config, source, q, _block_rng(opts.seed, block), size)
-        return fn(block, size, pulses, bins)
+        rng = _block_rng(opts.seed, block)
+        return fn(block, size, *_simulate_block(config, source, q, rng, size))
 
     blocks = range(-(-opts.n_pulses // BLOCK_SIZE))
     if opts.n_workers > 1:
@@ -202,7 +229,8 @@ def simulate_pulse(
     config: LoopConfig, source: PhotonSource, rng: np.random.Generator
 ) -> frozenset[int]:
     """Simulate a single pulse; returns the set of fired bins (1-based)."""
-    _pulse, bins = _simulate_block(config, source, analytic.bin_exit_probs(config), rng, 1)
+    encoded = _simulate_block(config, source, analytic.bin_exit_probs(config), rng, 1)
+    _pulses, bins = _hit_pairs(1, *encoded)
     return frozenset((bins + 1).tolist())
 
 
@@ -215,22 +243,30 @@ def simulate_ensemble(
     ``(ClickHistogram, ClickPatternStats)``. Deterministic for a fixed
     seed, independent of ``n_workers``.
 
-    Each block yields the (pulse, bin) pairs of its clicks: from the sparse
+    Each block yields (pulse, bin) pairs and a flip mask: from the sparse
     per-bin kernel for Coherent light without ``n_max_guard``, otherwise
     from a multinomial over per-pulse photon numbers (the guard has to see
-    them) plus sparse dark counts. Clicks per bin are a ``bincount`` of the
-    bins; the k-counts are a ``bincount`` of the per-pulse click counts.
-    Artifacts act on detector records, so only :func:`emit_time_tags`
-    models them.
+    them) plus sparse dark counts. A flipped bin's pairs are its misses,
+    and the tally reads them as such, so a saturated bin costs
+    O(misses), not O(size): its clicks are ``size`` minus its pairs, and a
+    pulse's k-count is the number of flipped bins plus its click pairs
+    minus its miss pairs. Artifacts act on detector records, so only
+    :func:`emit_time_tags` models them.
     """
     if opts.n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {opts.n_pulses}")
     n_bins = config.n_bins
 
-    def tally(_block, size, pulses, bins):
+    def tally(_block, size, pulses, bins, flip):
         clicks = np.bincount(bins, minlength=n_bins)
-        k_counts = np.bincount(np.bincount(pulses, minlength=size), minlength=n_bins + 1)
-        return clicks, k_counts
+        clicks[flip] = size - clicks[flip]
+        is_miss = flip[bins]
+        fired_per_pulse = (
+            np.count_nonzero(flip)
+            + np.bincount(pulses[~is_miss], minlength=size)
+            - np.bincount(pulses[is_miss], minlength=size)
+        )
+        return clicks, np.bincount(fired_per_pulse, minlength=n_bins + 1)
 
     clicks = np.zeros(n_bins, dtype=np.int64)
     k_counts = np.zeros(n_bins + 1, dtype=np.int64)
@@ -283,7 +319,8 @@ def emit_time_tags(
     delay = np.int64(config.loop_delay_ps)
     sync_times = np.arange(opts.n_pulses, dtype=np.int64) * np.int64(rep_period_ps)
 
-    def detector_times(block, _size, pulses, bins):
+    def detector_times(block, size, *pairs):
+        pulses, bins = _hit_pairs(size, *pairs)
         t = sync_times[block * BLOCK_SIZE + pulses] + (bins + 1) * delay
         if artifact and len(t):
             art_rng = _block_rng(opts.seed, block, key_offset=_ARTIFACT_KEY_OFFSET)
@@ -296,10 +333,12 @@ def emit_time_tags(
     if artifact:
         det_times = det_times[_apply_dead_time(det_times, artifact.dead_time_ps)]
 
-    # merge the (already ordered) sync train in; a sync goes before a detector record at its time
+    # merge the sync train i * rep_period_ps in by position: detector record i follows
+    # every sync at or before its time, min(t // rep_period_ps + 1, n_pulses) of them
     n_records = len(sync_times) + len(det_times)
-    is_sync = np.zeros(n_records, dtype=bool)
-    is_sync[np.searchsorted(det_times, sync_times) + np.arange(len(sync_times))] = True
+    n_syncs_before = np.minimum(det_times // np.int64(rep_period_ps) + 1, opts.n_pulses)
+    is_sync = np.ones(n_records, dtype=bool)
+    is_sync[np.arange(len(det_times)) + n_syncs_before] = False
     times = np.empty(n_records, dtype=np.int64)
     times[is_sync] = sync_times
     times[~is_sync] = det_times

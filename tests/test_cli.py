@@ -473,6 +473,13 @@ class TestCalibrateCommand:
         assert result.exit_code == 2, result.output
         assert "--sigma-power needs --power" in result.output
 
+    @pytest.mark.parametrize("sigma_power", ["-1e-13", "nan", "inf"])
+    def test_bad_sigma_power_exits_2(self, runner, calibrate_args, sigma_power):
+        reading = ["--power", "1e-12", "--rep-rate", "5e4", "--wavelength", "1550e-9"]
+        result = runner.invoke(main, calibrate_args + reading + ["--sigma-power", sigma_power])
+        assert result.exit_code == 2, result.output
+        assert "--sigma-power must be a finite non-negative number" in result.output
+
     @pytest.mark.parametrize("j_min", [0, 131, 500])
     def test_j_min_outside_bins_exits_2(self, runner, calibrate_args, j_min):
         result = runner.invoke(main, calibrate_args + ["--j-min", str(j_min)])

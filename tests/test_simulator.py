@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -123,7 +124,7 @@ class TestSparseKernel:
         size = 50_000
         with np.errstate(divide="ignore"):
             log_miss = np.log1p(-p)
-        pulses, bins = simulator._sample_clicks(rng(11), size, log_miss)
+        pulses, bins = simulator._hit_pairs(size, *simulator._sample_clicks(rng(11), size, log_miss))
         clicks = np.bincount(bins, minlength=len(p))
         assert clicks[0] == 0
         assert clicks[1] == 0
@@ -190,6 +191,24 @@ class TestEmitTimeTags:
         opts = SimOptions(n_pulses=4_000, seed=42)
         hist, stats = simulator.simulate_ensemble(cfg, Coherent(3.0), opts)
         stream = simulator.emit_time_tags(cfg, Coherent(3.0), opts, 40 * cfg.loop_delay_ps)
+        got = clickstats.ingest_time_tags(stream, cfg)
+        np.testing.assert_array_equal(got.histogram.clicks, hist.clicks)
+        np.testing.assert_array_equal(got.pattern_stats.c, stats.c)
+        assert got.n_discarded == 0
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_round_trip_with_saturated_bins(self, n_workers):
+        # bins 1-13 fire in every pulse (flipped, no misses) and bins 15-17 are flipped
+        # with 37 to 9,700 expected misses: the ensemble tallies them from their misses,
+        # and the emitter expands the misses into records
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=30)
+        source = Coherent(1e6)
+        opts = SimOptions(n_pulses=40_000, seed=17, n_workers=n_workers)
+        hist, stats = simulator.simulate_ensemble(cfg, source, opts)
+        assert (hist.clicks[:13] == opts.n_pulses).all()
+        assert (0 < opts.n_pulses - hist.clicks[14:17]).all()
+        assert (opts.n_pulses - hist.clicks[14:17] < opts.n_pulses // 2).all()
+        stream = simulator.emit_time_tags(cfg, source, opts, 40 * cfg.loop_delay_ps)
         got = clickstats.ingest_time_tags(stream, cfg)
         np.testing.assert_array_equal(got.histogram.clicks, hist.clicks)
         np.testing.assert_array_equal(got.pattern_stats.c, stats.c)
@@ -291,3 +310,55 @@ class TestBackReflectionArtifact:
         res, dev = self._run(None)
         assert res.n_discarded == 0
         assert np.all(np.abs(dev) < 4.5)
+
+
+class TestSeededOutputs:
+    """SHA-256 pins of seeded outputs, so a kernel change cannot alter them silently.
+
+    The digests come from version 0.4.0; the ensemble ones hold for any
+    worker count. A change that means to draw differently updates them and
+    bumps the version.
+    """
+
+    CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
+    OPTS = dict(n_pulses=40_000, seed=2024)
+
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            (Coherent(3.0), "a2f97df0b0cc4c34e876c67908de3e714fe98cf32aa97f696702a2669f588edb"),
+            (Coherent(300.0), "740ab62027be568f31f259b30b29907c763421678c29cd60a1417313432e6d99"),
+            (Coherent(1e6), "0fc1ad7ddefb5630dfb10217d0cdc89b6cad50bdc7f8e89c6477dcae579cf98b"),
+            (LossyFock(1, 0.6), "41c5e7f21326c647225dbad246cd16a5f60f88a8bc721b7063382968e14f55de"),
+        ],
+        ids=["coherent-3", "coherent-300", "coherent-1e6", "lossyfock"],
+    )
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_ensemble_digest(self, source, digest, n_workers):
+        hist, stats = simulator.simulate_ensemble(
+            self.CFG, source, SimOptions(**self.OPTS, n_workers=n_workers)
+        )
+        k_counts = np.rint(stats.c * hist.trials).astype("<i8")
+        got = hashlib.sha256(hist.clicks.astype("<i8").tobytes() + k_counts.tobytes())
+        assert got.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "source, artifact, digest",
+        [
+            (
+                Coherent(300.0),
+                ArtifactModel(back_reflection_prob=0.05, reflection_delay_ps=50_000, dead_time_ps=100_000),
+                "ea42a43110dd20926f20e94ebcdb041b33e278114641db19a69d9755e2a42fc0",
+            ),
+            (LossyFock(1, 0.6), None, "39cfa0cbf448c594d18f1d26f2de9346fa3355171a7aea8ddfb8b3575387e736"),
+        ],
+        ids=["coherent-artifact", "lossyfock"],
+    )
+    def test_tag_stream_digest(self, source, artifact, digest):
+        stream = simulator.emit_time_tags(
+            self.CFG, source, SimOptions(**self.OPTS), 4_000_000, artifact
+        )
+        got = hashlib.sha256(
+            np.asarray(stream.channels, "<i8").tobytes() + np.asarray(stream.times_ps, "<i8").tobytes()
+        )
+        assert got.hexdigest() == digest
