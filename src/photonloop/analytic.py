@@ -21,6 +21,8 @@ from .models import Coherent, Fock, LoopConfig, Mode, PhotonSource, Thermal
 __all__ = [
     "bin_exit_prob",
     "bin_exit_probs",
+    "exit_prob",
+    "exit_prob_log_grad",
     "prob_bin_given_n",
     "click_prob_closed",
     "click_prob_numeric",
@@ -37,25 +39,42 @@ MAX_SUM_TERMS = 10_000_000
 def bin_exit_prob(config: LoopConfig, j):
     """Per-photon probability q_j of leaving the loop into time bin j (1-based).
 
-    Active: q_j = (1-R) R^(j-1) eta^j for all j >= 1.
-    Passive: q_1 = R (direct reflection, no loop pass);
-    q_j = (1-R)^2 R^(j-2) eta^(j-1) for j >= 2.
-
-    This is the only place q_j is written down. ``j`` is an int (returns a
-    float) or an integer array (returns an array of the same shape).
+    ``j`` is an int (returns a float) or an integer array (returns an array
+    of the same shape); see :func:`exit_prob` for the closed forms.
     """
     j_arr = np.asarray(j)
     if (j_arr < 1).any():
         raise ValueError(f"j must be >= 1, got {j}")
-    R, eta = config.R, config.eta
-    jf = j_arr.astype(float)
-    if config.mode is Mode.ACTIVE:
-        q = (1.0 - R) * R ** (jf - 1.0) * eta**jf
-    else:
-        # the j >= 2 branch is clamped at j = 1 so that R = 0 cannot divide by zero there
-        loop = (1.0 - R) ** 2 * R ** np.maximum(jf - 2.0, 0.0) * eta ** (jf - 1.0)
-        q = np.where(j_arr == 1, R, loop)
+    q = exit_prob(config.mode, config.R, config.eta, j_arr.astype(float))
     return float(q) if q.ndim == 0 else q
+
+
+def exit_prob(mode: Mode, R: float, eta: float, j: np.ndarray) -> np.ndarray:
+    """q_j from the loop parameters, for float bins ``j`` >= 1 (not checked).
+
+    Active: q_j = (1-R) R^(j-1) eta^j for all j >= 1.
+    Passive: q_1 = R (direct reflection, no loop pass);
+    q_j = (1-R)^2 R^(j-2) eta^(j-1) for j >= 2.
+
+    This is the only place q_j is written down; its log-derivatives are in
+    :func:`exit_prob_log_grad`.
+    """
+    if mode is Mode.ACTIVE:
+        return (1.0 - R) * R ** (j - 1.0) * eta**j
+    # the j >= 2 branch is clamped at j = 1 so that R = 0 cannot divide by zero there
+    loop = (1.0 - R) ** 2 * R ** np.maximum(j - 2.0, 0.0) * eta ** (j - 1.0)
+    return np.where(j == 1.0, R, loop)
+
+
+def exit_prob_log_grad(mode: Mode, R: float, eta: float, j: np.ndarray):
+    """(d ln q_j/dR, d ln q_j/d eta) of :func:`exit_prob`, for float bins ``j`` >= 1.
+
+    Active: (j-1)/R - 1/(1-R) and j/eta. Passive: 1/R and 0 for j = 1,
+    (j-2)/R - 2/(1-R) and (j-1)/eta for j >= 2.
+    """
+    if mode is Mode.ACTIVE:
+        return (j - 1.0) / R - 1.0 / (1.0 - R), j / eta
+    return np.where(j == 1.0, 1.0 / R, (j - 2.0) / R - 2.0 / (1.0 - R)), (j - 1.0) / eta
 
 
 def bin_exit_probs(config: LoopConfig, n_bins: int | None = None) -> np.ndarray:

@@ -6,6 +6,11 @@ photon number, propagate all uncertainties per bin, and combine the bins
 into an inverse-variance weighted mean. Referencing the result against a
 power-meter reading yields the system detection efficiency and the dynamic
 range of the detector.
+
+The fit is a box-bounded Levenberg-Marquardt on the 2 or 3 loop
+parameters, written in numpy and driven by the closed-form Jacobian of the
+click model (q_j and d ln q_j from :mod:`analytic`); the module needs no
+scipy.
 """
 
 from __future__ import annotations
@@ -41,21 +46,23 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
-
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call: scipy is off the import path."""
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+#: Levenberg-Marquardt constants: the starting damping, the damping at which
+#: no step lowers the cost any more, the Gauss-Newton decrement (relative to
+#: the cost) that counts as converged, and the most steps one solve takes.
+_LM_DAMPING = 1e-3
+_LM_MAX_DAMPING = 1e10
+_LM_TOL = 1e-12
+_LM_MAX_STEPS = 100
 
 
 def power_to_photons(power_watts: float, rep_rate_hz: float, wavelength_m: float) -> float:
     """Mean photons per pulse corresponding to an average power reading."""
-    if rep_rate_hz <= 0:
-        raise ValueError(f"rep_rate_hz must be positive, got {rep_rate_hz}")
-    if wavelength_m <= 0:
-        raise ValueError(f"wavelength_m must be positive, got {wavelength_m}")
-    if power_watts < 0:
-        raise ValueError(f"power_watts must be non-negative, got {power_watts}")
+    if not 0 < rep_rate_hz < math.inf:
+        raise ValueError(f"rep_rate_hz must be positive and finite, got {rep_rate_hz}")
+    if not 0 < wavelength_m < math.inf:
+        raise ValueError(f"wavelength_m must be positive and finite, got {wavelength_m}")
+    if not 0 <= power_watts < math.inf:
+        raise ValueError(f"power_watts must be non-negative and finite, got {power_watts}")
     photon_energy = 6.62607015e-34 * 299792458.0 / wavelength_m  # exact SI h [J s] and c [m/s]
     return power_watts / (photon_energy * rep_rate_hz)
 
@@ -104,15 +111,15 @@ def nout_partial_derivatives(config: LoopConfig, p_j, j) -> dict:
     """Partial derivatives of the per-bin estimate wrt p_j, R, eta, nu.
 
     Every branch is a closed form. The estimate is C_j ln[(1-nu)/(1-p_j)]
-    with the inversion coefficient C_j = (output fraction) / q_j, so the R
-    and eta partials are the estimate times d ln C_j. With s = R eta and
-    D = R + eta - 2 R eta:
+    with the inversion coefficient C_j = F / q_j, F the output fraction, so
+    the R and eta partials are the estimate times d ln C_j = d ln F - d ln q_j.
+    d ln q_j comes from :func:`analytic.exit_prob_log_grad`; with s = R eta and
+    D = R + eta - 2 R eta, d ln F is
 
-    - active: C_j = 1/((1-s) s^(j-1)), so d ln C_j/dR = eta g and
-      d ln C_j/d eta = R g with g = 1/(1-s) - (j-1)/s;
-    - passive: C_j = D/((1-s) q_j), so d ln C_j/dR = (1-2 eta)/D + eta/(1-s)
-      - d ln q_j/dR and d ln C_j/d eta = (1-2R)/D + R/(1-s) - (j-1)/eta,
-      where d ln q_j/dR is 1/R for j = 1 and (j-2)/R - 2/(1-R) for j >= 2.
+    - active, F = eta (1-R)/(1-s): d/dR = eta/(1-s) - 1/(1-R) and
+      d/d eta = 1/eta + R/(1-s);
+    - passive, F = D/(1-s): d/dR = (1-2 eta)/D + eta/(1-s) and
+      d/d eta = (1-2R)/D + R/(1-s).
 
     Accepts scalars or broadcastable arrays like :func:`estimate_nout_per_bin`
     and returns floats or arrays to match.
@@ -123,17 +130,16 @@ def nout_partial_derivatives(config: LoopConfig, p_j, j) -> dict:
     R, eta = config.R, config.eta
     s = R * eta
     if config.mode is Mode.ACTIVE:
-        g = 1.0 / (1.0 - s) - (jf - 1.0) / s
-        dln_r, dln_eta = eta * g, R * g
+        dln_f_r, dln_f_eta = eta / (1.0 - s) - 1.0 / (1.0 - R), 1.0 / eta + R / (1.0 - s)
     else:
         denom = R + eta - 2.0 * s
-        dln_q_r = np.where(jf == 1.0, 1.0 / R, (jf - 2.0) / R - 2.0 / (1.0 - R))
-        dln_r = (1.0 - 2.0 * eta) / denom + eta / (1.0 - s) - dln_q_r
-        dln_eta = (1.0 - 2.0 * R) / denom + R / (1.0 - s) - (jf - 1.0) / eta
+        dln_f_r = (1.0 - 2.0 * eta) / denom + eta / (1.0 - s)
+        dln_f_eta = (1.0 - 2.0 * R) / denom + R / (1.0 - s)
+    dln_q_r, dln_q_eta = analytic.exit_prob_log_grad(config.mode, R, eta, jf)
     partials = {
         "p": coeff / (1.0 - p),
-        "R": nout * dln_r,
-        "eta": nout * dln_eta,
+        "R": nout * (dln_f_r - dln_q_r),
+        "eta": nout * (dln_f_eta - dln_q_eta),
         "nu": -coeff / (1.0 - config.nu),
     }
     return {key: _float_if_scalar(value) for key, value in partials.items()}
@@ -185,11 +191,83 @@ def _fit_starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarr
     return starts
 
 
+def _levenberg_marquardt(residuals, x, lo, hi):
+    """Minimise the cost |r(x)|^2 / 2 over the box lo <= x <= hi, starting at ``x``.
+
+    ``residuals(x)`` returns r and its Jacobian J. A parameter on a bound
+    that the gradient g = J^T r pushes outwards is held. For the others each
+    step solves the damped normal equations (A + lambda a_max I) dx = -g,
+    with A = J^T J and a_max its largest eigenvalue, through one
+    eigendecomposition of A per point, and is clipped to the box. (Damping
+    by diag A instead lets a parameter that barely moves the model, such as
+    eta at R near 1, jump across the whole box in one step.) A step that
+    lowers the cost is taken and divides lambda by 10; any other multiplies
+    it by 10. The solve has converged when the undamped Gauss-Newton step
+    would lower the cost by at most ``_LM_TOL`` of it, or when lambda passes
+    ``_LM_MAX_DAMPING`` (no step lowers the cost beyond rounding). Returns
+    (x, cost, J) there, or None when A is singular to working precision,
+    the starting cost is not finite or ``_LM_MAX_STEPS`` steps do not
+    converge.
+    """
+    r, jac = residuals(x)
+    cost = 0.5 * float(r @ r)
+    if not math.isfinite(cost):
+        return None
+    damping, curv = _LM_DAMPING, None
+    for _ in range(_LM_MAX_STEPS):
+        if curv is None:  # a new point: build its system and test it
+            grad = jac.T @ r
+            free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+            curv, basis = np.linalg.eigh((jac.T @ jac)[free][:, free])
+            if len(curv) and curv[0] <= _EPS * curv[-1]:  # eigh sorts them ascending
+                return None  # singular to working precision
+            proj = basis.T @ grad[free]
+            if 0.5 * float(proj**2 @ (1.0 / curv)) <= _LM_TOL * cost:
+                return x, cost, jac
+        trial = x.copy()
+        trial[free] -= basis @ (proj / (curv + damping * curv[-1]))
+        trial = np.minimum(np.maximum(trial, lo), hi)
+        r_trial, jac_trial = residuals(trial)
+        cost_trial = 0.5 * float(r_trial @ r_trial)
+        if cost_trial < cost:  # False for a NaN cost
+            x, r, jac, cost = trial, r_trial, jac_trial, cost_trial
+            damping, curv = damping / 10.0, None
+        else:
+            damping *= 10.0
+            if damping > _LM_MAX_DAMPING:
+                return x, cost, jac
+    return None
+
+
+def _click_model(x: np.ndarray, mode: Mode, nu: float, bins: np.ndarray):
+    """Coherent click probabilities p_j at the fit parameters ``x``, and their Jacobian.
+
+    ``x`` is (R, eta, nbar) for a passive loop; for an active one it is
+    (R*eta, nbar), the loop taken with eta = 1. ``bins`` holds the bins j
+    as floats. With p_j = 1 - (1 - nu) e^(-q_j nbar), dp_j/d nbar is
+    (1 - nu) e^(-q_j nbar) q_j and dp_j/dR is that times nbar d ln q_j/dR
+    (likewise for eta), with d ln q_j from :func:`analytic.exit_prob_log_grad`.
+    """
+    passive = mode is Mode.PASSIVE
+    R, eta, nbar = x.tolist() if passive else (float(x[0]), 1.0, float(x[1]))
+    q = analytic.exit_prob(mode, R, eta, bins)
+    exponent = q * nbar
+    decay = np.exp(-exponent)
+    # nu e^(-q nbar) - expm1(-q nbar) keeps p_j exact where it is near nu
+    p = nu * decay - np.expm1(-exponent)
+    miss = (1.0 - nu) * decay
+    dln_q_r, dln_q_eta = analytic.exit_prob_log_grad(mode, R, eta, bins)
+    dp_dln_q = miss * exponent
+    if passive:
+        return p, np.array([dp_dln_q * dln_q_r, dp_dln_q * dln_q_eta, miss * q]).T
+    return p, np.array([dp_dln_q * dln_q_r, miss * q]).T
+
+
 def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult:
     """Weighted nonlinear least squares of the coherent click model.
 
     The model is p_j = 1 - (1 - nu) exp(-q_j nbar), with q_j from
-    :func:`analytic.bin_exit_prob`. Fits (R, eta, nbar) for a passive loop.
+    :func:`analytic.exit_prob`. Fits (R, eta, nbar) for a passive loop.
     For an active loop the data constrain only the product R*eta and the
     overall brightness, so the loop is represented as (R, eta) = (R*eta, 1):
     q_j = (1 - s) s^(j-1) with s = R*eta, and the fit is over (s, nbar).
@@ -197,6 +275,14 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
     reported as NaN with ``identifiable`` False; :func:`calibrate` inverts
     with the same representation. ``nu`` is held fixed at the separately
     measured value from ``config_prior``.
+
+    The solver is :func:`_levenberg_marquardt` on the closed-form Jacobian
+    of :func:`_click_model`. It runs from the start guessed from the data
+    and four jittered copies of it, and the lowest cost wins.
+    ``starts_converged`` counts the starts that converged and
+    ``start_cost_spread`` is the spread (max - min) of their final chi^2;
+    ``FitDiverged`` is raised when none converges. The covariance is the
+    pseudo-inverse of J^T J at the optimum.
 
     Weighting is inverse-variance and iteratively refined: the first pass
     uses the confidence widths of the measured click probabilities, later
@@ -248,54 +334,50 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
         x0 = np.array([s0, max(nbar0, 1e-6)])
         lo = np.array([1e-9, 0.0])
         hi = np.array([1.0 - 1e-9, np.inf])
-    bins = np.arange(1, n_bins + 1)
-
-    def model(x):
-        loop = replace(config_prior, R=x[0], eta=x[1] if passive else 1.0)
-        return 1.0 - (1.0 - nu) * np.exp(-analytic.bin_exit_prob(loop, bins) * x[-1])
+    mode, bins = config_prior.mode, np.arange(1.0, n_bins + 1)
 
     def solve(start, sigma):
-        """The trf solve from ``start``; None if it raised, failed or ended at a non-finite cost."""
-        try:
-            res = least_squares(
-                lambda x: (model(x) - p_hat) / sigma, start, bounds=(lo, hi), method="trf"
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-        return res if res.success and math.isfinite(res.cost) else None
+        weight = 1.0 / sigma
 
-    best = None
-    for start in _fit_starts(x0, lo, hi):
-        res = solve(start, sigma)
-        if res is not None and (best is None or res.cost < best.cost):
-            best = res
-    if best is None:
-        raise FitDiverged("least-squares failed from every start point")
+        def residuals(x):
+            p, jac = _click_model(x, mode, nu, bins)
+            return (p - p_hat) * weight, jac * weight[:, None]
+
+        return _levenberg_marquardt(residuals, start, lo, hi)
+
+    fits = [solve(start, sigma) for start in _fit_starts(x0, lo, hi)]
+    fits = [res for res in fits if res is not None]
+    if not fits:
+        raise FitDiverged("the least-squares fit failed from every start point")
+    costs = [cost for _x, cost, _jac in fits]
+    best = fits[int(np.argmin(costs))]
 
     for _ in range(2):
-        p_model = model(best.x)
+        p_model = _click_model(best[0], mode, nu, bins)[0]
         sigma = np.sqrt(np.maximum(p_model * (1.0 - p_model), 1.0 / hist.trials) / hist.trials)
-        res = solve(best.x, sigma)
+        res = solve(best[0], sigma)
         if res is None:
             break
         best = res
 
-    jac = best.jac
+    x, cost, jac = best
     cov = np.linalg.pinv(jac.T @ jac)
     perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     if passive:
-        r, eta = best.x[:2]
+        r, eta = x[:2]
         var_prod = (eta * perr[0]) ** 2 + (r * perr[1]) ** 2 + 2.0 * r * eta * cov[0, 1]
-        per_param, r_eta, sigma_r_eta = (*best.x, *perr), r * eta, math.sqrt(max(var_prod, 0.0))
+        per_param, r_eta, sigma_r_eta = (*x, *perr), r * eta, math.sqrt(max(var_prod, 0.0))
     else:
-        per_param, r_eta, sigma_r_eta = (math.nan,) * 6, best.x[0], perr[0]
+        per_param, r_eta, sigma_r_eta = (math.nan,) * 6, x[0], perr[0]
     return FitResult(
         *(float(v) for v in per_param),  # R, eta, nbar, then their sigmas, in field order
-        residual_norm=float(2.0 * best.cost),
+        residual_norm=float(2.0 * cost),
         dof=n_bins - n_params,
         r_eta_hat=float(r_eta),
         sigma_r_eta=float(sigma_r_eta),
         identifiable=passive,
+        starts_converged=len(fits),
+        start_cost_spread=float(2.0 * (max(costs) - min(costs))),
     )
 
 

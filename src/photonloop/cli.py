@@ -408,6 +408,8 @@ def fit(config_path, hist_path, report_path):
             "residual_norm": result.residual_norm,
             "dof": result.dof,
             "identifiable": result.identifiable,
+            "starts_converged": result.starts_converged,
+            "start_cost_spread": _finite_or_none(result.start_cost_spread),
         },
     )
 
@@ -448,6 +450,9 @@ def calibrate(
         )
     if sigma_power > 0 and power is None:
         raise ValueError("--sigma-power needs --power, --rep-rate and --wavelength")
+    for flag, value in reading.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
     config = load_loop_config(config_path)
     bright = read_histogram_csv(bright_path)
     atten = read_histogram_csv(atten_path)
@@ -493,6 +498,8 @@ def calibrate(
             "r_eta_hat": _finite_or_none(fit_result.r_eta_hat),
             "sigma_r_eta": _finite_or_none(fit_result.sigma_r_eta),
             "identifiable": fit_result.identifiable,
+            "starts_converged": fit_result.starts_converged,
+            "start_cost_spread": _finite_or_none(fit_result.start_cost_spread),
             "j_min": result.j_min,
             "n_measured": result.n_measured,
             "sigma_n_measured": result.sigma_n_measured,

@@ -8,6 +8,7 @@ containers of the fitting and calibration pipelines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
@@ -438,7 +439,10 @@ class FitResult:
     For a passive loop, R and eta are individually identifiable and
     ``identifiable`` is True. For an active loop only the product R*eta is
     constrained by the data; the per-parameter fields are NaN and the
-    product is reported in ``r_eta_hat``.
+    product is reported in ``r_eta_hat``. ``starts_converged`` counts the
+    start points of the fit that converged and ``start_cost_spread`` is the
+    spread (max - min) of their final chi^2; a result built by hand rather
+    than by ``fit_loop_params`` leaves them at 0 and NaN.
     """
 
     R_hat: float
@@ -452,6 +456,8 @@ class FitResult:
     r_eta_hat: float
     sigma_r_eta: float
     identifiable: bool
+    starts_converged: int = 0
+    start_cost_spread: float = math.nan
 
 
 @dataclass(frozen=True)

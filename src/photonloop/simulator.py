@@ -123,7 +123,9 @@ class SimulationResult:
 
 
 def _block_rng(seed: int, block_index: int, key_offset: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed + key_offset).jumped(block_index))
+    # the stream of Philox(key=...).jumped(block_index): a jump adds 1 to counter word 2
+    bit_generator = np.random.Philox(key=seed + key_offset, counter=[0, 0, block_index, 0])
+    return np.random.Generator(bit_generator)
 
 
 def _check_guard(config: LoopConfig, ns: np.ndarray):

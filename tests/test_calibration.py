@@ -14,6 +14,7 @@ from photonloop import (
     calibration,
     simulator,
 )
+from photonloop.models import Mode
 from photonloop.errors import (
     BelowNoise,
     FitDiverged,
@@ -57,6 +58,14 @@ class TestPowerToPhotons:
         one = calibration.power_to_photons(1e-9, 50e3, 1550e-9)
         two = calibration.power_to_photons(1e-9, 100e3, 1550e-9)
         assert two == pytest.approx(one / 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position,name", [(0, "power_watts"), (1, "rep_rate_hz"), (2, "wavelength_m")])
+    def test_non_finite_rejected(self, bad, position, name):
+        args = [1e-9, 50e3, 1550e-9]
+        args[position] = bad
+        with pytest.raises(ValueError, match=name):
+            calibration.power_to_photons(*args)
 
 
 class TestEstimateNoutPerBin:
@@ -234,9 +243,26 @@ class TestFitLoopParams:
         hist = exact_histogram(cfg, nbar=2.0)
 
         def boom(*a, **kw):
-            raise ValueError("Residuals are not finite in the initial point.")
+            return None  # the solver's answer to a singular system or a non-finite cost
 
-        monkeypatch.setattr(calibration, "least_squares", boom)
+        monkeypatch.setattr(calibration, "_levenberg_marquardt", boom)
+        with pytest.raises(FitDiverged):
+            calibration.fit_loop_params(hist, cfg)
+
+    def test_non_finite_cost_from_every_start_diverges(self, monkeypatch):
+        cfg = hdr_cfg()
+        hist = exact_histogram(cfg, nbar=2.0)
+        monkeypatch.setattr(analytic, "exit_prob", lambda mode, R, eta, j: np.full(len(j), np.nan))
+        with pytest.raises(FitDiverged):
+            calibration.fit_loop_params(hist, cfg)
+
+    def test_singular_system_from_every_start_diverges(self, monkeypatch):
+        cfg = hdr_cfg()
+        hist = exact_histogram(cfg, nbar=2.0)
+        # R and eta no longer move the model: J^T J has rank 1
+        monkeypatch.setattr(
+            analytic, "exit_prob_log_grad", lambda mode, R, eta, j: (np.zeros(len(j)), np.zeros(len(j)))
+        )
         with pytest.raises(FitDiverged):
             calibration.fit_loop_params(hist, cfg)
 
@@ -247,9 +273,90 @@ class TestFitLoopParams:
         def broken(*a, **kw):
             raise TypeError("broken model")
 
-        monkeypatch.setattr(analytic, "bin_exit_prob", broken)
+        monkeypatch.setattr(analytic, "exit_prob", broken)
         with pytest.raises(TypeError, match="broken model"):
             calibration.fit_loop_params(hist, cfg)
+
+    def test_start_statistics_recorded(self):
+        cfg = hdr_cfg()
+        fit = calibration.fit_loop_params(exact_histogram(cfg, nbar=2.0), cfg)
+        assert 1 <= fit.starts_converged <= 5
+        assert 0.0 <= fit.start_cost_spread < 1e-6
+
+
+class TestClickModelJacobian:
+    """The closed-form Jacobian of the fit model against central differences."""
+
+    @pytest.mark.parametrize(
+        "mode,x",
+        [
+            ("passive", [0.9137, 0.8615, 2.0]),
+            ("passive", [0.5, 1.0, 4.0]),  # eta on its upper bound
+            ("active", [0.78, 3.0]),
+            ("active", [0.45, 1e-6]),  # nbar at the smallest start value
+        ],
+    )
+    def test_matches_central_differences(self, mode, x):
+        bins = np.arange(1.0, 41.0)  # row 0 is bin j = 1, the passive loop's direct reflection
+        x = np.array(x)
+        _, jac = calibration._click_model(x, Mode(mode), 1.2e-7, bins)
+        for k in range(len(x)):
+            h = 1e-6 * x[k]
+            up, down = x.copy(), x.copy()
+            up[k] += h
+            down[k] -= h
+            fd = (
+                calibration._click_model(up, Mode(mode), 1.2e-7, bins)[0]
+                - calibration._click_model(down, Mode(mode), 1.2e-7, bins)[0]
+            ) / (2 * h)
+            scale = np.abs(jac[:, k]).max()
+            np.testing.assert_allclose(jac[:, k], fd, rtol=1e-6, atol=1e-8 * scale)
+
+
+def wobbled_histogram(cfg, nbar_in, trials):
+    """Histogram off the coherent curve by a deterministic wobble of ~0.8 binomial sigma."""
+    q = analytic.bin_exit_probs(cfg)
+    p = 1.0 - (1.0 - cfg.nu) * np.exp(-q * nbar_in)
+    j = np.arange(1, cfg.n_bins + 1)
+    wobble = 0.8 * np.sqrt(trials * p * (1.0 - p)) * np.sin(2.3 * j)
+    clicks = np.clip(np.rint(trials * p + wobble), 0, trials).astype(np.int64)
+    return ClickHistogram.from_clicks(clicks, trials)
+
+
+class TestFitMatchesPinnedResults:
+    """Fits of sweep-style histograms against the earlier trf solver's results.
+
+    Each loop gets an attenuated histogram with 2 photons in bin 1 over 1e6
+    trials, and a bright one with 1e5 photons in over 1e5 trials, as the
+    benchmark's fit/invert sweep builds them, but wobbled deterministically
+    instead of sampled. The numbers were computed with
+    ``scipy.optimize.least_squares`` (trf) before the fit moved to its own
+    solver; included bins run from j_min to ``last`` less ``gaps``.
+    """
+
+    PINNED = [
+        # mode, R, eta, (R_hat, eta_hat, nbar_hat) or r_eta_hat, sigma_r_eta, j_min, last, gaps
+        ("passive", 0.5, 0.8615, (0.500203039786854, 0.8613965337925081, 4.001396099739615),
+         0.00032556693280753825, 12, 28, []),
+        ("passive", 0.9137, 0.8615, (0.9137982882262711, 0.8615828510605679, 2.1903197901163574),
+         0.0007375174457612619, 21, 83, [76, 79, 81, 82]),
+        ("active", 0.5, 0.9, 0.44996015680592216, 0.00023153749769936577, 13, 28, []),
+        ("active", 0.9137, 0.9, 0.8223263051712518, 5.600889450820072e-05, 37, 113, [106, 109, 111, 112]),
+    ]
+
+    @pytest.mark.parametrize("mode,R,eta,hat,sigma_r_eta,j_min,last,gaps", PINNED)
+    def test_same_fit_and_bins(self, mode, R, eta, hat, sigma_r_eta, j_min, last, gaps):
+        cfg = LoopConfig(mode=mode, R=R, eta=eta, nu=1.2e-7, n_bins=130)
+        atten = wobbled_histogram(cfg, 2.0 / analytic.bin_exit_prob(cfg, 1), 10**6)
+        fit = calibration.fit_loop_params(atten, cfg)
+        if mode == "passive":
+            assert (fit.R_hat, fit.eta_hat, fit.nbar_hat) == pytest.approx(hat, rel=1e-7)
+        else:
+            assert fit.r_eta_hat == pytest.approx(hat, rel=1e-7)
+        assert fit.sigma_r_eta == pytest.approx(sigma_r_eta, rel=1e-5)
+        cal = calibration.calibrate(wobbled_histogram(cfg, 1e5, 10**5), fit, cfg)
+        assert cal.j_min == j_min
+        assert cal.included_bins == tuple(j for j in range(j_min, last + 1) if j not in gaps)
 
 
 class TestHeadlineRatios:

@@ -396,6 +396,8 @@ class TestFitCommand:
         assert fit["identifiable"] is True
         assert abs(fit["R_hat"] - 0.91370) < 0.005
         assert abs(fit["eta_hat"] - 0.8615) < 0.01
+        assert 1 <= fit["starts_converged"] <= 5
+        assert fit["start_cost_spread"] >= 0.0
 
     @pytest.mark.parametrize(
         "mode, n_bins, exit_code",
@@ -479,6 +481,21 @@ class TestCalibrateCommand:
         result = runner.invoke(main, calibrate_args + reading + ["--sigma-power", sigma_power])
         assert result.exit_code == 2, result.output
         assert "--sigma-power must be a finite non-negative number" in result.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--power", "--rep-rate", "--wavelength"])
+    def test_non_finite_power_reading_exits_2(self, runner, calibrate_args, flag, value):
+        reading = {"--power": "1e-12", "--rep-rate": "5e4", "--wavelength": "1550e-9", flag: value}
+        result = runner.invoke(main, calibrate_args + [arg for pair in reading.items() for arg in pair])
+        assert result.exit_code == 2, result.output
+        assert f"{flag} must be a finite number, got {value}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_report_carries_start_statistics(self, runner, calibrate_args):
+        run_ok(runner, calibrate_args)
+        report = json.loads(Path(calibrate_args[-1]).read_text())
+        assert 1 <= report["starts_converged"] <= 5
+        assert report["start_cost_spread"] >= 0.0
 
     @pytest.mark.parametrize("j_min", [0, 131, 500])
     def test_j_min_outside_bins_exits_2(self, runner, calibrate_args, j_min):
@@ -606,13 +623,21 @@ class TestColdStart:
         assert proc.stdout.strip() == "[]"
 
     def test_simulate_and_analyze_run_without_scipy(self, config_file, tmp_path):
-        hist, tagged, tags, report = (str(tmp_path / n) for n in ("h.csv", "g.csv", "t.csv", "r.json"))
-        sim = ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "2000"]
+        """simulate, analyze, fit and calibrate all run with scipy unimportable."""
+        hist, tagged, tags, report, fit, bright, cal = (
+            str(tmp_path / n) for n in ("h.csv", "g.csv", "t.csv", "r.json", "f.json", "b.csv", "c.json")
+        )
+        cfg = ["--config", config_file]
+        sim = ["simulate", *cfg, "--source", "coherent:3", "--pulses", "2000"]
         commands = [
             sim + ["-o", hist],
             sim + ["-o", tagged, "--emit-tags", tags],
-            ["analyze", "--config", config_file, "--tags", tags, "-o", report,
-             "--bootstrap-iterations", "100"],
+            ["analyze", *cfg, "--tags", tags, "-o", report, "--bootstrap-iterations", "100"],
+            ["simulate", *cfg, "--source", "coherent:2", "--pulses", "200000", "-o", hist],
+            ["fit", *cfg, "--hist", hist, "-o", fit],
+            ["simulate", *cfg, "--source", "coherent:5000", "--pulses", "20000", "-o", bright],
+            ["calibrate", *cfg, "--bright", bright, "--attenuated", hist, "-o", cal,
+             "--power", "1e-12", "--rep-rate", "5e4", "--wavelength", "1550e-9"],
         ]
         proc = _run_python(
             "import json, sys\n"
@@ -626,4 +651,4 @@ class TestColdStart:
             json.dumps(commands),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "0"], proc.stderr
+        assert proc.stdout.split() == ["0"] * len(commands), proc.stderr

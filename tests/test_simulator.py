@@ -312,6 +312,17 @@ class TestBackReflectionArtifact:
         assert np.all(np.abs(dev) < 4.5)
 
 
+class TestBlockRng:
+    @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
+    @pytest.mark.parametrize("key_offset", [0, simulator._ARTIFACT_KEY_OFFSET])
+    @pytest.mark.parametrize("block", [0, 7, 2**40])
+    def test_same_stream_as_jumped_philox(self, seed, key_offset, block):
+        jumped = np.random.Generator(np.random.Philox(key=seed + key_offset).jumped(block))
+        got = simulator._block_rng(seed, block, key_offset)
+        assert np.array_equal(got.integers(0, 2**63, 64), jumped.integers(0, 2**63, 64))
+        assert np.array_equal(got.random(64), jumped.random(64))
+
+
 class TestSeededOutputs:
     """SHA-256 pins of seeded outputs, so a kernel change cannot alter them silently.
 
