@@ -187,6 +187,9 @@ def _fit_starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarr
     starts = [x0]
     for _ in range(4):
         jitter = rng.normal(0.0, 0.1, size=len(x0))
+        # a jitter that would leave the box goes the other way: clipped onto R's
+        # bound 1 - 1e-9 the model no longer depends on eta and J^T J is singular
+        jitter = np.where(x0 * np.exp(jitter) < hi, jitter, -np.abs(jitter))
         starts.append(np.clip(x0 * np.exp(jitter), lo, hi))
     return starts
 

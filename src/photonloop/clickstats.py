@@ -56,10 +56,9 @@ def ingest_time_tags(stream: TimeTagStream, config: LoopConfig) -> IngestResult:
     one linear pass drops them.
     """
     times, channels = stream.times_ps, stream.channels
-    if len(times) > 1:
-        bad = np.nonzero(np.diff(times) < 0)[0]
-        if len(bad):
-            raise UnsortedStream(int(bad[0]) + 1)
+    bad = np.flatnonzero(times[1:] < times[:-1])  # np.diff wraps past 2**63 ps apart
+    if len(bad):
+        raise UnsortedStream(int(bad[0]) + 1)
 
     # compress and flatnonzero beat boolean indexing on interleaved masks
     is_sync = channels == stream.sync_channel

@@ -420,10 +420,9 @@ class TimeTagStream:
         channels = np.asarray(self.channels, dtype=np.int64)
         times = np.asarray(self.times_ps, dtype=np.int64)
         _require(channels.shape == times.shape, "channels and times_ps must have equal length")
-        if len(times) > 1:
-            bad = np.nonzero(np.diff(times) < 0)[0]
-            if len(bad):
-                raise UnsortedStream(int(bad[0]) + 1)
+        bad = np.flatnonzero(times[1:] < times[:-1])  # np.diff wraps past 2**63 ps apart
+        if len(bad):
+            raise UnsortedStream(int(bad[0]) + 1)
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "times_ps", times)
 

@@ -283,6 +283,28 @@ class TestFitLoopParams:
         assert 1 <= fit.starts_converged <= 5
         assert 0.0 <= fit.start_cost_spread < 1e-6
 
+    def test_jittered_starts_inside_box(self):
+        # R near its bound 1 - 1e-9 and eta on its bound 1
+        x0 = np.array([0.9137, 1.0, 4.5])
+        lo, hi = np.array([1e-9, 1e-9, 0.0]), np.array([1 - 1e-9, 1.0, np.inf])
+        starts = calibration._fit_starts(x0, lo, hi)
+        assert len(starts) == 5
+        for start in starts[1:]:
+            assert np.all((lo < start) & (start < hi)), start
+
+    @pytest.mark.parametrize(
+        "seed, R_hat, eta_hat",
+        # as fitted when two of the five starts were lost on R's bound
+        [(1, 0.9135051338125968, 0.8615713488340929), (2, 0.9135261642352628, 0.861416983013902)],
+    )
+    def test_every_start_converges_at_high_reflectivity(self, seed, R_hat, eta_hat):
+        cfg = hdr_cfg(n_bins=130)
+        opts = SimOptions(n_pulses=10**6, seed=seed)
+        hist = simulator.simulate_ensemble(cfg, Coherent(4.5), opts).histogram
+        fit = calibration.fit_loop_params(hist, cfg)
+        assert fit.starts_converged == 5
+        assert (fit.R_hat, fit.eta_hat) == pytest.approx((R_hat, eta_hat), rel=1e-6)
+
 
 class TestClickModelJacobian:
     """The closed-form Jacobian of the fit model against central differences."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import photonloop
-from photonloop import analytic, simulator, Coherent, LoopConfig, TimeTagStream
+from photonloop import analytic, cli, simulator, Coherent, LoopConfig, TimeTagStream
 from photonloop.cli import (
     main,
     parse_source,
@@ -211,6 +212,28 @@ class TestSimulateCommand:
         assert (tmp_path / "untagged.csv").read_bytes() == gated
         assert (tmp_path / "clean.csv").read_bytes() != gated
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["--source", "coherent:3", "--pulses", "3000", "--seed", "11"],
+             "f90b7ea8528d6c2d40df2e832c6bef676726f66b4d44375a9748e1b809d4357b"),
+            (["--source", "coherent:100", "--pulses", "2000", "--seed", "5",
+              "--back-reflection-prob", "0.1", "--reflection-delay-ps", "117000",
+              "--dead-time-ps", "93600"],
+             "918318215e1b66e69a7daf5410267e5fd7ddc6db8b8217da436d40598502f391"),
+        ],
+        ids=["clean", "artifacts"],
+    )
+    def test_tag_file_digest(self, runner, config_file, tmp_path, args, digest):
+        """The tag file's bytes, not only its arrays, stay those of earlier versions."""
+        tags = tmp_path / "t.csv"
+        run_ok(
+            runner,
+            ["simulate", "--config", config_file, *args,
+             "-o", str(tmp_path / "h.csv"), "--emit-tags", str(tags)],
+        )
+        assert hashlib.sha256(tags.read_bytes()).hexdigest() == digest
+
 
 class TestAnalyzeCommand:
     def test_round_trip_matches_simulated_histogram(self, runner, config_file, tmp_path):
@@ -244,6 +267,23 @@ class TestAnalyzeCommand:
         )
         assert result.exit_code == 2
         assert "bad.csv" in result.output and "line 4" in result.output
+
+    def test_sorted_tags_spanning_int64_accepted(self, runner, config_file, tmp_path):
+        # neighbouring times more than 2**63 ps apart, whose int64 difference wraps
+        tags = tmp_path / "far.csv"
+        tags.write_text(
+            "channel,time_ps\n0,-9223372036854775808\n1,-9223372036853995808\n"
+            "0,4611686018427387904\n1,4611686018427543904\n1,4611686018427699904\n"
+            "0,9223372036854775807\n"
+        )
+        run_ok(
+            runner,
+            ["analyze", "--config", config_file, "--tags", str(tags),
+             "-o", str(tmp_path / "r.json"), "--bootstrap-iterations", "50"],
+        )
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["trials"] == 3 and report["n_discarded_records"] == 0
+        assert report["clicks"][:5] == [1, 1, 0, 0, 1]
 
 
 _ASCII = st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#")
@@ -549,6 +589,23 @@ class TestCalibrateCommand:
         assert "attenuate" in result.output.lower()
 
 
+#: 0, the int64 extremes and the neighbours of every power of ten that fits, with both signs.
+_INT64_EDGES = sorted(
+    {0, 2**63 - 1, -(2**63)}
+    | {sign * (10**k + d) for k in range(19) for d in (-1, 0, 1) for sign in (1, -1)}
+)
+
+
+@st.composite
+def sorted_int64_streams(draw):
+    """Sorted int64 streams with any channel values, or with only sync and detector ones."""
+    value = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(_INT64_EDGES))
+    times = sorted(draw(st.lists(value, max_size=40)))
+    channel = draw(st.sampled_from([st.sampled_from([0, 1]), value]))
+    channels = draw(st.lists(channel, min_size=len(times), max_size=len(times)))
+    return TimeTagStream(channels=channels, times_ps=times)
+
+
 class TestTagsCsvRoundTrip:
     def test_write_read_identity(self, tmp_path, splitter_half_config):
         from photonloop import SimOptions, simulator
@@ -602,6 +659,29 @@ class TestTagsCsvRoundTrip:
             fmt="%d", delimiter=",", header="channel,time_ps", comments="",
         )
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @given(
+        stream=sorted_int64_streams(),
+        rows_per_write=st.sampled_from([1, 2, 3, 7, cli._TAG_ROWS_PER_WRITE]),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # files are rewritten per example
+    )
+    def test_writer_matches_per_row_format(self, tmp_path, stream, rows_per_write):
+        """Byte for byte the per-row format; small chunks make short streams cross chunk edges."""
+        path = tmp_path / "tags.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_TAG_ROWS_PER_WRITE", rows_per_write)
+            write_tags_csv(stream, str(path))
+        rows = zip(stream.channels.tolist(), stream.times_ps.tolist())
+        want = "channel,time_ps\n" + "".join(f"{c},{t}\n" for c, t in rows)
+        assert path.read_bytes() == want.encode()
+        if np.isin(stream.channels, [0, 1]).all():  # read_tags_csv refuses other channels
+            back = read_tags_csv(str(path))
+            np.testing.assert_array_equal(back.channels, stream.channels)
+            np.testing.assert_array_equal(back.times_ps, stream.times_ps)
 
 
 def _run_python(code, *args):

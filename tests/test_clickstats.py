@@ -69,6 +69,14 @@ class TestIngest:
         with pytest.raises(UnsortedStream):
             clickstats.ingest_time_tags(stream, self._config())
 
+    def test_stream_spanning_int64_ingested(self):
+        # lo + 2000 and 2**62 are more than 2**63 ps apart: their int64 difference wraps
+        lo = -(2**63)
+        stream = self._stream([(0, lo), (1, lo + 2000), (0, 2**62), (1, 2**62 + 1000), (0, 2**63 - 1)])
+        res = clickstats.ingest_time_tags(stream, self._config())
+        np.testing.assert_array_equal(res.histogram.clicks, [1, 1, 0, 0, 0])
+        assert res.histogram.trials == 3 and res.n_discarded == 0
+
     def test_gate_edges_left_inclusive_right_exclusive(self):
         cfg = self._config()
         inside_left = self._stream([(0, 0), (1, 1000 - 50)])

@@ -207,6 +207,14 @@ class TestTimeTagStream:
         stream = TimeTagStream(channels=[0, 1], times_ps=[0, 7])
         assert stream.n_records == 2
 
+    def test_sorted_stream_spanning_int64_accepted(self):
+        # neighbours more than 2**63 ps apart: their difference wraps in int64
+        times = [-(2**63), 0, 2**63 - 1]
+        assert TimeTagStream(channels=[0, 1, 0], times_ps=times).n_records == 3
+        with pytest.raises(UnsortedStream) as err:
+            TimeTagStream(channels=[0, 0], times_ps=[2**63 - 1, -(2**63)])
+        assert err.value.index == 1
+
     def test_channel_ids_are_class_constants(self):
         assert [f.name for f in dataclasses.fields(TimeTagStream)] == ["channels", "times_ps"]
         assert (TimeTagStream.sync_channel, TimeTagStream.detector_channel) == (0, 1)
