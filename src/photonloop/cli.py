@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import calibration, clickstats, simulator
-from .errors import NoSyncRecords, PhotonLoopError, UnsortedStream
+from .errors import AllDegenerate, NoSyncRecords, PhotonLoopError, UnsortedStream
 from .models import (
     ClickHistogram,
     Coherent,
@@ -50,28 +50,35 @@ _HISTOGRAM_COLUMNS = ("bin", "clicks", "trials") + _DERIVED_COLUMNS
 _TAG_ROWS_PER_WRITE = 16_384
 #: 10**1 .. 10**18: a magnitude up to 2**63 has 1 + (how many it reaches) decimal digits.
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
+#: Tag file bytes read per chunk: bounds the memory of one decoded chunk.
+_TAG_BYTES_PER_READ = 1 << 20
+#: The longest line numpy decodes: ``-`` and 18 digits per cell, a comma and a newline.
+_TAG_LINE_MAX = 40
 
 
 def load_loop_config(path: str) -> LoopConfig:
-    """Read a LoopConfig from a JSON file mirroring the field names."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown config field '{unknown[0]}' in {path}")
-    missing = sorted(_REQUIRED_FIELDS - set(data))
-    if missing:
-        raise ValueError(f"config file {path} is missing required field '{missing[0]}'")
-    for name, value in data.items():
-        if name == "mode" or (name == "n_max_guard" and value is None):
-            continue
-        kind = int if name in _INTEGER_FIELDS else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            expected = "an integer" if name in _INTEGER_FIELDS else "a number"
-            raise ValueError(f"config field '{name}' in {path} must be {expected}, got {value!r}")
-    return LoopConfig(**data)
+    """Read a LoopConfig from a JSON file mirroring the field names; every error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("must hold a JSON object")
+        unknown = sorted(set(data) - _CONFIG_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown config field '{unknown[0]}'")
+        missing = sorted(_REQUIRED_FIELDS - set(data))
+        if missing:
+            raise ValueError(f"missing required field '{missing[0]}'")
+        for name, value in data.items():
+            if name == "mode" or (name == "n_max_guard" and value is None):
+                continue
+            kind = int if name in _INTEGER_FIELDS else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                expected = "an integer" if name in _INTEGER_FIELDS else "a number"
+                raise ValueError(f"config field '{name}' must be {expected}, got {value!r}")
+        return LoopConfig(**data)
+    except ValueError as exc:  # JSON syntax, unknown mode and range errors included
+        raise ValueError(f"config file {path}: {exc}") from None
 
 
 def config_as_dict(config: LoopConfig) -> dict:
@@ -147,7 +154,10 @@ def read_histogram_csv(path: str) -> ClickHistogram:
         raise ValueError(f"histogram file {path}: bin column must run 1..N")
     if len(set(trials)) != 1:
         raise ValueError(f"histogram file {path}: trials column must be constant")
-    hist = ClickHistogram.from_clicks(np.array(clicks), trials[0])
+    try:
+        hist = ClickHistogram.from_clicks(np.array(clicks), trials[0])
+    except (ValueError, OverflowError) as exc:  # clicks outside [0, trials] or int64, trials < 1
+        raise ValueError(f"histogram file {path}: {exc}") from None
     rebuilt = np.column_stack([hist.p_hat, hist.ci_lo, hist.ci_hi])
     derived = np.array(derived)
     bad = ~np.isclose(derived, rebuilt, rtol=1e-9, atol=0.0)  # NaN and inf included
@@ -202,24 +212,96 @@ def _put_decimal(block: np.ndarray, magnitude: np.ndarray, negative: np.ndarray)
     block[negative, 0] = ord("-")
 
 
+def _get_decimal(block: np.ndarray, negative: bool, out: np.ndarray):
+    """Read the ASCII integers filling the rows of ``block`` into ``out``; all start with '-' or none."""
+    digits = block[:, 1:] if negative else block
+    np.copyto(out, digits[:, 0], casting="unsafe")
+    for col in range(1, digits.shape[1]):
+        out *= 10
+        out += digits[:, col]
+    # each digit was added as its ASCII code: take off ord("0") * 11...1; at most 18 digits, no overflow
+    out -= ord("0") * (10 ** digits.shape[1] // 9)
+    if negative:
+        np.negative(out, out=out)
+
+
+def _decode_tag_lines(buf: np.ndarray, channels: np.ndarray, times: np.ndarray) -> Optional[int]:
+    """Decode ``buf``, whole ``[-]digits,[-]digits\\n`` lines, into the heads of ``channels`` and ``times``.
+
+    Returns the line count, or None if a line is not of that form, a cell has
+    more than 18 digits, the lines outnumber the outputs, or the printed widths
+    change too often for runs of equal widths to pay.
+    """
+    ends = np.flatnonzero(buf == ord("\n"))
+    if np.count_nonzero(buf == ord(",")) != len(ends) or len(ends) > len(channels):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = starts + 1  # one-digit channels, as sync and detector records have
+    if not (buf.take(commas, mode="clip") == ord(",")).all():
+        commas = np.flatnonzero(buf == ord(","))
+    c_width, t_width = commas - starts, ends - commas - 1
+    # at least one digit per cell (checked below) puts each comma inside its
+    # line; then the only other non-digits may be '-' opening cells
+    n_signs = np.count_nonzero(buf - np.uint8(ord("0")) > 9) - 2 * len(ends)
+    c_neg = t_neg = np.zeros(len(ends), dtype=bool)
+    if n_signs:
+        c_neg, t_neg = buf[starts] == ord("-"), buf[commas + 1] == ord("-")
+        if np.count_nonzero(c_neg) + np.count_nonzero(t_neg) != n_signs:
+            return None
+    for n_digits in (c_width - c_neg, t_width - t_neg):
+        if not 1 <= n_digits.min() <= n_digits.max() <= 18:
+            return None
+    key = c_width | t_width << 5 | c_neg << 10 | t_neg << 11
+    cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
+    if len(cuts) > 64 + len(ends) // 256:  # one Python iteration per run
+        return None
+    for a, b in zip([0, *cuts], [*cuts, len(ends)]):
+        cw = int(c_width[a])
+        block = buf[starts[a] : ends[b - 1] + 1].reshape(b - a, -1)
+        _get_decimal(block[:, :cw], bool(c_neg[a]), channels[a:b])
+        _get_decimal(block[:, cw + 1 : -1], bool(t_neg[a]), times[a:b])
+    return len(ends)
+
+
+def _read_writer_form(path: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(channels, times) of a tags file in the form ``write_tags_csv`` writes, else None.
+
+    That form is the header line, then only ``[-]digits,[-]digits\\n`` lines
+    with at most 18 digits per cell. One pass counts the lines, a second
+    decodes them chunk by chunk into arrays allocated once.
+    """
+    header = b"channel,time_ps\n"
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            return None
+        chunks = iter(lambda: fh.read(_TAG_BYTES_PER_READ), b"")
+        n = sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) for chunk in chunks)
+        channels, times = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        fh.seek(len(header))
+        done, tail = 0, b""
+        for chunk in iter(lambda: fh.read(_TAG_BYTES_PER_READ), b""):
+            data = tail + chunk
+            end = data.rfind(b"\n") + 1
+            tail = data[end:]
+            if len(tail) >= _TAG_LINE_MAX:
+                return None
+            if end:
+                lines = _decode_tag_lines(np.frombuffer(data, np.uint8, count=end), channels[done:], times[done:])
+                if lines is None:
+                    return None
+                done += lines
+    return (channels, times) if done == n and not tail else None
+
+
 def read_tags_csv(path: str) -> TimeTagStream:
-    """Read a tags CSV in one pass; errors name the file line (header = line 1)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "channel,time_ps":
-            raise ValueError(f"tags file {path}: expected header 'channel,time_ps'")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is an empty stream
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(_bad_tag_cell(path) or f"tags file {path}: {exc}") from None
-    if len(data) == 0:
-        data = data.reshape(0, 2)
-    elif data.shape[1] != 2:
-        raise ValueError(_bad_tag_cell(path))
-    channels, times = data[:, 0], data[:, 1]
+    """Read a tags CSV; errors name the file line (header = line 1).
+
+    A file in the form ``write_tags_csv`` writes is decoded by numpy in
+    bounded chunks. Every other file goes through ``np.loadtxt`` from the
+    top, which also produces every parse error.
+    """
+    parsed = _read_writer_form(path)
+    channels, times = parsed if parsed is not None else _loadtxt_tags(path)
     sync, detector = TimeTagStream.sync_channel, TimeTagStream.detector_channel
     unknown = np.flatnonzero((channels != sync) & (channels != detector))
     if len(unknown):
@@ -235,6 +317,26 @@ def read_tags_csv(path: str) -> TimeTagStream:
             f"tags file {path}: time_ps on line {_tag_line(path, exc.index)} is earlier "
             "than on the line before; records must be sorted by time"
         ) from None
+
+
+def _loadtxt_tags(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(channels, times) of any tags file ``np.loadtxt`` reads; the parse errors name the file line."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "channel,time_ps":
+            raise ValueError(f"tags file {path}: expected header 'channel,time_ps'")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is an empty stream
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_bad_tag_cell(path) or f"tags file {path}: {exc}") from None
+    if len(data) == 0:
+        data = data.reshape(0, 2)
+    elif data.shape[1] != 2:
+        raise ValueError(_bad_tag_cell(path))
+    return data[:, 0], data[:, 1]
 
 
 def _tag_lines(path: str) -> Iterator[tuple[int, list[str]]]:
@@ -386,9 +488,17 @@ def analyze(config_path, tags_path, report_path, hist_output, witness_bins, boot
         qb = clickstats.q_b(stats, n_bins)
     except PhotonLoopError as exc:
         degenerate_reason = str(exc)
-    boot = clickstats.bootstrap_sigma(
-        stats, n_bins, trials_observed=hist.trials, iterations=bootstrap_iterations, seed=seed
-    )
+    try:
+        boot = clickstats.bootstrap_sigma(
+            stats, n_bins, trials_observed=hist.trials, iterations=bootstrap_iterations, seed=seed
+        )
+    except AllDegenerate:  # the degeneracy that degenerate_reason reports
+        boot = clickstats.BootstrapResult(
+            sigma_qpb=math.nan,
+            sigma_qb=math.nan,
+            n_degenerate_qpb=bootstrap_iterations,
+            n_degenerate_qb=bootstrap_iterations,
+        )
 
     _write_report(
         report_path,

@@ -95,7 +95,11 @@ class SimOptions:
 
     ``n_pulses`` pulses are drawn from Philox streams keyed by ``seed``, in
     blocks of ``BLOCK_SIZE`` spread over ``n_workers`` threads; the output
-    does not depend on ``n_workers``.
+    does not depend on ``n_workers``. Two workers are no faster than one on
+    either sampling kernel, since a block is a few milliseconds of short numpy
+    calls under the interpreter lock: ``emit_time_tags`` of 200,000 pulses
+    took 90 -> 111 ms for LossyFock(1, 0.6) and 42 -> 43 ms for Coherent(2)
+    (medians of 5, 40-bin loop, 2 shared vCPUs, numpy 2.4.6).
     """
 
     n_pulses: int

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -285,6 +287,21 @@ class TestAnalyzeCommand:
         assert report["trials"] == 3 and report["n_discarded_records"] == 0
         assert report["clicks"][:5] == [1, 1, 0, 0, 1]
 
+    def test_syncs_without_clicks_report_degenerate_bootstrap(self, runner, config_file, tmp_path):
+        """No detector click at all: every witness and bootstrap iteration is degenerate, yet reported."""
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,time_ps\n0,0\n0,10000000\n0,20000000\n")
+        run_ok(
+            runner,
+            ["analyze", "--config", config_file, "--tags", str(tags),
+             "-o", str(tmp_path / "r.json"), "--bootstrap-iterations", "50"],
+        )
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["trials"] == 3 and report["clicks"] == [0] * 25
+        assert report["qpb"] is None and report["qb"] is None and report["degenerate_reason"]
+        assert report["sigma_qpb"] is None and report["sigma_qb"] is None
+        assert report["n_degenerate_qpb"] == report["n_degenerate_qb"] == 50
+
 
 _ASCII = st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#")
 
@@ -316,6 +333,74 @@ def malformed_tags(draw):
     else:
         rows = [["1", row[1]] for row in rows]
     return kind, "".join(line + "\n" for line in [header] + [",".join(row) for row in rows])
+
+
+_VALID_CONFIG = {
+    "mode": "passive", "R": 0.5, "eta": 0.9, "nu": 1e-3,
+    "n_bins": 25, "loop_delay_ps": 156000, "gate_width_ps": 4000,
+}
+#: Values outside each checked field's range; NaN fails every range.
+_OUT_OF_RANGE = {
+    "R": [-0.1, 1.5, 2.0, math.nan], "eta": [-1e-9, 1.0 + 1e-9, math.nan], "nu": [-0.5, 1.0, 3.0],
+    "n_bins": [0, -4], "loop_delay_ps": [0, -156000], "gate_width_ps": [0, 156000, 10**6],
+    "sigma_R": [-0.01], "sigma_eta": [-1.0], "sigma_nu": [-1e-9], "n_max_guard": [-1],
+}
+
+
+@st.composite
+def malformed_configs(draw):
+    """(kind, text) of a config file broken in one way."""
+    kind = draw(st.sampled_from(["syntax", "not_object", "unknown", "missing", "type", "mode", "range"]))
+    config = dict(_VALID_CONFIG)
+    if kind == "syntax":
+        return kind, draw(st.sampled_from(["", "{", "{\"mode\": \"passive\",}", "[1,", "nul", "{'R': 1}"]))
+    if kind == "not_object":
+        return kind, json.dumps(draw(st.one_of(st.lists(st.integers(), max_size=3), st.text(max_size=5),
+                                              st.integers(), st.none())))
+    if kind == "unknown":
+        config[draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in cli._CONFIG_FIELDS))] = 1
+    elif kind == "missing":
+        del config[draw(st.sampled_from(sorted(cli._REQUIRED_FIELDS)))]
+    elif kind == "type":
+        field = draw(st.sampled_from(["R", "eta", "nu", "n_bins", "loop_delay_ps", "sigma_R"]))
+        wrong = [True, "1", [1], {"x": 1}] + ([0.5, 130.0] if field in cli._INTEGER_FIELDS else [])
+        config[field] = draw(st.sampled_from(wrong))
+    elif kind == "mode":
+        config["mode"] = draw(st.one_of(st.text(max_size=10).filter(lambda m: m not in ("active", "passive")),
+                                        st.integers(), st.none(), st.just(["passive"])))
+    else:
+        field = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+        config[field] = draw(st.sampled_from(_OUT_OF_RANGE[field]))
+    return kind, json.dumps(config)
+
+
+@st.composite
+def malformed_histograms(draw):
+    """(kind, text) of a histogram file broken in one way."""
+    from photonloop.models import ClickHistogram
+
+    trials = draw(st.integers(1, 10**6))
+    clicks = draw(st.lists(st.integers(0, trials), min_size=2, max_size=6))
+    hist = ClickHistogram.from_clicks(clicks, trials)
+    rows = [[j + 1, clicks[j], trials, *(repr(float(x[j])) for x in (hist.p_hat, hist.ci_lo, hist.ci_hi))]
+            for j in range(len(clicks))]
+    i = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["trials", "derived", "clicks", "trials_below_1", "bin"]))
+    if kind == "trials":
+        rows[i][2] = trials + draw(st.integers(1, 10)) * draw(st.sampled_from([1, -1]))
+    elif kind == "derived":
+        col = draw(st.integers(3, 5))
+        edited = repr(float(rows[i][col]) * 1.001 + 1e-3)
+        rows[i][col] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", edited]))
+    elif kind == "clicks":
+        rows[i][1] = draw(st.one_of(st.integers(-(2**70), -1), st.integers(trials + 1, 2**70)))
+    elif kind == "trials_below_1":
+        below = draw(st.integers(-10, 0))
+        rows = [[row[0], 0, below, *row[3:]] for row in rows]
+    else:
+        rows[i][0] = draw(st.sampled_from([0, -1, len(rows) + 1, i or 2]))  # i repeats the bin above
+    lines = ["bin,clicks,trials,p_hat,ci_lo,ci_hi"] + [",".join(map(str, row)) for row in rows]
+    return kind, "\n".join(lines) + "\n"
 
 
 class TestMalformedInputs:
@@ -404,15 +489,46 @@ class TestMalformedInputs:
         suppress_health_check=[HealthCheck.function_scoped_fixture],  # files are rewritten per example
     )
     def test_malformed_tags_exit_2_naming_file(self, runner, config_file, tmp_path, malformed):
+        """Also with reads so small that the malformation lies after the first chunk."""
         kind, text = malformed
         tags = tmp_path / "t.csv"
         tags.write_text(text)
-        result = runner.invoke(
-            main, ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json")]
-        )
+        args = ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json")]
+        result = runner.invoke(main, args)
         assert isinstance(result.exception, SystemExit), (kind, text, result.exception)
         assert result.exit_code == 2, (kind, text, result.output)
         assert str(tags) in result.output, (kind, text, result.output)
+        for bytes_per_read in (1, 7, 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_TAG_BYTES_PER_READ", bytes_per_read)
+                chunked = runner.invoke(main, args)
+            assert (chunked.exit_code, chunked.output) == (2, result.output), (kind, text, bytes_per_read)
+
+    @given(malformed=malformed_configs())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_malformed_config_exits_2_naming_file(self, runner, tmp_path, malformed):
+        kind, text = malformed
+        config = tmp_path / "loop.json"
+        config.write_text(text)
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", str(config), "--source", "coherent:3",
+             "--pulses", "10", "-o", str(tmp_path / "h.csv")],
+        )
+        assert isinstance(result.exception, SystemExit), (kind, text, result.exception)
+        assert result.exit_code == 2, (kind, text, result.output)
+        assert str(config) in result.output, (kind, text, result.output)
+
+    @given(malformed=malformed_histograms())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_malformed_histogram_exits_2_naming_file(self, runner, config_file, tmp_path, malformed):
+        kind, text = malformed
+        hist = tmp_path / "h.csv"
+        hist.write_text(text)
+        result = runner.invoke(main, ["fit", "--config", config_file, "--hist", str(hist), "-o", str(tmp_path / "f.json")])
+        assert isinstance(result.exception, SystemExit), (kind, text, result.exception)
+        assert result.exit_code == 2, (kind, text, result.output)
+        assert str(hist) in result.output, (kind, text, result.output)
 
 
 class TestFitCommand:
@@ -597,11 +713,15 @@ _INT64_EDGES = sorted(
 
 
 @st.composite
-def sorted_int64_streams(draw):
-    """Sorted int64 streams with any channel values, or with only sync and detector ones."""
-    value = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(_INT64_EDGES))
+def sorted_int64_streams(draw, max_abs=2**63, channels=None):
+    """Sorted int64 streams with any channel values, or with only sync and detector ones.
+
+    Values lie in [-max_abs, max_abs], clipped to int64; ``channels`` fixes the channel values.
+    """
+    high = min(max_abs, 2**63 - 1)
+    value = st.one_of(st.integers(-max_abs, high), st.sampled_from([v for v in _INT64_EDGES if -max_abs <= v <= high]))
     times = sorted(draw(st.lists(value, max_size=40)))
-    channel = draw(st.sampled_from([st.sampled_from([0, 1]), value]))
+    channel = st.sampled_from(channels) if channels else draw(st.sampled_from([st.sampled_from([0, 1]), value]))
     channels = draw(st.lists(channel, min_size=len(times), max_size=len(times)))
     return TimeTagStream(channels=channels, times_ps=times)
 
@@ -682,6 +802,127 @@ class TestTagsCsvRoundTrip:
             back = read_tags_csv(str(path))
             np.testing.assert_array_equal(back.channels, stream.channels)
             np.testing.assert_array_equal(back.times_ps, stream.times_ps)
+
+    @given(
+        stream=sorted_int64_streams(max_abs=10**18 - 1, channels=[0, 1]),
+        zeros=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        bytes_per_read=st.sampled_from([1, 5, 16, cli._TAG_BYTES_PER_READ]),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # files are rewritten per example
+    )
+    def test_writer_files_read_without_loadtxt(self, tmp_path, stream, zeros, bytes_per_read):
+        """A file in the writer's form never reaches np.loadtxt, so no fallback hides a lost speed-up.
+
+        Leading zeros, up to 18 digits a cell, keep that form, and multi-digit channels with it.
+        """
+        path, padded = tmp_path / "tags.csv", tmp_path / "padded.csv"
+        write_tags_csv(stream, str(path))
+        cell = lambda v, z: ("-" if v < 0 else "") + str(abs(v)).zfill(min(18, len(str(abs(v))) + z))
+        rows = zip(stream.channels.tolist(), stream.times_ps.tolist(), itertools.cycle(zeros))
+        padded.write_text("channel,time_ps\n" + "".join(f"{cell(c, z)},{cell(t, z)}\n" for c, t, z in rows))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "loadtxt", _no_loadtxt)
+            mp.setattr(cli, "_TAG_BYTES_PER_READ", bytes_per_read)
+            for back in (read_tags_csv(str(path)), read_tags_csv(str(padded))):
+                np.testing.assert_array_equal(back.channels, stream.channels)
+                np.testing.assert_array_equal(back.times_ps, stream.times_ps)
+
+    def test_large_writer_file_reads_without_loadtxt(self, tmp_path, monkeypatch):
+        """About 1.6 MB of 18-digit times: lines straddle the real chunk edges."""
+        rng = np.random.default_rng(23)
+        n = 90_000
+        stream = TimeTagStream(
+            channels=rng.integers(0, 2, n), times_ps=np.sort(rng.integers(-(10**17), 10**18, n))
+        )
+        path = tmp_path / "tags.csv"
+        write_tags_csv(stream, str(path))
+        assert path.stat().st_size > cli._TAG_BYTES_PER_READ
+        monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+        back = read_tags_csv(str(path))
+        np.testing.assert_array_equal(back.channels, stream.channels)
+        np.testing.assert_array_equal(back.times_ps, stream.times_ps)
+
+    @given(
+        stream=sorted_int64_streams(channels=[0, 1]),
+        decorated=st.data(),
+        bytes_per_read=st.sampled_from([1, 5, 16, cli._TAG_BYTES_PER_READ]),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # files are rewritten per example
+    )
+    def test_decorated_files_read_alike(self, tmp_path, stream, decorated, bytes_per_read):
+        """Every form np.loadtxt accepts reads to the arrays of the writer's form."""
+        canonical, variant = tmp_path / "canonical.csv", tmp_path / "variant.csv"
+        write_tags_csv(stream, str(canonical))
+        variant.write_bytes(decorated.draw(decorated_tags(stream)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_TAG_BYTES_PER_READ", bytes_per_read)
+            for path in (canonical, variant):
+                back = read_tags_csv(str(path))
+                np.testing.assert_array_equal(back.channels, stream.channels)
+                np.testing.assert_array_equal(back.times_ps, stream.times_ps)
+
+    def test_widths_changing_every_line_go_to_loadtxt(self, tmp_path, monkeypatch):
+        """Leading zeros on every other line: one run per line would not pay, np.loadtxt reads it."""
+        n = 3000
+        times = np.arange(n) * 1000
+        path = tmp_path / "tags.csv"
+        path.write_text("channel,time_ps\n" + "".join(f"{i % 2},{t:0{5 + i % 2}d}\n" for i, t in enumerate(times)))
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        back = read_tags_csv(str(path))
+        assert calls == [1]
+        np.testing.assert_array_equal(back.channels, np.arange(n) % 2)
+        np.testing.assert_array_equal(back.times_ps, times)
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt called")
+
+
+@st.composite
+def decorated_tags(draw, stream):
+    """A tags file of ``stream`` in a form np.loadtxt reads but the writer never writes."""
+    kinds = draw(st.sets(st.sampled_from(
+        ["crlf", "blank", "comment", "space", "plus", "zeros", "nineteen", "no_final_newline"]
+    ), min_size=1))
+    rows = stream.n_records
+    picked = lambda: draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+
+    def cells(values, zeros, nineteen, plus, space):
+        out = []
+        for v, z, w, p, s in zip(values.tolist(), zeros, nineteen, plus, space):
+            digits = str(abs(v)).zfill(19 if w else len(str(abs(v))) + z)
+            cell = ("-" if v < 0 else "+" if p else "") + digits
+            out.append(f" {cell} " if s else cell)
+        return out
+
+    none = [False] * rows
+    zeros = [draw(st.integers(0, 3)) if "zeros" in kinds else 0 for _ in range(rows)]
+    nineteen = picked() if "nineteen" in kinds else none
+    plus = picked() if "plus" in kinds else none
+    space = picked() if "space" in kinds else none
+    lines = [
+        f"{c},{t}" for c, t in zip(
+            cells(stream.channels, zeros, none, plus, space), cells(stream.times_ps, zeros, nineteen, plus, space)
+        )
+    ]
+    if "comment" in kinds:
+        lines = [line + " # note, 12" if flag else line for line, flag in zip(lines, picked())]
+        lines.insert(draw(st.integers(0, rows)), "# a comment line, 0,1")
+    if "blank" in kinds:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = "\r\n" if "crlf" in kinds else "\n"
+    text = end.join(["channel,time_ps", *lines]) + end
+    if "no_final_newline" in kinds and lines:
+        text = text[: -len(end)]
+    return text.encode()
 
 
 def _run_python(code, *args):
