@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -880,6 +881,26 @@ class TestTagsCsvRoundTrip:
         assert calls == [1]
         np.testing.assert_array_equal(back.channels, np.arange(n) % 2)
         np.testing.assert_array_equal(back.times_ps, times)
+
+    def test_other_forms_fall_back_after_the_first_chunk(self, tmp_path, monkeypatch):
+        """A file with spaces after its commas is not counted through before np.loadtxt reads it."""
+        n, bytes_per_read = 2000, 64
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"channel,time_ps\n" + b"".join(b"%d, %d\n" % (i % 2, 1000 * i) for i in range(n)))
+        read = []
+
+        class Counted(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append(len(data))
+                return data
+
+        monkeypatch.setattr(cli, "_TAG_BYTES_PER_READ", bytes_per_read)
+        counted_open = lambda p, mode="r", **k: Counted(p) if mode == "rb" else open(p, mode, **k)
+        monkeypatch.setattr(cli, "open", counted_open, raising=False)
+        back = read_tags_csv(str(path))
+        np.testing.assert_array_equal(back.times_ps, 1000 * np.arange(n))
+        assert sum(read) <= len("channel,time_ps\n") + bytes_per_read
 
 
 def _no_loadtxt(*args, **kwargs):
