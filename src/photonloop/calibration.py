@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+#: Misses (pulses without a click) a bright bin needs to be inverted: the
+#: inversion goes through log(1/(1 - p)), and with fewer misses the log of the
+#: noisy miss rate is both unstable and systematically biased high.
+_MIN_MISSES = 100
 
 #: Levenberg-Marquardt constants: the starting damping, the damping at which
 #: no step lowers the cost any more, the Gauss-Newton decrement (relative to
@@ -445,7 +449,6 @@ def calibrate(
     sigma_n_pm: float = 0.0,
     j_min: Optional[int] = None,
     n_dark: float = 0.0,
-    min_misses: int = 100,
 ) -> CalibrationResult:
     """Full bright-run calibration from a histogram and fitted loop parameters.
 
@@ -457,9 +460,7 @@ def calibrate(
     active fit (``fit.identifiable`` False) the loop is represented as
     (R, eta) = (R*eta, 1), as in :func:`fit_loop_params`; the inversion
     depends on R and eta only through their product. A bin counts as saturated
-    unless at least ``min_misses`` pulses produced no click in it: the
-    inversion goes through log(1/(1 - p)), and with fewer misses the log of
-    the noisy miss rate is both unstable and systematically biased high.
+    unless at least ``_MIN_MISSES`` (100) pulses produced no click in it.
     Bins from ``j_min`` on enter the weighted mean (``j_min=None`` selects
     it automatically, see :func:`_auto_j_min`; a given ``j_min`` outside
     1..n_bins raises ``ValueError``). When a power-meter photon
@@ -484,7 +485,7 @@ def calibrate(
 
     p = hist_bright.p_hat
     j = np.arange(1, hist_bright.n_bins + 1)
-    saturated = (hist_bright.clicks > hist_bright.trials - min_misses) | (1.0 - p <= _EPS)
+    saturated = (hist_bright.clicks > hist_bright.trials - _MIN_MISSES) | (1.0 - p <= _EPS)
     below_noise = ~saturated & (p < config.nu)
     ok = ~(saturated | below_noise)
     per_bin = np.full((hist_bright.n_bins, 2), np.nan)

@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import calibration, clickstats, simulator
-from .errors import AllDegenerate, NoSyncRecords, PhotonLoopError, UnsortedStream
+from .errors import DegenerateDenominator, NoSyncRecords, PhotonLoopError, UnsortedStream
 from .models import (
     ClickHistogram,
     Coherent,
@@ -134,22 +134,28 @@ def read_histogram_csv(path: str) -> ClickHistogram:
     a row whose ``p_hat``, ``ci_lo`` or ``ci_hi`` is not finite or differs
     from the rebuilt value by more than 1e-9 relative is rejected.
     """
-    bins, clicks, trials, derived = [], [], [], []
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in _HISTOGRAM_COLUMNS if name not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"histogram file {path} has no '{missing[0]}' column")
         for row in reader:
-            try:
-                bins.append(int(row["bin"]))
-                clicks.append(int(row["clicks"]))
-                trials.append(int(row["trials"]))
-                derived.append([float(row[name]) for name in _DERIVED_COLUMNS])
-            except (TypeError, ValueError):
-                raise ValueError(_bad_histogram_cell(path, reader.line_num, row)) from None
-    if not bins:
+            cells = []
+            for name in _HISTOGRAM_COLUMNS:
+                kind = float if name in _DERIVED_COLUMNS else int
+                try:
+                    cells.append(kind(row[name]))
+                except (TypeError, ValueError):
+                    what = "a number" if kind is float else "an integer"
+                    raise ValueError(
+                        f"histogram file {path}: line {reader.line_num} column '{name}' is "
+                        f"{row[name]!r}, not {what}"
+                    ) from None
+            rows.append(cells)
+    if not rows:
         raise ValueError(f"histogram file {path} has no rows")
+    bins, clicks, trials = ([row[i] for row in rows] for i in range(3))
     if bins != list(range(1, len(bins) + 1)):
         raise ValueError(f"histogram file {path}: bin column must run 1..N")
     if len(set(trials)) != 1:
@@ -159,7 +165,7 @@ def read_histogram_csv(path: str) -> ClickHistogram:
     except (ValueError, OverflowError) as exc:  # clicks outside [0, trials] or int64, trials < 1
         raise ValueError(f"histogram file {path}: {exc}") from None
     rebuilt = np.column_stack([hist.p_hat, hist.ci_lo, hist.ci_hi])
-    derived = np.array(derived)
+    derived = np.array([row[3:] for row in rows])
     bad = ~np.isclose(derived, rebuilt, rtol=1e-9, atol=0.0)  # NaN and inf included
     if bad.any():
         row, col = (int(i) for i in np.argwhere(bad)[0])
@@ -349,7 +355,7 @@ def _tag_lines(path: str) -> Iterator[tuple[int, list[str]]]:
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         for number, line in enumerate(fh, start=2):
-            text = line.partition("#")[0].strip()
+            text = line.partition("#")[0].rstrip("\n")  # np.loadtxt keeps a line of spaces
             if text:
                 yield number, text.split(",")
 
@@ -369,17 +375,6 @@ def _bad_tag_cell(path: str) -> Optional[str]:
             if not re.fullmatch(r"[+-]?\d+", cell) or not -(1 << 63) <= int(cell) < 1 << 63:
                 return f"tags file {path}: line {number} column '{name}' is {cell!r}, not an integer"
     return None
-
-
-def _bad_histogram_cell(path: str, line: int, row: dict) -> str:
-    """Describe the first cell of a histogram row that does not parse."""
-    for name in _HISTOGRAM_COLUMNS:
-        kind = float if name in _DERIVED_COLUMNS else int
-        try:
-            kind(row[name])
-        except (TypeError, ValueError):
-            what = "a number" if kind is float else "an integer"
-            return f"histogram file {path}: line {line} column '{name}' is {row[name]!r}, not {what}"
 
 
 def _write_report(path: str, payload: dict):
@@ -442,7 +437,7 @@ def simulate(
     config = load_loop_config(config_path)
     source = parse_source(source_spec)
     artifact = None
-    if back_reflection_prob > 0.0 or dead_time_ps > 0:
+    if back_reflection_prob != 0.0 or dead_time_ps != 0:  # ArtifactModel rejects bad values
         if reflection_delay_ps is None:
             reflection_delay_ps = config.loop_delay_ps // 2
         artifact = simulator.ArtifactModel(
@@ -486,24 +481,18 @@ def analyze(config_path, tags_path, report_path, hist_output, witness_bins, boot
         write_histogram_csv(hist, hist_output)
 
     n_bins = config.n_bins if witness_bins is None else witness_bins
-    qpb = qb = None
-    degenerate_reason = None
+    qpb = qb = degenerate_reason = None
     try:
         qpb = clickstats.q_pb(stats, n_bins)
-        qb = clickstats.q_b(stats, n_bins)
-    except PhotonLoopError as exc:
+    except DegenerateDenominator as exc:
         degenerate_reason = str(exc)
-    try:
-        boot = clickstats.bootstrap_sigma(
-            stats, n_bins, trials_observed=hist.trials, iterations=bootstrap_iterations, seed=seed
-        )
-    except AllDegenerate:  # the degeneracy that degenerate_reason reports
-        boot = clickstats.BootstrapResult(
-            sigma_qpb=math.nan,
-            sigma_qb=math.nan,
-            n_degenerate_qpb=bootstrap_iterations,
-            n_degenerate_qb=bootstrap_iterations,
-        )
+    try:  # q_b's denominator is never below q_pb's, so q_b may survive alone
+        qb = clickstats.q_b(stats, n_bins)
+    except DegenerateDenominator as exc:
+        degenerate_reason = degenerate_reason or str(exc)
+    boot = clickstats.bootstrap_sigma(
+        stats, n_bins, trials_observed=hist.trials, iterations=bootstrap_iterations, seed=seed
+    )
 
     _write_report(
         report_path,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllDegenerate, DegenerateDenominator, NoSyncRecords, UnsortedStream
+from .errors import DegenerateDenominator, NoSyncRecords, UnsortedStream
 from .models import ClickHistogram, ClickPatternStats, LoopConfig, TimeTagStream
 
 __all__ = [
@@ -107,6 +107,16 @@ def _pattern_moments(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
+def _witness(mean, var, n_bins: int, sigma2):
+    """(N var / D - 1, D) with D = <c>(N - <c>) - N^2 sigma^2, for scalar or array moments.
+
+    The witness is defined only where D > 0; callers check D.
+    """
+    denom = mean * (n_bins - mean) - n_bins**2 * sigma2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(n_bins * var, denom) - 1.0, denom
+
+
 def q_pb(stats: ClickPatternStats, n_bins: int | None = None) -> float:
     """Poisson-binomial nonclassicality witness of a click-pattern distribution.
 
@@ -116,25 +126,25 @@ def q_pb(stats: ClickPatternStats, n_bins: int | None = None) -> float:
     the bin-probability moments in ``stats`` must refer to the same bin set.
     """
     N = stats.n_bins if n_bins is None else n_bins
-    denom = stats.mean_c * (N - stats.mean_c) - N**2 * stats.sigma2
+    q, denom = _witness(stats.mean_c, stats.var_c, N, stats.sigma2)
     if denom <= 0:
         raise DegenerateDenominator(
             f"<c>(N - <c>) - N^2 sigma^2 = {denom} is not positive"
         )
-    return float(N * stats.var_c / denom - 1.0)
+    return float(q)
 
 
 def q_b(stats: ClickPatternStats, n_bins: int | None = None) -> float:
-    """Binomial witness: the uniform-splitting special case of :func:`q_pb`.
+    """Binomial witness: the uniform-splitting special case (sigma^2 = 0) of :func:`q_pb`.
 
     Ignores the spread of the per-bin probabilities, so exponentially
     decaying bins make classical light look falsely nonclassical.
     """
     N = stats.n_bins if n_bins is None else n_bins
-    denom = stats.mean_c * (N - stats.mean_c)
+    q, denom = _witness(stats.mean_c, stats.var_c, N, 0.0)
     if denom <= 0:
         raise DegenerateDenominator(f"<c>(N - <c>) = {denom} is not positive")
-    return float(N * stats.var_c / denom - 1.0)
+    return float(q)
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,8 @@ def bootstrap_sigma(
     iterations. The bin-probability moments entering the Poisson-binomial
     witness stay fixed at their measured values, since the pattern
     distribution alone carries no per-bin information. Degenerate iterations
-    are excluded and tallied.
+    are excluded and tallied; a witness degenerate in every iteration gets a
+    NaN sigma.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -177,21 +188,10 @@ def bootstrap_sigma(
     c_resampled = rng.multinomial(trials_observed, stats.c, size=iterations) / trials_observed
     mean, var = _pattern_moments(c_resampled)
 
-    denom_pb = mean * (N - mean) - N**2 * stats.sigma2
-    denom_b = mean * (N - mean)
-    ok_pb = denom_pb > 0
-    ok_b = denom_b > 0
-    if not ok_pb.any() and not ok_b.any():
-        raise AllDegenerate("every bootstrap iteration had a degenerate denominator")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qpb_vals = N * var / denom_pb - 1.0
-        qb_vals = N * var / denom_b - 1.0
-    sigma_qpb = float(np.std(qpb_vals[ok_pb])) if ok_pb.any() else float("nan")
-    sigma_qb = float(np.std(qb_vals[ok_b])) if ok_b.any() else float("nan")
-    return BootstrapResult(
-        sigma_qpb=sigma_qpb,
-        sigma_qb=sigma_qb,
-        n_degenerate_qpb=int((~ok_pb).sum()),
-        n_degenerate_qb=int((~ok_b).sum()),
-    )
+    sigmas, n_degenerate = [], []
+    for sigma2 in (stats.sigma2, 0.0):  # q_pb, then q_b
+        values, denom = _witness(mean, var, N, sigma2)
+        ok = denom > 0
+        sigmas.append(float(np.std(values[ok])) if ok.any() else float("nan"))
+        n_degenerate.append(int((~ok).sum()))
+    return BootstrapResult(*sigmas, *n_degenerate)

@@ -40,10 +40,6 @@ class DegenerateDenominator(PhotonLoopError):
     """Witness denominator is non-positive; statistics are insufficient."""
 
 
-class AllDegenerate(PhotonLoopError):
-    """Every bootstrap iteration produced a degenerate witness."""
-
-
 class SaturatedBin(PhotonLoopError):
     """Click probability is too close to 1 to invert (log diverges)."""
 

@@ -102,9 +102,9 @@ class LoopConfig:
             self.gate_width_ps < self.loop_delay_ps,
             f"gate_width_ps must be smaller than loop_delay_ps, got {self.gate_width_ps} >= {self.loop_delay_ps}",
         )
-        _require(self.sigma_R >= 0.0, f"sigma_R must be non-negative, got {self.sigma_R}")
-        _require(self.sigma_eta >= 0.0, f"sigma_eta must be non-negative, got {self.sigma_eta}")
-        _require(self.sigma_nu >= 0.0, f"sigma_nu must be non-negative, got {self.sigma_nu}")
+        for name in ("sigma_R", "sigma_eta", "sigma_nu"):
+            value = getattr(self, name)
+            _require(0.0 <= value < math.inf, f"{name} must be finite and non-negative, got {value}")
         if self.n_max_guard is not None:
             _require(self.n_max_guard >= 0, f"n_max_guard must be non-negative, got {self.n_max_guard}")
 

@@ -216,6 +216,23 @@ class TestSimulateCommand:
         assert (tmp_path / "clean.csv").read_bytes() != gated
 
     @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--back-reflection-prob", "-0.5", "back_reflection_prob"),
+            ("--back-reflection-prob", "nan", "back_reflection_prob"),
+            ("--dead-time-ps", "-7", "dead_time_ps"),
+        ],
+    )
+    def test_bad_artifact_flag_exits_2(self, runner, config_file, tmp_path, flag, value, field):
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "10",
+             "-o", str(tmp_path / "h.csv"), flag, value],
+        )
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+
+    @pytest.mark.parametrize(
         "args, digest",
         [
             (["--source", "coherent:3", "--pulses", "3000", "--seed", "11"],
@@ -303,6 +320,26 @@ class TestAnalyzeCommand:
         assert report["sigma_qpb"] is None and report["sigma_qb"] is None
         assert report["n_degenerate_qpb"] == report["n_degenerate_qb"] == 50
 
+    def test_binomial_witness_reported_when_only_qpb_degenerate(self, runner, tmp_path):
+        """Bin 1 fires on every pulse and bin 2 never: q_pb's denominator is 0, q_b's is not."""
+        config = tmp_path / "loop.json"
+        config.write_text(json.dumps({**_VALID_CONFIG, "n_bins": 2}))
+        tags = tmp_path / "t.csv"
+        tags.write_text(
+            "channel,time_ps\n" + "".join(f"0,{i * 936_000}\n1,{i * 936_000 + 156_000}\n" for i in range(1000))
+        )
+        run_ok(
+            runner,
+            ["analyze", "--config", str(config), "--tags", str(tags),
+             "-o", str(tmp_path / "r.json"), "--bootstrap-iterations", "50"],
+        )
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["clicks"] == [1000, 0]
+        assert report["qpb"] is None and report["qb"] == -1.0
+        assert "N^2 sigma^2" in report["degenerate_reason"]
+        assert report["sigma_qpb"] is None and report["n_degenerate_qpb"] == 50
+        assert report["sigma_qb"] == 0.0 and report["n_degenerate_qb"] == 0
+
 
 _ASCII = st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#")
 
@@ -344,7 +381,8 @@ _VALID_CONFIG = {
 _OUT_OF_RANGE = {
     "R": [-0.1, 1.5, 2.0, math.nan], "eta": [-1e-9, 1.0 + 1e-9, math.nan], "nu": [-0.5, 1.0, 3.0],
     "n_bins": [0, -4], "loop_delay_ps": [0, -156000], "gate_width_ps": [0, 156000, 10**6],
-    "sigma_R": [-0.01], "sigma_eta": [-1.0], "sigma_nu": [-1e-9], "n_max_guard": [-1],
+    "sigma_R": [-0.01, math.inf], "sigma_eta": [-1.0, math.inf], "sigma_nu": [-1e-9, math.inf],
+    "n_max_guard": [-1],
 }
 
 
@@ -452,6 +490,8 @@ class TestMalformedInputs:
             ("0,0\n1,99999999999999999999\n", 3, "'time_ps'"),
             ("0,0\n1,156000,7\n", 3, "3 columns"),
             ("0\n1\n", 2, "1 columns"),
+            ("0,5\n  \n1,7\n", 3, "1 columns"),
+            ("0,5\n  # c\n1,7\n", 3, "1 columns"),
         ],
     )
     def test_non_integer_tag_cell_exits_2(self, runner, config_file, tmp_path, body, line, column):

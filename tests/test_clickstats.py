@@ -15,7 +15,6 @@ from photonloop import (
     simulator,
 )
 from photonloop.errors import (
-    AllDegenerate,
     DegenerateDenominator,
     NoSyncRecords,
     UnsortedStream,
@@ -279,10 +278,11 @@ class TestBootstrap:
         b = clickstats.bootstrap_sigma(stats, trials_observed=1000, iterations=200, seed=3)
         assert (a.sigma_qpb, a.sigma_qb) == (b.sigma_qpb, b.sigma_qb)
 
-    def test_all_degenerate_raises(self):
+    def test_all_degenerate_gives_nan_sigmas(self):
         stats = stats_from_probs([0.0, 0.0], c=[1.0, 0.0, 0.0])
-        with pytest.raises(AllDegenerate):
-            clickstats.bootstrap_sigma(stats, trials_observed=100, iterations=10, seed=4)
+        res = clickstats.bootstrap_sigma(stats, trials_observed=100, iterations=10, seed=4)
+        assert np.isnan(res.sigma_qpb) and np.isnan(res.sigma_qb)
+        assert res.n_degenerate_qpb == res.n_degenerate_qb == 10
 
     def test_unpacks_as_pair(self):
         stats = stats_from_probs([0.5, 0.5])
