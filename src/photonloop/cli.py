@@ -418,7 +418,7 @@ def main():
 @click.option("--emit-tags", "tags_path", default=None, help="also write a time-tag CSV")
 @click.option("--rep-period-ps", type=int, default=None, help="pulse period for time tags")
 @click.option("--back-reflection-prob", type=float, default=0.0, show_default=True)
-@click.option("--reflection-delay-ps", type=int, default=None)
+@click.option("--reflection-delay-ps", type=click.IntRange(min=1), default=None)
 @click.option("--dead-time-ps", type=int, default=0, show_default=True)
 @_cli_errors
 def simulate(
@@ -464,7 +464,9 @@ def simulate(
 @click.option("--tags", "tags_path", required=True, type=click.Path(exists=True))
 @click.option("-o", "--output", "report_path", required=True, help="JSON report output")
 @click.option("--hist-output", default=None, help="also write the gated histogram CSV")
-@click.option("--witness-bins", type=int, default=None, help="N entering the witnesses")
+@click.option(
+    "--witness-bins", type=click.IntRange(min=1), default=None, help="N entering the witnesses"
+)
 @click.option("--bootstrap-iterations", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_cli_errors

@@ -66,7 +66,6 @@ def ingest_time_tags(stream: TimeTagStream, config: LoopConfig) -> IngestResult:
     if len(sync_times) == 0:
         raise NoSyncRecords("stream contains no sync records")
     det_at = np.flatnonzero(channels == stream.detector_channel)
-    det_times = times[det_at]
 
     n_bins = config.n_bins
     delay = config.loop_delay_ps
@@ -75,19 +74,26 @@ def ingest_time_tags(stream: TimeTagStream, config: LoopConfig) -> IngestResult:
     # a record's pulse is the last sync at or before its time: in time order, the
     # running count of syncs, plus any sync that shares its time but comes after it
     pulse = np.cumsum(is_sync)[det_at] - 1
-    tied = np.flatnonzero(sync_times[np.minimum(pulse + 1, len(sync_times) - 1)] == det_times)
-    pulse[tied] = np.searchsorted(sync_times, det_times[tied], side="right") - 1
-    offset = det_times - sync_times[np.clip(pulse, 0, None)]
-    j = (offset + delay // 2) // delay
-    residual = offset - j * delay
-    hit = np.flatnonzero(
-        (pulse >= 0)
-        & (j >= 1)
-        & (j <= n_bins)
-        & (2 * residual >= -gate)
-        & (2 * residual < gate)
-    )
-    n_discarded = len(det_times) - len(hit)
+    del is_sync
+    offset = times[det_at]
+    del det_at
+    tied = np.flatnonzero(sync_times[np.minimum(pulse + 1, len(sync_times) - 1)] == offset)
+    pulse[tied] = np.searchsorted(sync_times, offset[tied], side="right") - 1
+    # offset, bin and residual in place: the stream can be large
+    offset -= sync_times[np.clip(pulse, 0, None)]
+    j = offset + delay // 2
+    j //= delay
+    residual = offset
+    residual -= j * delay
+    residual *= 2
+    ok = pulse >= 0
+    ok &= j >= 1
+    ok &= j <= n_bins
+    ok &= residual >= -gate
+    ok &= residual < gate
+    del residual, offset
+    hit = np.flatnonzero(ok)
+    n_discarded = len(ok) - len(hit)
 
     pulse, bin_of = pulse[hit], j[hit] - 1
     first = np.diff(pulse * n_bins + bin_of, prepend=-1) != 0

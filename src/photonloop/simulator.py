@@ -10,9 +10,11 @@ two exact kernels:
   misses)) per bin. A bin with p_j > 1/2 is *flipped*: its drawn pulses
   are the ones that miss.
 * Every other source, and Coherent light under a guard (the guard needs the
-  per-pulse photon numbers): each pulse draws a photon number, a
-  multinomial distributes the photons over the bins and loss, and the dark
-  counts come from the sparse kernel with p_j = nu.
+  per-pulse photon numbers): each pulse draws a photon number and one
+  conditional-binomial chain routes the photons, lost ones first and then
+  bin by bin, over only the pulses that still hold photons. The dark counts
+  come from the sparse kernel with p_j = nu and are merged with the photon
+  pairs sparsely; no (pulses, bins) array is built.
 
 A block's output is its list of (pulse, bin) pairs plus the flip mask: the
 pairs of a flipped bin are its misses, all others its clicks. The ensemble
@@ -95,11 +97,12 @@ class SimOptions:
 
     ``n_pulses`` pulses are drawn from Philox streams keyed by ``seed``, in
     blocks of ``BLOCK_SIZE`` spread over ``n_workers`` threads; the output
-    does not depend on ``n_workers``. Two workers are no faster than one on
-    either sampling kernel, since a block is a few milliseconds of short numpy
-    calls under the interpreter lock: ``emit_time_tags`` of 200,000 pulses
-    took 90 -> 111 ms for LossyFock(1, 0.6) and 42 -> 43 ms for Coherent(2)
-    (medians of 5, 40-bin loop, 2 shared vCPUs, numpy 2.4.6).
+    does not depend on ``n_workers``. Two workers are barely faster than one
+    on either sampling kernel, since a block is a few milliseconds of short
+    numpy calls under the interpreter lock: ``emit_time_tags`` of 200,000
+    pulses took 60-64 -> 55-57 ms for LossyFock(1, 0.6) and 41-47 -> 48-52 ms
+    for Coherent(2) (medians of 11 in two rounds, 40-bin loop, 2 shared
+    vCPUs, numpy 2.4.6).
     """
 
     n_pulses: int
@@ -187,23 +190,68 @@ def _hit_pairs(
     return np.concatenate(hits), np.repeat(np.arange(len(flip)), [len(h) for h in hits])
 
 
+def _route_photons(
+    rng: np.random.Generator, ns: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Route ``ns[i]`` photons of each pulse i over the bins: its fired (pulse, bin) pairs.
+
+    Exact for any photon numbers, by a conditional-binomial chain. First
+    m ~ Binomial(ns, sum(q)) photons of each pulse leave into some bin; the
+    rest are lost, and pulses with m = 0 drop out. Then bin j takes
+    k_j ~ Binomial(n_left, q_j / sum_{i>=j} q_i) of the photons still left,
+    vectorised over the pulses that have any, and a pulse drops out once
+    all its photons are placed. Returns 0-based ``(pulses, bins)``, sorted
+    by bin and then pulse, one pair per bin that caught at least one photon.
+    """
+    tail = np.cumsum(q[::-1])[::-1]
+    split = np.divide(q, tail, out=np.zeros_like(q), where=tail > 0)
+    left = rng.binomial(ns, min(tail[0], 1.0))
+    alive = np.flatnonzero(left)
+    left = left[alive]
+    pulses, counts = [], []
+    for p in split:
+        if not len(alive):
+            break
+        k = rng.binomial(left, p)
+        hit = np.flatnonzero(k)
+        pulses.append(alive[hit])
+        counts.append(len(hit))
+        left -= k
+        more = left > 0
+        alive, left = alive[more], left[more]
+    if not pulses:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(pulses), np.repeat(np.arange(len(counts)), counts)
+
+
 def _simulate_block(
     config: LoopConfig, source: PhotonSource, q: np.ndarray, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(pulses, bins, flip)`` of one block, encoded as by :func:`_sample_clicks`.
 
-    ``q`` is ``bin_exit_probs(config)``. The multinomial path returns click
-    pairs only, with an all-False ``flip``.
+    ``q`` is ``bin_exit_probs(config)``. Unguarded Coherent light takes the
+    per-bin kernel, dark counts included. Every other source draws photon
+    numbers, routes them with :func:`_route_photons` and adds the dark
+    counts of the per-bin kernel with p_j = nu, dropping a dark pair that
+    repeats a photon pair; it returns click pairs only (in no particular
+    order), with an all-False ``flip``.
     """
     log_no_dark = np.full(config.n_bins, np.log1p(-config.nu))
     if isinstance(source, Coherent) and config.n_max_guard is None:
         return _sample_clicks(rng, size, log_no_dark - q * source.nbar)
     ns = source.sample(rng, size)
     _check_guard(config, ns)
-    # multinomial cells: q_1..q_N plus the loss remainder
-    fired = rng.multinomial(ns, np.append(q, max(0.0, 1.0 - q.sum())))[:, :-1] > 0
-    fired[_hit_pairs(size, *_sample_clicks(rng, size, log_no_dark))] = True
-    return (*np.nonzero(fired), np.zeros(config.n_bins, dtype=bool))
+    pulses, bins = _route_photons(rng, ns, q)
+    dark_pulses, dark_bins = _hit_pairs(size, *_sample_clicks(rng, size, log_no_dark))
+    if len(pulses) and len(dark_pulses):
+        # the chain's keys come out sorted, so membership is a binary search
+        keys = bins * size + pulses
+        dark = dark_bins * size + dark_pulses
+        new = keys[np.minimum(np.searchsorted(keys, dark), len(keys) - 1)] != dark
+        dark_pulses, dark_bins = dark_pulses[new], dark_bins[new]
+    pulses = np.concatenate([pulses, dark_pulses])
+    bins = np.concatenate([bins, dark_bins])
+    return pulses, bins, np.zeros(config.n_bins, dtype=bool)
 
 
 def _map_blocks(
@@ -251,9 +299,9 @@ def simulate_ensemble(
 
     Each block yields (pulse, bin) pairs and a flip mask: from the sparse
     per-bin kernel for Coherent light without ``n_max_guard``, otherwise
-    from a multinomial over per-pulse photon numbers (the guard has to see
-    them) plus sparse dark counts. A flipped bin's pairs are its misses,
-    and the tally reads them as such, so a saturated bin costs
+    from the photon-routing chain over per-pulse photon numbers (the guard
+    has to see them) plus sparse dark counts. A flipped bin's pairs are its
+    misses, and the tally reads them as such, so a saturated bin costs
     O(misses), not O(size): its clicks are ``size`` minus its pairs, and a
     pulse's k-count is the number of flipped bins plus its click pairs
     minus its miss pairs. Artifacts act on detector records, so only

@@ -233,6 +233,21 @@ class TestSimulateCommand:
         assert field in result.output
 
     @pytest.mark.parametrize(
+        "extra", [[], ["--back-reflection-prob", "0.1"]], ids=["alone", "with-artifact"]
+    )
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_non_positive_reflection_delay_exits_2(self, runner, config_file, tmp_path, extra, value):
+        """The delay is checked whether or not any artifact is switched on."""
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "10",
+             "-o", str(tmp_path / "h.csv"), "--reflection-delay-ps", value, *extra],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--reflection-delay-ps" in result.output
+        assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.parametrize(
         "args, digest",
         [
             (["--source", "coherent:3", "--pulses", "3000", "--seed", "11"],
@@ -319,6 +334,19 @@ class TestAnalyzeCommand:
         assert report["qpb"] is None and report["qb"] is None and report["degenerate_reason"]
         assert report["sigma_qpb"] is None and report["sigma_qb"] is None
         assert report["n_degenerate_qpb"] == report["n_degenerate_qb"] == 50
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_witness_bins_exits_2(self, runner, config_file, tmp_path, value):
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,time_ps\n0,0\n1,156000\n0,10000000\n")
+        result = runner.invoke(
+            main,
+            ["analyze", "--config", config_file, "--tags", str(tags),
+             "-o", str(tmp_path / "r.json"), "--witness-bins", value],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--witness-bins" in result.output
+        assert not (tmp_path / "r.json").exists()
 
     def test_binomial_witness_reported_when_only_qpb_degenerate(self, runner, tmp_path):
         """Bin 1 fires on every pulse and bin 2 never: q_pb's denominator is 0, q_b's is not."""

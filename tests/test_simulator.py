@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from photonloop import (
     Fock,
     LoopConfig,
     LossyFock,
+    MultiThermal,
     SimOptions,
+    Thermal,
     analytic,
     clickstats,
     simulator,
@@ -172,7 +176,7 @@ class TestSparseKernel:
         assert _chi2_within_bounds(chi2, len(expected) - 1), f"chi2 = {chi2:.2f}"
 
     def test_guarded_coherent_matches_closed_form(self):
-        # a guard that is never crossed routes Coherent light through the multinomial
+        # a guard that is never crossed routes Coherent light through the photon chain
         # and the sparse dark counts (test_guard_rejects_bright_pulses covers crossing it)
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20, n_max_guard=40)
         source = Coherent(3.0)
@@ -181,6 +185,88 @@ class TestSparseKernel:
         hist, _ = simulator.simulate_ensemble(cfg, source, SimOptions(n_pulses=m, seed=23))
         chi2 = float(((hist.clicks - m * p) ** 2 / (m * p * (1.0 - p))).sum())
         assert _chi2_within_bounds(chi2, len(p)), f"chi2 = {chi2:.2f}"
+
+
+class TestPhotonChain:
+    """The photon-routing chain is exact for every source that draws photon numbers."""
+
+    CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
+
+    @pytest.mark.parametrize(
+        "source",
+        [Fock(1), Fock(3), Thermal(3.0), LossyFock(1, 0.6), MultiThermal(3.0, 1.8)],
+        ids=["fock-1", "fock-3", "thermal-3", "lossyfock", "multithermal"],
+    )
+    def test_per_bin_clicks_match_closed_form(self, source):
+        # LossyFock and MultiThermal have no closed form; the photon-number sum is their oracle
+        click_prob = (
+            analytic.click_prob_numeric
+            if isinstance(source, (LossyFock, MultiThermal))
+            else analytic.click_prob_closed
+        )
+        p = np.array([click_prob(self.CFG, source, j) for j in range(1, 21)])
+        m, seeds = 40_000, range(400, 410)
+        var = m * p * (1.0 - p)
+        chi2, dof = 0.0, 0
+        for seed in seeds:
+            hist, _ = simulator.simulate_ensemble(
+                self.CFG, source, SimOptions(n_pulses=m, seed=seed)
+            )
+            chi2 += float(((hist.clicks - m * p) ** 2 / var).sum())
+            dof += len(p)
+        assert _chi2_within_bounds(chi2, dof), f"chi2/dof = {chi2 / dof:.3f} over {dof}"
+
+    def test_k_count_distribution_matches_multinomial_enumeration(self):
+        # Fock(2) on 3 bins: enumerate where both photons go (bins 1-3 or lost), then
+        # let each bin without a photon fire on a dark count; nu is large enough that
+        # dark counts often land on a bin a photon already fired
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=0.05, n_bins=3)
+        cells = np.append(analytic.bin_exit_probs(cfg), 0.0)
+        cells[-1] = 1.0 - cells[:-1].sum()
+        expected = np.zeros(4)
+        for first, second in itertools.product(range(4), repeat=2):
+            fired = len({first, second} - {3})
+            dark = sps.binom.pmf(np.arange(4 - fired), 3 - fired, cfg.nu)
+            expected[fired:] += cells[first] * cells[second] * dark
+        m = 200_000
+        _, stats = simulator.simulate_ensemble(cfg, Fock(2), SimOptions(n_pulses=m, seed=31))
+        chi2 = float(((stats.c * m - expected * m) ** 2 / (expected * m)).sum())
+        assert _chi2_within_bounds(chi2, len(expected) - 1), f"chi2 = {chi2:.2f}"
+
+    def test_block_pairs_are_distinct(self):
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=0.05, n_bins=10)
+        q = analytic.bin_exit_probs(cfg)
+        pulses, bins, flip = simulator._simulate_block(cfg, Fock(5), q, rng(32), 4096)
+        assert not flip.any()
+        keys = bins * 4096 + pulses
+        assert len(np.unique(keys)) == len(keys)
+
+    def test_all_photons_lost_gives_no_pairs(self):
+        cfg = LoopConfig(mode="active", R=0.5, eta=0.0, nu=0.0, n_bins=20)
+        q = analytic.bin_exit_probs(cfg)
+        assert not q.any()
+        pulses, bins, _flip = simulator._simulate_block(cfg, Fock(300), q, rng(33), 1000)
+        assert len(pulses) == len(bins) == 0
+
+    def test_empty_tail_raises_no_warning(self):
+        # R = 1: every photon leaves into bin 1 and the tail past it is exactly 0;
+        # pytest turns a RuntimeWarning from dividing by it into an error
+        cfg = LoopConfig(mode="passive", R=1.0, eta=0.9, nu=0.0, n_bins=20)
+        q = analytic.bin_exit_probs(cfg)
+        assert q[0] == 1.0 and not q[1:].any()
+        pulses, bins, _flip = simulator._simulate_block(cfg, Thermal(3.0), q, rng(34), 1000)
+        assert (bins == 0).all() and len(np.unique(pulses)) == len(pulses)
+
+    def test_block_memory_stays_sparse(self, hdr_config):
+        # a dense (pulses, n_bins + 1) int64 matrix of this block alone would be 17 MB
+        q = analytic.bin_exit_probs(hdr_config)
+        tracemalloc.start()
+        try:
+            simulator._simulate_block(hdr_config, Fock(3), q, rng(35), simulator.BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"block peaked at {peak / 1e6:.1f} MB"
 
 
 class TestEmitTimeTags:
@@ -326,9 +412,10 @@ class TestBlockRng:
 class TestSeededOutputs:
     """SHA-256 pins of seeded outputs, so a kernel change cannot alter them silently.
 
-    The digests come from version 0.4.0; the ensemble ones hold for any
-    worker count. A change that means to draw differently updates them and
-    bumps the version.
+    The coherent digests come from version 0.4.0, the LossyFock ones from
+    0.6.0 (the photon-routing chain); the ensemble ones hold for any worker
+    count. A change that means to draw differently updates them and bumps
+    the version.
     """
 
     CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
@@ -340,7 +427,7 @@ class TestSeededOutputs:
             (Coherent(3.0), "a2f97df0b0cc4c34e876c67908de3e714fe98cf32aa97f696702a2669f588edb"),
             (Coherent(300.0), "740ab62027be568f31f259b30b29907c763421678c29cd60a1417313432e6d99"),
             (Coherent(1e6), "0fc1ad7ddefb5630dfb10217d0cdc89b6cad50bdc7f8e89c6477dcae579cf98b"),
-            (LossyFock(1, 0.6), "41c5e7f21326c647225dbad246cd16a5f60f88a8bc721b7063382968e14f55de"),
+            (LossyFock(1, 0.6), "5669f406cf8966935dfa39715f4dffaa51a318f550ad03bfbadbd0204e9555ab"),
         ],
         ids=["coherent-3", "coherent-300", "coherent-1e6", "lossyfock"],
     )
@@ -361,7 +448,7 @@ class TestSeededOutputs:
                 ArtifactModel(back_reflection_prob=0.05, reflection_delay_ps=50_000, dead_time_ps=100_000),
                 "ea42a43110dd20926f20e94ebcdb041b33e278114641db19a69d9755e2a42fc0",
             ),
-            (LossyFock(1, 0.6), None, "39cfa0cbf448c594d18f1d26f2de9346fa3355171a7aea8ddfb8b3575387e736"),
+            (LossyFock(1, 0.6), None, "2b4e210c42672af5d4461bb1308e22499ecb557b1d71677b3bf69fb9c86e954b"),
         ],
         ids=["coherent-artifact", "lossyfock"],
     )
