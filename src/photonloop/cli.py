@@ -3,8 +3,9 @@
 File formats are plain CSV/JSON: histograms as
 ``bin,clicks,trials,p_hat,ci_lo,ci_hi``, time tags as ``channel,time_ps``
 (channel 0 = sync, 1 = detector, integer picoseconds, sorted ascending),
-configs as JSON mirroring the LoopConfig field names, and reports as JSON
-with a ``schema_version`` and the fully resolved configuration embedded.
+configs as JSON mirroring the LoopConfig field names, and reports as strict
+JSON (null for any non-finite number) with a ``schema_version`` and the
+fully resolved configuration embedded.
 Exit codes: 0 success, 2 validation failure, 3 runtime failure. Every flag
 can be overridden through ``PHOTONLOOP_``-prefixed environment variables.
 """
@@ -377,16 +378,23 @@ def _bad_tag_cell(path: str) -> Optional[str]:
     return None
 
 
-def _write_report(path: str, payload: dict):
+def _write_report(path: str, config: LoopConfig, fields: dict):
+    """Write a strict-JSON report: the schema version, the resolved config, then ``fields``."""
+    report = {"schema_version": SCHEMA_VERSION, "config": config_as_dict(config), **fields}
+    text = json.dumps(_null_non_finite(report), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def _finite_or_none(x: Optional[float]) -> Optional[float]:
-    if x is None or not math.isfinite(x):
-        return None
-    return float(x)
+def _null_non_finite(value):
+    """``value`` with every NaN or infinite float, however deeply nested, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(item) for item in value]
+    return value
 
 
 def _cli_errors(func):
@@ -416,7 +424,7 @@ def main():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("-o", "--output", "hist_path", required=True, help="histogram CSV output")
 @click.option("--emit-tags", "tags_path", default=None, help="also write a time-tag CSV")
-@click.option("--rep-period-ps", type=int, default=None, help="pulse period for time tags")
+@click.option("--rep-period-ps", type=click.IntRange(min=1), default=None, help="pulse period for time tags")
 @click.option("--back-reflection-prob", type=float, default=0.0, show_default=True)
 @click.option("--reflection-delay-ps", type=click.IntRange(min=1), default=None)
 @click.option("--dead-time-ps", type=int, default=0, show_default=True)
@@ -468,7 +476,7 @@ def simulate(
     "--witness-bins", type=click.IntRange(min=1), default=None, help="N entering the witnesses"
 )
 @click.option("--bootstrap-iterations", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0, 2**128 - 1), default=0, show_default=True)
 @_cli_errors
 def analyze(config_path, tags_path, report_path, hist_output, witness_bins, bootstrap_iterations, seed):
     """Gate a time-tag stream and report click statistics and witnesses."""
@@ -498,9 +506,8 @@ def analyze(config_path, tags_path, report_path, hist_output, witness_bins, boot
 
     _write_report(
         report_path,
+        config,
         {
-            "schema_version": SCHEMA_VERSION,
-            "config": config_as_dict(config),
             "trials": hist.trials,
             "clicks": hist.clicks.tolist(),
             "p_hat": hist.p_hat.tolist(),
@@ -510,10 +517,10 @@ def analyze(config_path, tags_path, report_path, hist_output, witness_bins, boot
             "m": stats.m,
             "sigma2": stats.sigma2,
             "witness_bins": n_bins,
-            "qpb": _finite_or_none(qpb),
-            "qb": _finite_or_none(qb),
-            "sigma_qpb": _finite_or_none(boot.sigma_qpb),
-            "sigma_qb": _finite_or_none(boot.sigma_qb),
+            "qpb": qpb,
+            "qb": qb,
+            "sigma_qpb": boot.sigma_qpb,
+            "sigma_qb": boot.sigma_qb,
             "bootstrap_iterations": bootstrap_iterations,
             "n_degenerate_qpb": boot.n_degenerate_qpb,
             "n_degenerate_qb": boot.n_degenerate_qb,
@@ -533,26 +540,7 @@ def fit(config_path, hist_path, report_path):
     config = load_loop_config(config_path)
     hist = read_histogram_csv(hist_path)
     result = calibration.fit_loop_params(hist, config)
-    _write_report(
-        report_path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config": config_as_dict(config),
-            "R_hat": _finite_or_none(result.R_hat),
-            "eta_hat": _finite_or_none(result.eta_hat),
-            "nbar_hat": _finite_or_none(result.nbar_hat),
-            "sigma_R": _finite_or_none(result.sigma_R),
-            "sigma_eta": _finite_or_none(result.sigma_eta),
-            "sigma_nbar": _finite_or_none(result.sigma_nbar),
-            "r_eta_hat": _finite_or_none(result.r_eta_hat),
-            "sigma_r_eta": _finite_or_none(result.sigma_r_eta),
-            "residual_norm": result.residual_norm,
-            "dof": result.dof,
-            "identifiable": result.identifiable,
-            "starts_converged": result.starts_converged,
-            "start_cost_spread": _finite_or_none(result.start_cost_spread),
-        },
-    )
+    _write_report(report_path, config, dataclasses.asdict(result))
 
 
 @main.command()
@@ -580,8 +568,9 @@ def calibrate(
     n_dark,
 ):
     """Run the full calibration: fit on the attenuated run, invert the bright run."""
-    if not 0.0 <= sigma_power < math.inf:
-        raise ValueError(f"--sigma-power must be a finite non-negative number, got {sigma_power}")
+    for flag, value in {"--sigma-power": sigma_power, "--n-dark": n_dark}.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{flag} must be a finite non-negative number, got {value}")
     reading = {"--power": power, "--rep-rate": rep_rate, "--wavelength": wavelength}
     missing = [flag for flag, value in reading.items() if value is None]
     if 0 < len(missing) < len(reading):
@@ -619,28 +608,14 @@ def calibrate(
     )
 
     per_bin = [
-        {
-            "bin": j + 1,
-            "n_out": _finite_or_none(result.n_out_per_bin[j, 0]),
-            "sigma": _finite_or_none(result.n_out_per_bin[j, 1]),
-            "included": (j + 1) in result.included_bins,
-        }
-        for j in range(len(result.n_out_per_bin))
+        {"bin": j + 1, "n_out": n_out, "sigma": sigma, "included": (j + 1) in result.included_bins}
+        for j, (n_out, sigma) in enumerate(result.n_out_per_bin.tolist())
     ]
     _write_report(
         report_path,
+        config,
         {
-            "schema_version": SCHEMA_VERSION,
-            "config": config_as_dict(config),
-            "R_hat": _finite_or_none(fit_result.R_hat),
-            "eta_hat": _finite_or_none(fit_result.eta_hat),
-            "sigma_R": _finite_or_none(fit_result.sigma_R),
-            "sigma_eta": _finite_or_none(fit_result.sigma_eta),
-            "r_eta_hat": _finite_or_none(fit_result.r_eta_hat),
-            "sigma_r_eta": _finite_or_none(fit_result.sigma_r_eta),
-            "identifiable": fit_result.identifiable,
-            "starts_converged": fit_result.starts_converged,
-            "start_cost_spread": _finite_or_none(fit_result.start_cost_spread),
+            **dataclasses.asdict(fit_result),
             "j_min": result.j_min,
             "n_measured": result.n_measured,
             "sigma_n_measured": result.sigma_n_measured,
@@ -649,8 +624,8 @@ def calibrate(
             "sde": result.sde,
             "sigma_sde": result.sigma_sde,
             "dynamic_range_db": result.dynamic_range_db,
-            "saturated_bins": list(result.saturated_bins),
-            "below_noise_bins": list(result.below_noise_bins),
+            "saturated_bins": result.saturated_bins,
+            "below_noise_bins": result.below_noise_bins,
             "per_bin": per_bin,
         },
     )

@@ -161,7 +161,7 @@ class Coherent(PhotonSource):
     nbar: float
 
     def __post_init__(self):
-        _require(self.nbar >= 0, f"nbar must be non-negative, got {self.nbar}")
+        _require(0 <= self.nbar < math.inf, f"nbar must be finite and non-negative, got {self.nbar}")
 
     def mean_photon_number(self) -> float:
         return float(self.nbar)
@@ -185,7 +185,7 @@ class Thermal(PhotonSource):
     nbar: float
 
     def __post_init__(self):
-        _require(self.nbar >= 0, f"nbar must be non-negative, got {self.nbar}")
+        _require(0 <= self.nbar < math.inf, f"nbar must be finite and non-negative, got {self.nbar}")
 
     @property
     def _p(self) -> float:
@@ -222,8 +222,8 @@ class MultiThermal(PhotonSource):
     K: float
 
     def __post_init__(self):
-        _require(self.nbar >= 0, f"nbar must be non-negative, got {self.nbar}")
-        _require(self.K >= 1.0, f"K must be >= 1, got {self.K}")
+        _require(0 <= self.nbar < math.inf, f"nbar must be finite and non-negative, got {self.nbar}")
+        _require(1.0 <= self.K < math.inf, f"K must be finite and >= 1, got {self.K}")
 
     @property
     def _p(self) -> float:
@@ -441,7 +441,9 @@ class FitResult:
     product is reported in ``r_eta_hat``. ``starts_converged`` counts the
     start points of the fit that converged and ``start_cost_spread`` is the
     spread (max - min) of their final chi^2; a result built by hand rather
-    than by ``fit_loop_params`` leaves them at 0 and NaN.
+    than by ``fit_loop_params`` leaves them at 0 and NaN. ``residual_norm`` is
+    the fit's chi^2 over ``dof`` degrees of freedom. The field order is the
+    key order of the ``fit`` report, which is ``dataclasses.asdict`` of this.
     """
 
     R_hat: float
@@ -450,10 +452,10 @@ class FitResult:
     sigma_R: float
     sigma_eta: float
     sigma_nbar: float
-    residual_norm: float
-    dof: int
     r_eta_hat: float
     sigma_r_eta: float
+    residual_norm: float
+    dof: int
     identifiable: bool
     starts_converged: int = 0
     start_cost_spread: float = math.nan

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import photonloop
 from photonloop import analytic, cli, simulator, Coherent, LoopConfig, TimeTagStream
+from photonloop.models import FitResult
 from photonloop.cli import (
     main,
     parse_source,
@@ -55,6 +57,37 @@ def run_ok(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+def strict_json(path):
+    """A report parsed as strict JSON: a NaN, Infinity or -Infinity in it is an error."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+class TestWriteReport:
+    def test_non_finite_floats_written_as_null(self, tmp_path):
+        config = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3)
+        path = tmp_path / "r.json"
+        fields = {
+            "nan": math.nan,
+            "per_bin": [{"bin": 1, "n_out": math.inf, "sigma": -math.inf, "included": False}],
+            "pair": (1.5, np.float64("nan")),
+            "finite": 2.5,
+            "count": 3,
+            "missing": None,
+        }
+        cli._write_report(str(path), config, fields)
+        report = strict_json(path)
+        assert list(report) == ["schema_version", "config", *fields]
+        assert report["schema_version"] == cli.SCHEMA_VERSION
+        assert report["config"] == cli.config_as_dict(config)
+        assert report["nan"] is None and report["missing"] is None
+        assert report["per_bin"] == [{"bin": 1, "n_out": None, "sigma": None, "included": False}]
+        assert report["pair"] == [1.5, None]
+        assert report["finite"] == 2.5 and report["count"] == 3
 
 
 class TestParseSource:
@@ -121,6 +154,33 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 2
         assert "--pulses" in result.output
+
+    @pytest.mark.parametrize("tagged", [False, True], ids=["histogram", "emit-tags"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_rep_period_exits_2(self, runner, config_file, tmp_path, value, tagged):
+        args = ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "10",
+                "-o", str(tmp_path / "h.csv"), "--rep-period-ps", value]
+        if tagged:
+            args += ["--emit-tags", str(tmp_path / "t.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "--rep-period-ps" in result.output
+        assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.parametrize(
+        "source, field",
+        [("coherent:inf", "nbar"), ("thermal:inf", "nbar"),
+         ("multithermal:inf:2", "nbar"), ("multithermal:2:inf", "K")],
+    )
+    def test_infinite_source_parameter_exits_2(self, runner, config_file, tmp_path, source, field):
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", config_file, "--source", source,
+             "--pulses", "10", "-o", str(tmp_path / "h.csv")],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"invalid source spec '{source}': {field} must be finite" in result.output
+        assert not (tmp_path / "h.csv").exists()
 
     def test_invalid_reflectivity_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -329,7 +389,7 @@ class TestAnalyzeCommand:
             ["analyze", "--config", config_file, "--tags", str(tags),
              "-o", str(tmp_path / "r.json"), "--bootstrap-iterations", "50"],
         )
-        report = json.loads((tmp_path / "r.json").read_text())
+        report = strict_json(tmp_path / "r.json")
         assert report["trials"] == 3 and report["clicks"] == [0] * 25
         assert report["qpb"] is None and report["qb"] is None and report["degenerate_reason"]
         assert report["sigma_qpb"] is None and report["sigma_qb"] is None
@@ -346,6 +406,19 @@ class TestAnalyzeCommand:
         )
         assert result.exit_code == 2, result.output
         assert "--witness-bins" in result.output
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])  # the bootstrap's Philox key range
+    def test_seed_outside_key_range_exits_2(self, runner, config_file, tmp_path, seed):
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,time_ps\n0,0\n1,156000\n0,10000000\n")
+        result = runner.invoke(
+            main,
+            ["analyze", "--config", config_file, "--tags", str(tags),
+             "-o", str(tmp_path / "r.json"), "--seed", seed],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output
         assert not (tmp_path / "r.json").exists()
 
     def test_binomial_witness_reported_when_only_qpb_degenerate(self, runner, tmp_path):
@@ -645,7 +718,7 @@ class TestFitCommand:
             assert f"{n_params} parameters" in result.output
             assert f"the histogram has {n_bins}" in result.output
         else:  # exactly determined: still fitted, near the truth
-            fit = json.loads(out.read_text())
+            fit = strict_json(out)  # strict: an active fit's NaN per-parameter fields read as null
             assert fit["dof"] == 0
             assert abs(fit["r_eta_hat"] - 0.45) < 0.02
 
@@ -707,6 +780,12 @@ class TestCalibrateCommand:
         assert result.exit_code == 2, result.output
         assert "--sigma-power must be a finite non-negative number" in result.output
 
+    @pytest.mark.parametrize("n_dark", ["-5", "nan", "inf"])
+    def test_bad_n_dark_exits_2(self, runner, calibrate_args, n_dark):
+        result = runner.invoke(main, calibrate_args + ["--n-dark", n_dark])
+        assert result.exit_code == 2, result.output
+        assert "--n-dark must be a finite non-negative number" in result.output
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--power", "--rep-rate", "--wavelength"])
     def test_non_finite_power_reading_exits_2(self, runner, calibrate_args, flag, value):
@@ -721,6 +800,18 @@ class TestCalibrateCommand:
         report = json.loads(Path(calibrate_args[-1]).read_text())
         assert 1 <= report["starts_converged"] <= 5
         assert report["start_cost_spread"] >= 0.0
+
+    def test_report_carries_the_whole_fit(self, runner, calibrate_args, tmp_path):
+        """For the same attenuated histogram, the fit fields of calibrate equal the fit report's."""
+        config, atten = calibrate_args[2], calibrate_args[6]
+        run_ok(runner, ["fit", "--config", config, "--hist", atten, "-o", str(tmp_path / "fit.json")])
+        run_ok(runner, calibrate_args)
+        fit, report = strict_json(tmp_path / "fit.json"), strict_json(calibrate_args[-1])
+        fields = [key for key in fit if key not in ("schema_version", "config")]
+        assert fields == [field.name for field in dataclasses.fields(FitResult)]
+        assert [key for key in report if key in fields] == fields
+        assert {key: report[key] for key in fields} == {key: fit[key] for key in fields}
+        assert report["dof"] == 127 and report["residual_norm"] > 0
 
     @pytest.mark.parametrize("j_min", [0, 131, 500])
     def test_j_min_outside_bins_exits_2(self, runner, calibrate_args, j_min):
@@ -739,7 +830,7 @@ class TestCalibrateCommand:
              "--sigma-power", "0.08e-9",
              "-o", str(tmp_path / "cal.json")],
         )
-        report = json.loads((tmp_path / "cal.json").read_text())
+        report = strict_json(tmp_path / "cal.json")
         # fit noise at this small pulse count dominates (amplified per bin);
         # the precision target lives in the acceptance suite
         assert abs(report["n_measured"] - 208_011) / 208_011 < 0.12

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ class TestMeanPhotonNumber:
         assert float(n @ source.pmf(n)) == pytest.approx(
             mean_photon_number(source), abs=1e-8, rel=1e-9
         )
+
+
+class TestSourceValidation:
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: Coherent(math.inf), "nbar"),
+            (lambda: Thermal(math.inf), "nbar"),
+            (lambda: MultiThermal(math.inf, 2.0), "nbar"),
+            (lambda: MultiThermal(2.0, math.inf), "K"),
+        ],
+        ids=["coherent", "thermal", "multithermal-nbar", "multithermal-K"],
+    )
+    def test_infinite_parameter_names_field(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make()
 
 
 class TestPmf:
