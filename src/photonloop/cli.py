@@ -12,16 +12,18 @@ can be overridden through ``PHOTONLOOP_``-prefixed environment variables.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import warnings
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import click
 import numpy as np
@@ -47,6 +49,7 @@ _REQUIRED_FIELDS = {"mode", "R", "eta", "nu"}
 _INTEGER_FIELDS = {"n_bins", "loop_delay_ps", "gate_width_ps", "n_max_guard"}
 _DERIVED_COLUMNS = ("p_hat", "ci_lo", "ci_hi")
 _HISTOGRAM_COLUMNS = ("bin", "clicks", "trials") + _DERIVED_COLUMNS
+_TAG_HEADER = b"channel,time_ps\n"
 #: Tag rows formatted per write: bounds the memory of one formatted chunk.
 _TAG_ROWS_PER_WRITE = 16_384
 #: 10**1 .. 10**18: a magnitude up to 2**63 has 1 + (how many it reaches) decimal digits.
@@ -178,26 +181,44 @@ def read_histogram_csv(path: str) -> ClickHistogram:
 
 
 def write_tags_csv(stream: TimeTagStream, path: str):
-    """Write the header, then ``f"{c},{t}\\n"`` per record, byte for byte.
+    """Write the header, then ``f"{c},{t}\\n"`` per record, byte for byte."""
+    with open(path, "wb") as fh:
+        fh.write(_TAG_HEADER)
+        _write_tag_rows(fh, stream.channels, stream.times_ps)
+
+
+def _write_tag_rows(fh, channels: np.ndarray, times: np.ndarray):
+    """Write ``f"{c},{t}\\n"`` per record to the binary file ``fh``.
 
     Sorted by time, a chunk's rows fall into a few runs of equal printed widths;
     each run is one (rows, width) uint8 array, written in one piece.
     """
-    with open(path, "wb") as fh:
-        fh.write(b"channel,time_ps\n")
-        for lo in range(0, stream.n_records, _TAG_ROWS_PER_WRITE):
-            rows = slice(lo, lo + _TAG_ROWS_PER_WRITE)
-            c_mag, c_neg, c_width = _decimal(stream.channels[rows])
-            t_mag, t_neg, t_width = _decimal(stream.times_ps[rows])
-            cuts = (np.flatnonzero(np.diff(c_width) | np.diff(t_width)) + 1).tolist()
-            for a, b in zip([0, *cuts], [*cuts, len(t_mag)]):
-                cw, tw = c_width[a], t_width[a]
-                block = np.empty((b - a, cw + tw + 2), dtype=np.uint8)
-                _put_decimal(block[:, :cw], c_mag[a:b], c_neg[a:b])
-                _put_decimal(block[:, cw + 1 : -1], t_mag[a:b], t_neg[a:b])
-                block[:, cw] = ord(",")
-                block[:, -1] = ord("\n")
-                fh.write(block.tobytes())
+    for lo in range(0, len(times), _TAG_ROWS_PER_WRITE):
+        rows = slice(lo, lo + _TAG_ROWS_PER_WRITE)
+        c_mag, c_neg, c_width = _decimal(channels[rows])
+        t_mag, t_neg, t_width = _decimal(times[rows])
+        cuts = (np.flatnonzero(np.diff(c_width) | np.diff(t_width)) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(t_mag)]):
+            cw, tw = c_width[a], t_width[a]
+            block = np.empty((b - a, cw + tw + 2), dtype=np.uint8)
+            _put_decimal(block[:, :cw], c_mag[a:b], c_neg[a:b])
+            _put_decimal(block[:, cw + 1 : -1], t_mag[a:b], t_neg[a:b])
+            block[:, cw] = ord(",")
+            block[:, -1] = ord("\n")
+            fh.write(block.tobytes())
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path: str) -> Iterator[str]:
+    """A temporary path beside ``path``, moved onto it if the block succeeds and deleted otherwise."""
+    head, tail = os.path.split(path)
+    part = os.path.join(head, f".{tail}.{os.getpid()}.part")
+    try:
+        yield part
+        os.replace(part, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
 
 
 def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,15 +253,15 @@ def _get_decimal(block: np.ndarray, negative: bool, out: np.ndarray):
         np.negative(out, out=out)
 
 
-def _decode_tag_lines(buf: np.ndarray, channels: np.ndarray, times: np.ndarray) -> Optional[int]:
-    """Decode ``buf``, whole ``[-]digits,[-]digits\\n`` lines, into the heads of ``channels`` and ``times``.
+def _decode_tag_lines(buf: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(channels, times) of ``buf``, whole ``[-]digits,[-]digits\\n`` lines.
 
-    Returns the line count, or None if a line is not of that form, a cell has
-    more than 18 digits, the lines outnumber the outputs, or the printed widths
-    change too often for runs of equal widths to pay.
+    Returns None if a line is not of that form, a cell has more than 18
+    digits, or the printed widths change too often for runs of equal widths
+    to pay.
     """
     ends, commas = np.flatnonzero(buf == ord("\n")), np.flatnonzero(buf == ord(","))
-    if len(commas) != len(ends) or len(ends) > len(channels):
+    if len(commas) != len(ends):
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     c_width, t_width = commas - starts, ends - commas - 1
@@ -260,75 +281,121 @@ def _decode_tag_lines(buf: np.ndarray, channels: np.ndarray, times: np.ndarray) 
     # numpy 2.4, 2 vCPUs)
     if len(cuts) > 64 + len(ends) // 256:
         return None
+    channels, times = np.empty(len(ends), dtype=np.int64), np.empty(len(ends), dtype=np.int64)
     for a, b in zip([0, *cuts], [*cuts, len(ends)]):
         cw = int(c_width[a])
         block = buf[starts[a] : ends[b - 1] + 1].reshape(b - a, -1)
         _get_decimal(block[:, :cw], bool(c_neg[a]), channels[a:b])
         _get_decimal(block[:, cw + 1 : -1], bool(t_neg[a]), times[a:b])
-    return len(ends)
+    return channels, times
 
 
-def _read_writer_form(path: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(channels, times) of a tags file in the form ``write_tags_csv`` writes, else None.
+class _OtherForm(Exception):
+    """A tags file is not in the form ``write_tags_csv`` writes."""
+
+
+def _writer_form_chunks(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(channels, times) of a tags file in the form ``write_tags_csv`` writes, one chunk per read.
 
     That form is the header line, then only ``[-]digits,[-]digits\\n`` lines
-    with at most 18 digits per cell. One pass counts the lines, a second
-    decodes them chunk by chunk into arrays allocated once.
+    with at most 18 digits per cell. Raises ``_OtherForm`` at the first read
+    that shows another form. Every read goes into one buffer, after the
+    partial line that the read before left at its front.
     """
-    header = b"channel,time_ps\n"
     with open(path, "rb") as fh:
-        if fh.read(len(header)) != header:
-            return None
-        # a file in another form mostly shows it in its first chunk ('\r', '#',
-        # ' ', '+'): fall back before reading the rest
-        first = np.frombuffer(fh.read(_TAG_BYTES_PER_READ), np.uint8)
-        n = np.count_nonzero(first == ord("\n"))
-        n_marks = n + np.count_nonzero(first == ord(",")) + np.count_nonzero(first == ord("-"))
-        if np.count_nonzero(first - np.uint8(ord("0")) > 9) != n_marks:
-            return None
-        chunks = iter(lambda: fh.read(_TAG_BYTES_PER_READ), b"")
-        n += sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) for chunk in chunks)
-        channels, times = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        fh.seek(len(header))
-        done, tail = 0, b""
-        for chunk in iter(lambda: fh.read(_TAG_BYTES_PER_READ), b""):
-            data = tail + chunk
-            end = data.rfind(b"\n") + 1
-            tail = data[end:]
-            if len(tail) >= _TAG_LINE_MAX:
-                return None
+        if fh.read(len(_TAG_HEADER)) != _TAG_HEADER:
+            raise _OtherForm
+        buf = bytearray(_TAG_LINE_MAX + _TAG_BYTES_PER_READ)
+        view, data = memoryview(buf), np.frombuffer(buf, np.uint8)
+        tail = 0
+        while n_read := fh.readinto(view[tail : tail + _TAG_BYTES_PER_READ]):
+            filled = tail + n_read
+            end = buf.rfind(b"\n", 0, filled) + 1
+            tail = filled - end
+            if tail >= _TAG_LINE_MAX:
+                raise _OtherForm
             if end:
-                lines = _decode_tag_lines(np.frombuffer(data, np.uint8, count=end), channels[done:], times[done:])
+                lines = _decode_tag_lines(data[:end])
                 if lines is None:
-                    return None
-                done += lines
-    return (channels, times) if done == n and not tail else None
+                    raise _OtherForm
+                yield lines
+                buf[:tail] = buf[end:filled]
+        if tail:
+            raise _OtherForm
+
+
+class _Chunks:
+    """A sink for :func:`_fold_tags_file` that keeps every chunk."""
+
+    def __init__(self):
+        self.parts = [(np.empty(0, dtype=np.int64),) * 2]
+
+    def feed(self, channels: np.ndarray, times: np.ndarray):
+        self.parts.append((channels, times))
+
+
+def _fold_tags_file(path: str, new_sink: Callable):
+    """Feed the records of a tags file, chunk by chunk, to ``new_sink()`` and return it.
+
+    A file in the form ``write_tags_csv`` writes is decoded one read at a
+    time. At the first sign of another form, a fresh sink is fed the whole
+    file as ``np.loadtxt`` reads it, which also produces every parse error.
+    The sink's ``feed(channels, times)`` may raise ``UnsortedStream`` with
+    the record's index in the file. Errors name the file line (header =
+    line 1) and wait for the end of the file, so that a parse error comes
+    before an unknown channel, and an unknown channel before a record out
+    of time order, wherever each lies.
+    """
+    sync, detector = TimeTagStream.sync_channel, TimeTagStream.detector_channel
+
+    def fold(chunks):
+        sink, done, unknown, unsorted = new_sink(), 0, None, None
+        for channels, times in chunks:
+            if unknown is None:
+                bad = np.flatnonzero((channels != sync) & (channels != detector))
+                if len(bad):
+                    unknown = done + int(bad[0]), int(channels[bad[0]])
+                elif unsorted is None:
+                    try:
+                        sink.feed(channels, times)
+                    except UnsortedStream as exc:
+                        unsorted = exc.index
+            done += len(times)
+        if unknown is not None:
+            record, channel = unknown
+            raise ValueError(
+                f"tags file {path}: unknown channel {channel} on line {_tag_line(path, record)}; "
+                f"expected {sync} (sync) or {detector} (detector)"
+            )
+        if unsorted is not None:
+            raise _unsorted_tags(path, unsorted)
+        return sink
+
+    try:
+        return fold(_writer_form_chunks(path))
+    except _OtherForm:
+        return fold([_loadtxt_tags(path)])
+
+
+def _unsorted_tags(path: str, record: int) -> ValueError:
+    return ValueError(
+        f"tags file {path}: time_ps on line {_tag_line(path, record)} is earlier "
+        "than on the line before; records must be sorted by time"
+    )
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
     """Read a tags CSV; errors name the file line (header = line 1).
 
-    A file in the form ``write_tags_csv`` writes is decoded by numpy in
-    bounded chunks. Every other file goes through ``np.loadtxt`` from the
-    top, which also produces every parse error.
+    The chunks of :func:`_fold_tags_file`, joined: a file in the form
+    ``write_tags_csv`` writes is decoded by numpy in bounded reads, every
+    other file goes through ``np.loadtxt`` from the top.
     """
-    parsed = _read_writer_form(path)
-    channels, times = parsed if parsed is not None else _loadtxt_tags(path)
-    sync, detector = TimeTagStream.sync_channel, TimeTagStream.detector_channel
-    unknown = np.flatnonzero((channels != sync) & (channels != detector))
-    if len(unknown):
-        i = int(unknown[0])
-        raise ValueError(
-            f"tags file {path}: unknown channel {int(channels[i])} on line {_tag_line(path, i)}; "
-            f"expected {sync} (sync) or {detector} (detector)"
-        )
+    channels, times = (np.concatenate(parts) for parts in zip(*_fold_tags_file(path, _Chunks).parts))
     try:
         return TimeTagStream(channels=channels, times_ps=times)
     except UnsortedStream as exc:
-        raise ValueError(
-            f"tags file {path}: time_ps on line {_tag_line(path, exc.index)} is earlier "
-            "than on the line before; records must be sorted by time"
-        ) from None
+        raise _unsorted_tags(path, exc.index) from None
 
 
 def _loadtxt_tags(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -460,10 +527,18 @@ def simulate(
         # one simulation: the histogram is gated from the tags, artifacts included
         if rep_period_ps is None:
             rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
-        stream = simulator.emit_time_tags(config, source, opts, rep_period_ps, artifact)
-        hist = clickstats.ingest_time_tags(stream, config).histogram
-        if tags_path is not None:
-            write_tags_csv(stream, tags_path)
+        gate = clickstats.TagGate(config)
+        chunks = simulator.iter_time_tags(config, source, opts, rep_period_ps, artifact)
+        if tags_path is None:
+            for channels, times in chunks:
+                gate.feed(channels, times)
+        else:
+            with _replaced_on_success(tags_path) as part, open(part, "wb") as fh:
+                fh.write(_TAG_HEADER)
+                for channels, times in chunks:
+                    gate.feed(channels, times)
+                    _write_tag_rows(fh, channels, times)
+        hist = gate.result().histogram
     write_histogram_csv(hist, hist_path)
 
 
@@ -475,15 +550,14 @@ def simulate(
 @click.option(
     "--witness-bins", type=click.IntRange(min=1), default=None, help="N entering the witnesses"
 )
-@click.option("--bootstrap-iterations", type=int, default=10000, show_default=True)
+@click.option("--bootstrap-iterations", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=click.IntRange(0, 2**128 - 1), default=0, show_default=True)
 @_cli_errors
 def analyze(config_path, tags_path, report_path, hist_output, witness_bins, bootstrap_iterations, seed):
     """Gate a time-tag stream and report click statistics and witnesses."""
     config = load_loop_config(config_path)
-    stream = read_tags_csv(tags_path)
     try:
-        gated = clickstats.ingest_time_tags(stream, config)
+        gated = _fold_tags_file(tags_path, functools.partial(clickstats.TagGate, config)).result()
     except NoSyncRecords:
         raise ValueError(f"tags file {tags_path} has no sync (channel 0) records") from None
     hist, stats = gated

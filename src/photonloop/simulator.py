@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "simulate_pulse",
     "simulate_ensemble",
     "emit_time_tags",
+    "iter_time_tags",
 ]
 
 #: Pulses per RNG block. Fixed so that outputs are independent of worker count.
@@ -256,14 +257,15 @@ def _simulate_block(
 
 def _map_blocks(
     config: LoopConfig, source: PhotonSource, opts: SimOptions, fn: Callable
-) -> list:
+) -> Iterator:
     """``fn(block, size, pulses, bins, flip)`` of every block, in block order.
 
     Block b holds ``size`` pulses from ``b * BLOCK_SIZE`` on and draws from
     the seed's Philox stream jumped b times; ``pulses`` (counted within the
     block), ``bins`` and ``flip`` are its 0-based pairs in the encoding of
-    :func:`_sample_clicks`. ``fn`` runs on the worker threads, and the list
-    does not depend on ``opts.n_workers``.
+    :func:`_sample_clicks`. ``fn`` runs on the worker threads, and the
+    results do not depend on ``opts.n_workers``. With one worker a block is
+    simulated only when its result is asked for.
     """
     q = analytic.bin_exit_probs(config)
 
@@ -275,8 +277,9 @@ def _map_blocks(
     blocks = range(-(-opts.n_pulses // BLOCK_SIZE))
     if opts.n_workers > 1:
         with ThreadPoolExecutor(max_workers=opts.n_workers) as pool:
-            return list(pool.map(run, blocks))
-    return [run(block) for block in blocks]
+            yield from pool.map(run, blocks)
+    else:
+        yield from map(run, blocks)
 
 
 def simulate_pulse(
@@ -332,16 +335,15 @@ def simulate_ensemble(
     return SimulationResult(histogram=hist, pattern_stats=stats)
 
 
-def _apply_dead_time(times: np.ndarray, dead_time_ps: int) -> np.ndarray:
-    """Paralyzable dead-time filter over sorted record times.
+def _apply_dead_time(times: np.ndarray, dead_time_ps: int, previous: Optional[int]) -> np.ndarray:
+    """Paralyzable dead-time filter over sorted, non-empty record times.
 
     A record survives only when the previous record (kept or not) is at
     least ``dead_time_ps`` earlier; every record extends the blind window.
+    ``previous`` is the time of the record before ``times[0]``, or None.
     """
-    keep = np.ones(len(times), dtype=bool)
-    if dead_time_ps > 0 and len(times) > 1:
-        keep[1:] = np.diff(times) >= dead_time_ps
-    return keep
+    first = times[0] - dead_time_ps if previous is None else previous
+    return np.diff(times, prepend=first) >= dead_time_ps
 
 
 def emit_time_tags(
@@ -358,7 +360,31 @@ def emit_time_tags(
     ``artifact``, ingesting the stream reproduces :func:`simulate_ensemble`
     exactly (the pattern RNG stream is shared). With it, back-reflection
     records and dead-time suppression are applied to the detector channel.
-    Deterministic for a fixed seed, independent of ``opts.n_workers``.
+    Deterministic for a fixed seed, independent of ``opts.n_workers``. The
+    records are those of :func:`iter_time_tags`, joined.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    chunks = [(empty, empty), *iter_time_tags(config, source, opts, rep_period_ps, artifact)]
+    channels, times = (np.concatenate(parts) for parts in zip(*chunks))
+    return TimeTagStream(channels=channels, times_ps=times)
+
+
+def iter_time_tags(
+    config: LoopConfig,
+    source: PhotonSource,
+    opts: SimOptions,
+    rep_period_ps: int,
+    artifact: Optional[ArtifactModel] = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The records of :func:`emit_time_tags` as ``(channels, times)`` chunks, one per block.
+
+    Block b's chunk holds its syncs and every detector record from its first
+    sync up to the next block's first sync, which a record at that very time
+    follows; the last chunk holds every record after that. So a chunk sorts
+    only its own records: spurious records wait in a sorted buffer until the
+    block they land in, and dead time carries the last detector time, kept
+    or suppressed, across chunks. The arguments are checked before the first
+    block is simulated; with one worker, memory stays that of one block.
     """
     if rep_period_ps <= config.n_bins * config.loop_delay_ps:
         raise ValueError(
@@ -369,32 +395,43 @@ def emit_time_tags(
             "reflection_delay_ps must not be a multiple of loop_delay_ps; "
             "spurious events have to fall outside the gates"
         )
-
+    rep = np.int64(rep_period_ps)
     delay = np.int64(config.loop_delay_ps)
-    sync_times = np.arange(opts.n_pulses, dtype=np.int64) * np.int64(rep_period_ps)
 
     def detector_times(block, size, *pairs):
         pulses, bins = _hit_pairs(size, *pairs)
-        t = sync_times[block * BLOCK_SIZE + pulses] + (bins + 1) * delay
+        t = (block * BLOCK_SIZE + pulses) * rep + (bins + 1) * delay
         if artifact and len(t):
             art_rng = _block_rng(opts.seed, block, key_offset=_ARTIFACT_KEY_OFFSET)
             spur = t[art_rng.random(len(t)) < artifact.back_reflection_prob]
             t = np.concatenate([t, spur + np.int64(artifact.reflection_delay_ps)])
         return t
 
-    det_chunks = _map_blocks(config, source, opts, detector_times)
-    det_times = np.sort(np.concatenate(det_chunks)) if det_chunks else np.empty(0, dtype=np.int64)
-    if artifact:
-        det_times = det_times[_apply_dead_time(det_times, artifact.dead_time_ps)]
+    def chunks():
+        pending = np.empty(0, dtype=np.int64)  # detector times past the blocks so far, sorted
+        previous = None  # the last detector time, kept or suppressed
+        for block, det_times in enumerate(_map_blocks(config, source, opts, detector_times)):
+            first = block * BLOCK_SIZE
+            size = min(BLOCK_SIZE, opts.n_pulses - first)
+            det_times = np.sort(np.concatenate([pending, det_times]))
+            if first + size < opts.n_pulses:
+                cut = np.searchsorted(det_times, (first + size) * rep)
+                det_times, pending = det_times[:cut], det_times[cut:]
+            if artifact and len(det_times):
+                keep = _apply_dead_time(det_times, artifact.dead_time_ps, previous)
+                previous = det_times[-1]
+                det_times = det_times[keep]
+            # merge the block's syncs (first + i) * rep_period_ps in by position: detector
+            # record i follows every sync at or before its time, min(t // rep_period_ps + 1,
+            # n_pulses) of them, of which the first `first` lie in earlier blocks
+            n_records = size + len(det_times)
+            n_syncs_before = np.minimum(det_times // rep + 1 - first, size)
+            is_sync = np.ones(n_records, dtype=bool)
+            is_sync[np.arange(len(det_times)) + n_syncs_before] = False
+            times = np.empty(n_records, dtype=np.int64)
+            times[is_sync] = (first + np.arange(size, dtype=np.int64)) * rep
+            times[~is_sync] = det_times
+            channels = np.where(is_sync, TimeTagStream.sync_channel, TimeTagStream.detector_channel)
+            yield channels, times
 
-    # merge the sync train i * rep_period_ps in by position: detector record i follows
-    # every sync at or before its time, min(t // rep_period_ps + 1, n_pulses) of them
-    n_records = len(sync_times) + len(det_times)
-    n_syncs_before = np.minimum(det_times // np.int64(rep_period_ps) + 1, opts.n_pulses)
-    is_sync = np.ones(n_records, dtype=bool)
-    is_sync[np.arange(len(det_times)) + n_syncs_before] = False
-    times = np.empty(n_records, dtype=np.int64)
-    times[is_sync] = sync_times
-    times[~is_sync] = det_times
-    channels = np.where(is_sync, TimeTagStream.sync_channel, TimeTagStream.detector_channel)
-    return TimeTagStream(channels=channels, times_ps=times)
+    return chunks()

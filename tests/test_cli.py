@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import photonloop
-from photonloop import analytic, cli, simulator, Coherent, LoopConfig, TimeTagStream
+from photonloop import analytic, cli, simulator, Coherent, LoopConfig, Thermal, TimeTagStream
 from photonloop.models import FitResult
 from photonloop.cli import (
     main,
@@ -145,6 +146,22 @@ class TestSimulateCommand:
         run_ok(runner, args + ["-o", str(tmp_path / "plain.csv")])
         run_ok(runner, args + ["-o", str(tmp_path / "tagged.csv"), "--emit-tags", str(tmp_path / "t.csv")])
         assert (tmp_path / "tagged.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_failure_in_a_later_block_leaves_no_outputs(self, runner, tmp_path):
+        """Block 0 passes the guard and is written; block 1 exceeds it: neither file is left."""
+        block = simulator.BLOCK_SIZE
+        maxima = [Thermal(1.0).sample(simulator._block_rng(1, b), block).max() for b in (0, 1)]
+        assert maxima[0] <= 12 < maxima[1]
+        config = tmp_path / "loop.json"
+        config.write_text(json.dumps({**_VALID_CONFIG, "n_max_guard": 12}))
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", str(config), "--source", "thermal:1", "--pulses", str(3 * block),
+             "--seed", "1", "-o", str(tmp_path / "h.csv"), "--emit-tags", str(tmp_path / "t.csv")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "guard" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json"]
 
     def test_zero_pulses_exits_2(self, runner, config_file, tmp_path):
         result = runner.invoke(
@@ -408,6 +425,45 @@ class TestAnalyzeCommand:
         assert "--witness-bins" in result.output
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_bootstrap_iterations_exits_2(self, runner, config_file, tmp_path, value):
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,time_ps\n0,0\n1,156000\n0,10000000\n")
+        result = runner.invoke(
+            main,
+            ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json"),
+             "--hist-output", str(tmp_path / "g.csv"), "--bootstrap-iterations", value],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--bootstrap-iterations" in result.output
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "g.csv").exists()
+
+    def test_report_independent_of_read_size(self, runner, config_file, tmp_path, monkeypatch):
+        """Reads cut lines, ties and gates anywhere; the report and histogram stay the same."""
+        run_ok(
+            runner,
+            # spurs of bin-1 records land on the sync two pulses later
+            ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "600",
+             "--seed", "4", "--rep-period-ps", "4524001",
+             "--back-reflection-prob", "0.2", "--reflection-delay-ps", str(2 * 4524001 - 156000),
+             "-o", str(tmp_path / "h.csv"), "--emit-tags", str(tmp_path / "t.csv")],
+        )
+        stream = read_tags_csv(str(tmp_path / "t.csv"))
+        sync = stream.channels == 0
+        assert np.isin(stream.times_ps[~sync], stream.times_ps[sync]).sum() > 10
+        outputs = []
+        for bytes_per_read in (cli._TAG_BYTES_PER_READ, 4096, 61, 7):
+            monkeypatch.setattr(cli, "_TAG_BYTES_PER_READ", bytes_per_read)
+            run_ok(
+                runner,
+                ["analyze", "--config", config_file, "--tags", str(tmp_path / "t.csv"),
+                 "-o", str(tmp_path / "r.json"), "--hist-output", str(tmp_path / "g.csv"),
+                 "--bootstrap-iterations", "50"],
+            )
+            outputs.append(((tmp_path / "r.json").read_bytes(), (tmp_path / "g.csv").read_bytes()))
+        assert outputs[1:] == outputs[:1] * 3
+        assert outputs[0][1] == (tmp_path / "h.csv").read_bytes()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])  # the bootstrap's Philox key range
     def test_seed_outside_key_range_exits_2(self, runner, config_file, tmp_path, seed):
         tags = tmp_path / "t.csv"
@@ -604,6 +660,39 @@ class TestMalformedInputs:
         assert result.exit_code == 2
         assert "t.csv" in result.output and f"line {line}" in result.output
         assert column in result.output
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({120_000: "1,5"}, "time_ps on line 120001 is earlier"),
+            ({130_000: "7,130000000"}, "unknown channel 7 on line 130001"),
+            ({140_000: "1,x"}, "line 140001 column 'time_ps' is 'x', not an integer"),
+            # an unknown channel anywhere is named before an earlier record out of order
+            ({2_000: "1,5", 140_000: "9,140000000"}, "unknown channel 9 on line 140001"),
+            # a bad cell anywhere is named before an earlier unknown channel
+            (
+                {2_000: "1,5", 100_000: "9,100000000", 140_000: "1,1.5"},
+                "line 140001 column 'time_ps' is '1.5'",
+            ),
+            # another form past the first read: np.loadtxt reads it from the top
+            ({2_000: "1,5", 140_000: "1, 140000000"}, "time_ps on line 2001 is earlier"),
+        ],
+        ids=["unsorted", "channel", "cell", "channel-after-unsorted", "cell-after-both", "late-other-form"],
+    )
+    def test_errors_past_the_first_read_name_their_line(self, runner, config_file, tmp_path, edits, message):
+        lines = ["channel,time_ps"] + [f"{i % 2},{1000 * i}" for i in range(150_000)]
+        for line, text in edits.items():
+            lines[line] = text
+        tags = tmp_path / "t.csv"
+        tags.write_text("\n".join(lines) + "\n")
+        assert tags.stat().st_size > cli._TAG_BYTES_PER_READ
+        result = runner.invoke(
+            main, ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"tags file {tags}: {message}" in result.output
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_tags_csv(str(tags))
 
     def test_unknown_tag_channel_exits_2(self, runner, config_file, tmp_path):
         tags = tmp_path / "t.csv"
@@ -1054,12 +1143,44 @@ class TestTagsCsvRoundTrip:
                 read.append(len(data))
                 return data
 
+            def readinto(self, buffer):
+                n = super().readinto(buffer)
+                read.append(n)
+                return n
+
         monkeypatch.setattr(cli, "_TAG_BYTES_PER_READ", bytes_per_read)
         counted_open = lambda p, mode="r", **k: Counted(p) if mode == "rb" else open(p, mode, **k)
         monkeypatch.setattr(cli, "open", counted_open, raising=False)
         back = read_tags_csv(str(path))
         np.testing.assert_array_equal(back.times_ps, 1000 * np.arange(n))
         assert sum(read) <= len("channel,time_ps\n") + bytes_per_read
+
+
+class TestBoundedMemory:
+    def test_tag_path_memory_does_not_grow_with_pulses(self, runner, config_file, tmp_path):
+        """simulate --emit-tags plus analyze at 10x the pulses peaks within 1.5x of 1x.
+
+        At 1x the tags file already spans several reads and blocks; a path
+        holding whole streams would peak about 7x higher at 10x.
+        """
+        tags, cfg = str(tmp_path / "t.csv"), ["--config", config_file]
+
+        def peak(pulses):
+            tracemalloc.reset_peak()
+            run_ok(runner, ["simulate", *cfg, "--source", "coherent:2", "--pulses", str(pulses),
+                            "-o", str(tmp_path / "h.csv"), "--emit-tags", tags])
+            run_ok(runner, ["analyze", *cfg, "--tags", tags, "-o", str(tmp_path / "r.json"),
+                            "--bootstrap-iterations", "100"])
+            return tracemalloc.get_traced_memory()[1]
+
+        pulses = 4 * simulator.BLOCK_SIZE
+        tracemalloc.start()
+        try:
+            small, large = peak(pulses), peak(10 * pulses)
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(tags) > 10 * cli._TAG_BYTES_PER_READ
+        assert large <= 1.5 * small, (small, large)
 
 
 def _no_loadtxt(*args, **kwargs):

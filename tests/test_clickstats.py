@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -204,6 +205,98 @@ class TestIngestDedupe:
         opts = SimOptions(n_pulses=simulator.BLOCK_SIZE + extra_pulses, seed=seed)
         stream = simulator.emit_time_tags(config, Coherent(20.0), opts, 8 * config.loop_delay_ps, artifact)
         self._assert_matches_unique(stream, config)
+
+
+def _gate_in_chunks(stream, config, cuts):
+    """The IngestResult of a TagGate fed ``stream`` cut at the sorted record indexes ``cuts``."""
+    gate = clickstats.TagGate(config)
+    for a, b in zip([0, *cuts], [*cuts, stream.n_records]):
+        gate.feed(stream.channels[a:b], stream.times_ps[a:b])
+    return gate.result()
+
+
+def _assert_cuts_change_nothing(stream, config, cuts):
+    """Cut at ``cuts``, the stream gates as when fed whole, and as the np.unique reference."""
+    got, whole = _gate_in_chunks(stream, config, cuts), clickstats.ingest_time_tags(stream, config)
+    np.testing.assert_array_equal(got.histogram.clicks, whole.histogram.clicks)
+    assert got.histogram.trials == whole.histogram.trials
+    np.testing.assert_array_equal(got.pattern_stats.c, whole.pattern_stats.c)
+    assert got.n_discarded == whole.n_discarded
+    clicks, k_counts, n_discarded = _ingest_with_unique(stream, config)
+    np.testing.assert_array_equal(got.histogram.clicks, clicks)
+    np.testing.assert_array_equal(got.pattern_stats.c, k_counts / k_counts.sum())
+    assert got.n_discarded == n_discarded
+
+
+@st.composite
+def _cut_streams(draw):
+    """A gated stream and sorted cut points, repeats (empty chunks) and both ends included."""
+    stream, config = draw(_gated_streams())
+    cuts = sorted(draw(st.lists(st.integers(0, stream.n_records), max_size=8)))
+    return stream, config, cuts
+
+
+class TestTagGate:
+    """A stream fed in chunks, cut at any record, gates as when fed whole."""
+
+    CFG = LoopConfig(
+        mode="passive", R=0.5, eta=0.9, nu=0.0, n_bins=3, loop_delay_ps=1000, gate_width_ps=100,
+    )
+
+    @given(_cut_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_random_cuts_match_whole_stream(self, case):
+        _assert_cuts_change_nothing(*case)
+
+    @pytest.mark.parametrize(
+        "records, cuts",
+        [
+            # a detector record tied with the next sync, cut between them: it is that sync's
+            ([(0, 0), (1, 1000), (1, 5000), (0, 5000), (1, 6000)], [3]),
+            ([(0, 0), (1, 5000), (0, 5000), (1, 7000)], [2, 2, 2]),
+            # records before the first sync, with the first sync in a later chunk
+            ([(1, -3000), (1, -2000), (0, 0), (1, 1000)], [1, 2]),
+            # two records in one gate, on either side of the cut
+            ([(0, 0), (1, 1000), (1, 1010), (1, 3000)], [2]),
+            ([(0, 0), (1, 1990), (1, 2000), (0, 10000), (1, 12000)], [2]),
+            # chunks holding no sync, and empty chunks
+            ([(0, 0), (1, 1000), (1, 2000), (1, 2030), (1, 3000), (0, 9000)], [1, 1, 2, 3, 4, 4, 5]),
+        ],
+        ids=["tie-across-cut", "tie-after-empty-chunks", "before-first-sync", "one-gate-across-cut",
+             "one-gate-then-next-pulse", "no-sync-chunks"],
+    )
+    def test_chunk_edges(self, records, cuts):
+        stream = TimeTagStream(channels=[c for c, _ in records], times_ps=[t for _, t in records])
+        _assert_cuts_change_nothing(stream, self.CFG, cuts)
+
+    def test_tie_across_cut_goes_to_the_later_sync(self):
+        config = dataclasses.replace(self.CFG, n_bins=6)
+        stream = TimeTagStream(channels=[0, 1, 0], times_ps=[0, 5000, 5000])
+        res = _gate_in_chunks(stream, config, [2])
+        # 5000 ps after the first sync is bin 5's gate; at the second sync's own time it is in none
+        assert res.histogram.clicks.sum() == 0 and res.n_discarded == 1
+
+    @given(
+        times=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=20, unique=True).map(sorted),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unsorted_pair_named_by_stream_index(self, times, data):
+        i = data.draw(st.integers(1, len(times) - 1))
+        times[i - 1], times[i] = times[i], times[i - 1]
+        channels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=len(times), max_size=len(times)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(times)), max_size=4)) + [i])
+        gate = clickstats.TagGate(self.CFG)
+        with pytest.raises(UnsortedStream) as err:
+            for a, b in zip([0, *cuts], [*cuts, len(times)]):
+                gate.feed(np.array(channels[a:b]), np.array(times[a:b]))
+        assert err.value.index == i
+
+    def test_empty_chunks_only_have_no_sync(self):
+        gate = clickstats.TagGate(self.CFG)
+        gate.feed(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        with pytest.raises(NoSyncRecords):
+            gate.result()
 
 
 class TestWitnesses:

@@ -353,6 +353,95 @@ class TestEmitTimeTags:
         np.testing.assert_array_equal(order, np.arange(stream.n_records))
 
 
+def _whole_stream_tags(config, source, opts, rep_period_ps, artifact):
+    """Reference emitter: every detector time at once, one global sort, dead time and sync merge."""
+    delay, rep = np.int64(config.loop_delay_ps), np.int64(rep_period_ps)
+    det = []
+    blocks = simulator._map_blocks(config, source, opts, lambda _block, size, *pairs: (size, pairs))
+    for block, (size, pairs) in enumerate(blocks):
+        pulses, bins = simulator._hit_pairs(size, *pairs)
+        t = (block * simulator.BLOCK_SIZE + pulses) * rep + (bins + 1) * delay
+        if artifact and len(t):
+            art_rng = simulator._block_rng(opts.seed, block, key_offset=simulator._ARTIFACT_KEY_OFFSET)
+            spur = t[art_rng.random(len(t)) < artifact.back_reflection_prob]
+            t = np.concatenate([t, spur + np.int64(artifact.reflection_delay_ps)])
+        det.append(t)
+    det = np.sort(np.concatenate(det))
+    if artifact and artifact.dead_time_ps > 0 and len(det) > 1:
+        keep = np.ones(len(det), dtype=bool)
+        keep[1:] = np.diff(det) >= artifact.dead_time_ps
+        det = det[keep]
+    # sorted by time, with a detector record after every sync at or before its time
+    sync = np.arange(opts.n_pulses, dtype=np.int64) * rep
+    times = np.concatenate([sync, det])
+    channels = np.concatenate([np.zeros(len(sync), dtype=np.int64), np.ones(len(det), dtype=np.int64)])
+    order = np.lexsort((channels, times))
+    return channels[order], times[order]
+
+
+class TestTagChunks:
+    """``iter_time_tags`` emits block by block what a whole-stream emitter emits."""
+
+    CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=6, loop_delay_ps=100_000)
+    REP = 800_001
+    BLOCK_PS = simulator.BLOCK_SIZE * REP
+
+    @pytest.mark.parametrize(
+        "artifact",
+        [
+            None,
+            # spurs of bin-1 records land exactly on a sync BLOCK_SIZE + 3 pulses later:
+            # two blocks on, and on a block's first sync among them
+            ArtifactModel(0.9, (simulator.BLOCK_SIZE + 3) * REP - 100_000, 0),
+            # spurs more than two blocks later, and a dead time of 5 periods over every block edge
+            ArtifactModel(0.2, 2 * BLOCK_PS + 250_001, 5 * REP),
+            ArtifactModel(0.1, 250_001, 150_000),
+        ],
+        ids=["clean", "spurs-on-syncs-blocks-later", "long-delay-long-dead-time", "short"],
+    )
+    @pytest.mark.parametrize("source", [Coherent(3.0), LossyFock(1, 0.6)], ids=["coherent", "lossyfock"])
+    def test_chunks_match_whole_stream_reference(self, artifact, source):
+        opts = SimOptions(n_pulses=3 * simulator.BLOCK_SIZE + 50, seed=8)
+        chunks = list(simulator.iter_time_tags(self.CFG, source, opts, self.REP, artifact))
+        assert len(chunks) == 4
+        for block, (channels, times) in enumerate(chunks[1:], start=1):
+            # each chunk opens with its block's first sync
+            assert (channels[0], times[0]) == (0, block * self.BLOCK_PS)
+        channels, times = (np.concatenate(parts) for parts in zip(*chunks))
+        want_channels, want_times = _whole_stream_tags(self.CFG, source, opts, self.REP, artifact)
+        np.testing.assert_array_equal(times, want_times)
+        np.testing.assert_array_equal(channels, want_channels)
+        stream = simulator.emit_time_tags(self.CFG, source, opts, self.REP, artifact)
+        np.testing.assert_array_equal(stream.times_ps, want_times)
+        np.testing.assert_array_equal(stream.channels, want_channels)
+
+    def test_spurs_tie_block_first_syncs(self):
+        """The reference case above does put detector records on a later block's first sync."""
+        artifact = ArtifactModel(0.9, (simulator.BLOCK_SIZE + 3) * self.REP - 100_000, 0)
+        opts = SimOptions(n_pulses=3 * simulator.BLOCK_SIZE + 50, seed=8)
+        chunks = list(simulator.iter_time_tags(self.CFG, Coherent(50.0), opts, self.REP, artifact))
+        for channels, times in chunks[2:]:
+            assert (channels[1], times[1]) == (1, times[0])
+
+    def test_blocks_simulated_as_chunks_are_asked_for(self, monkeypatch):
+        calls = []
+        simulate_block = simulator._simulate_block
+        monkeypatch.setattr(
+            simulator, "_simulate_block", lambda *args: calls.append(1) or simulate_block(*args)
+        )
+        opts = SimOptions(n_pulses=5 * simulator.BLOCK_SIZE, seed=1)
+        chunks = simulator.iter_time_tags(self.CFG, Coherent(3.0), opts, self.REP)
+        assert calls == []
+        next(chunks)
+        assert len(calls) == 1
+        next(chunks)
+        assert len(calls) == 2
+
+    def test_arguments_checked_before_iteration(self):
+        with pytest.raises(ValueError, match="rep_period_ps"):
+            simulator.iter_time_tags(self.CFG, Coherent(3.0), SimOptions(n_pulses=10), 10)
+
+
 class TestBackReflectionArtifact:
     """Dead time from spurious back-reflections undercounts early bins."""
 
