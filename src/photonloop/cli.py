@@ -16,6 +16,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ import os
 import re
 import sys
 import warnings
-from typing import Callable, Iterator, Optional
+from typing import Callable, Generator, Iterator, Optional
 
 import click
 import numpy as np
@@ -139,24 +140,23 @@ def read_histogram_csv(path: str) -> ClickHistogram:
     from the rebuilt value by more than 1e-9 relative is rejected.
     """
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in _HISTOGRAM_COLUMNS if name not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"histogram file {path} has no '{missing[0]}' column")
-        for row in reader:
-            cells = []
-            for name in _HISTOGRAM_COLUMNS:
-                kind = float if name in _DERIVED_COLUMNS else int
-                try:
-                    cells.append(kind(row[name]))
-                except (TypeError, ValueError):
-                    what = "a number" if kind is float else "an integer"
-                    raise ValueError(
-                        f"histogram file {path}: line {reader.line_num} column '{name}' is "
-                        f"{row[name]!r}, not {what}"
-                    ) from None
-            rows.append(cells)
+    reader = csv.DictReader(_text_lines(path, "histogram"))
+    missing = [name for name in _HISTOGRAM_COLUMNS if name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"histogram file {path} has no '{missing[0]}' column")
+    for row in reader:
+        cells = []
+        for name in _HISTOGRAM_COLUMNS:
+            kind = float if name in _DERIVED_COLUMNS else int
+            try:
+                cells.append(kind(row[name]))
+            except (TypeError, ValueError):
+                what = "a number" if kind is float else "an integer"
+                raise ValueError(
+                    f"histogram file {path}: line {reader.line_num} column '{name}' is "
+                    f"{row[name]!r}, not {what}"
+                ) from None
+        rows.append(cells)
     if not rows:
         raise ValueError(f"histogram file {path} has no rows")
     bins, clicks, trials = ([row[i] for row in rows] for i in range(3))
@@ -290,91 +290,93 @@ def _decode_tag_lines(buf: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]
     return channels, times
 
 
-class _OtherForm(Exception):
-    """A tags file is not in the form ``write_tags_csv`` writes."""
+def _writer_form_chunks(fh) -> Generator[tuple[np.ndarray, np.ndarray], None, bytes]:
+    """(channels, times) of the form ``write_tags_csv`` writes, one chunk per read of the binary ``fh``.
+
+    That form is ``[-]digits,[-]digits\\n`` lines, at most 18 digits a cell.
+    Every read goes into one buffer, after the partial line that the read
+    before left at its front. Returns the bytes read but not decoded: those
+    from the first line of the first read that shows another form on.
+    """
+    buf = bytearray(_TAG_LINE_MAX + _TAG_BYTES_PER_READ)
+    view, data = memoryview(buf), np.frombuffer(buf, np.uint8)
+    tail = 0
+    while n_read := fh.readinto(view[tail : tail + _TAG_BYTES_PER_READ]):
+        filled = tail + n_read
+        end = buf.rfind(b"\n", 0, filled) + 1
+        tail = filled - end
+        if tail >= _TAG_LINE_MAX:
+            return bytes(buf[:filled])
+        if end:
+            lines = _decode_tag_lines(data[:end])
+            if lines is None:
+                return bytes(buf[:filled])
+            yield lines
+            buf[:tail] = buf[end:filled]
+    return bytes(buf[:tail])
 
 
-def _writer_form_chunks(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(channels, times) of a tags file in the form ``write_tags_csv`` writes, one chunk per read.
+def _tag_chunks(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(channels, times) of a tags file, each byte read once, in bounded reads.
 
-    That form is the header line, then only ``[-]digits,[-]digits\\n`` lines
-    with at most 18 digits per cell. Raises ``_OtherForm`` at the first read
-    that shows another form. Every read goes into one buffer, after the
-    partial line that the read before left at its front.
+    The writer's form goes through :func:`_writer_form_chunks`. From the
+    first line of the first read in another form on (the header, if it is
+    not byte-exact), ``np.loadtxt`` parses batches of whole lines of a text
+    stream, about ``_TAG_BYTES_PER_READ`` bytes each, so universal newlines,
+    comments and blank lines behave as ever. A batch it rejects raises,
+    naming the file's first bad line.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(_TAG_HEADER)) != _TAG_HEADER:
-            raise _OtherForm
-        buf = bytearray(_TAG_LINE_MAX + _TAG_BYTES_PER_READ)
-        view, data = memoryview(buf), np.frombuffer(buf, np.uint8)
-        tail = 0
-        while n_read := fh.readinto(view[tail : tail + _TAG_BYTES_PER_READ]):
-            filled = tail + n_read
-            end = buf.rfind(b"\n", 0, filled) + 1
-            tail = filled - end
-            if tail >= _TAG_LINE_MAX:
-                raise _OtherForm
-            if end:
-                lines = _decode_tag_lines(data[:end])
-                if lines is None:
-                    raise _OtherForm
-                yield lines
-                buf[:tail] = buf[end:filled]
-        if tail:
-            raise _OtherForm
+        head = fh.read(len(_TAG_HEADER))
+        rest = (yield from _writer_form_chunks(fh)) if head == _TAG_HEADER else head
+        try:
+            # the first batch is what was read, up to the end of the line the last read cut
+            lines = io.TextIOWrapper(io.BytesIO(rest + fh.readline()), encoding="utf-8").readlines()
+            if head != _TAG_HEADER and (lines.pop(0) if lines else "").strip() != "channel,time_ps":
+                raise ValueError("expected header 'channel,time_ps'")
+            text = io.TextIOWrapper(fh, encoding="utf-8")
+            batches = itertools.chain([lines], iter(lambda: text.readlines(_TAG_BYTES_PER_READ), []))
+            for batch in filter(None, batches):
+                with warnings.catch_warnings():  # a batch of blank and comment lines holds no records
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(batch, delimiter=",", dtype=np.int64, ndmin=2)
+                if len(data):
+                    if data.shape[1] != 2:
+                        raise ValueError(f"{data.shape[1]} columns")
+                    yield data[:, 0], data[:, 1]
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(_bad_tag_cell(path) or f"tags file {path}: {exc}") from None
 
 
-class _Chunks:
-    """A sink for :func:`_fold_tags_file` that keeps every chunk."""
+def _fold_tags_file(path: str, feed: Callable):
+    """Pass the chunks of :func:`_tag_chunks` to ``feed(channels, times)``.
 
-    def __init__(self):
-        self.parts = [(np.empty(0, dtype=np.int64),) * 2]
-
-    def feed(self, channels: np.ndarray, times: np.ndarray):
-        self.parts.append((channels, times))
-
-
-def _fold_tags_file(path: str, new_sink: Callable):
-    """Feed the records of a tags file, chunk by chunk, to ``new_sink()`` and return it.
-
-    A file in the form ``write_tags_csv`` writes is decoded one read at a
-    time. At the first sign of another form, a fresh sink is fed the whole
-    file as ``np.loadtxt`` reads it, which also produces every parse error.
-    The sink's ``feed(channels, times)`` may raise ``UnsortedStream`` with
-    the record's index in the file. Errors name the file line (header =
-    line 1) and wait for the end of the file, so that a parse error comes
-    before an unknown channel, and an unknown channel before a record out
-    of time order, wherever each lies.
+    ``feed`` may raise ``UnsortedStream`` with the record's index in the
+    file. Errors name the file line (header = line 1) and wait for the end
+    of the file, so that a parse error comes before an unknown channel, and
+    an unknown channel before a record out of time order, wherever each lies.
     """
     sync, detector = TimeTagStream.sync_channel, TimeTagStream.detector_channel
-
-    def fold(chunks):
-        sink, done, unknown, unsorted = new_sink(), 0, None, None
-        for channels, times in chunks:
-            if unknown is None:
-                bad = np.flatnonzero((channels != sync) & (channels != detector))
-                if len(bad):
-                    unknown = done + int(bad[0]), int(channels[bad[0]])
-                elif unsorted is None:
-                    try:
-                        sink.feed(channels, times)
-                    except UnsortedStream as exc:
-                        unsorted = exc.index
-            done += len(times)
-        if unknown is not None:
-            record, channel = unknown
-            raise ValueError(
-                f"tags file {path}: unknown channel {channel} on line {_tag_line(path, record)}; "
-                f"expected {sync} (sync) or {detector} (detector)"
-            )
-        if unsorted is not None:
-            raise _unsorted_tags(path, unsorted)
-        return sink
-
-    try:
-        return fold(_writer_form_chunks(path))
-    except _OtherForm:
-        return fold([_loadtxt_tags(path)])
+    done, unknown, unsorted = 0, None, None
+    for channels, times in _tag_chunks(path):
+        if unknown is None:
+            bad = np.flatnonzero((channels != sync) & (channels != detector))
+            if len(bad):
+                unknown = done + int(bad[0]), int(channels[bad[0]])
+            elif unsorted is None:
+                try:
+                    feed(channels, times)
+                except UnsortedStream as exc:
+                    unsorted = exc.index
+        done += len(times)
+    if unknown is not None:
+        record, channel = unknown
+        raise ValueError(
+            f"tags file {path}: unknown channel {channel} on line {_tag_line(path, record)}; "
+            f"expected {sync} (sync) or {detector} (detector)"
+        )
+    if unsorted is not None:
+        raise _unsorted_tags(path, unsorted)
 
 
 def _unsorted_tags(path: str, record: int) -> ValueError:
@@ -387,45 +389,36 @@ def _unsorted_tags(path: str, record: int) -> ValueError:
 def read_tags_csv(path: str) -> TimeTagStream:
     """Read a tags CSV; errors name the file line (header = line 1).
 
-    The chunks of :func:`_fold_tags_file`, joined: a file in the form
-    ``write_tags_csv`` writes is decoded by numpy in bounded reads, every
-    other file goes through ``np.loadtxt`` from the top.
+    The chunks of :func:`_fold_tags_file`, joined: every accepted form is
+    read once, one bounded read or batch at a time.
     """
-    channels, times = (np.concatenate(parts) for parts in zip(*_fold_tags_file(path, _Chunks).parts))
+    parts = [(np.empty(0, dtype=np.int64),) * 2]
+    _fold_tags_file(path, lambda *chunk: parts.append(chunk))
+    channels, times = (np.concatenate(columns) for columns in zip(*parts))
     try:
         return TimeTagStream(channels=channels, times_ps=times)
     except UnsortedStream as exc:
         raise _unsorted_tags(path, exc.index) from None
 
 
-def _loadtxt_tags(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """(channels, times) of any tags file ``np.loadtxt`` reads; the parse errors name the file line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "channel,time_ps":
-            raise ValueError(f"tags file {path}: expected header 'channel,time_ps'")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is an empty stream
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(_bad_tag_cell(path) or f"tags file {path}: {exc}") from None
-    if len(data) == 0:
-        data = data.reshape(0, 2)
-    elif data.shape[1] != 2:
-        raise ValueError(_bad_tag_cell(path))
-    return data[:, 0], data[:, 1]
+def _text_lines(path: str, kind: str) -> Iterator[str]:
+    """The lines of a text file, ends kept; a byte that is not UTF-8 raises, naming the file and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for number, line in enumerate(fh, start=1):
+            if re.search("[\udc80-\udcff]", line):  # how surrogateescape keeps such a byte
+                raise ValueError(f"{kind} file {path}: line {number} is not UTF-8")
+            yield line
 
 
 def _tag_lines(path: str) -> Iterator[tuple[int, list[str]]]:
-    """(file line, cells) of every record of a tags file, skipping what np.loadtxt skips."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for number, line in enumerate(fh, start=2):
-            text = line.partition("#")[0].rstrip("\n")  # np.loadtxt keeps a line of spaces
-            if text:
-                yield number, text.split(",")
+    """(file line, cells) of each record of a tags file, as np.loadtxt sees them; a bad header raises."""
+    lines = enumerate(_text_lines(path, "tags"), start=1)
+    if next(lines, (1, ""))[1].strip() != "channel,time_ps":
+        raise ValueError(f"tags file {path}: expected header 'channel,time_ps'")
+    for number, line in lines:
+        text = line.partition("#")[0].rstrip("\r\n")  # np.loadtxt keeps a line of spaces
+        if text:
+            yield number, text.split(",")
 
 
 def _tag_line(path: str, record: int) -> int:
@@ -469,7 +462,7 @@ def _cli_errors(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:  # an OSError names the input or output path
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except PhotonLoopError as exc:
@@ -485,7 +478,7 @@ def main():
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--source", "source_spec", required=True, help="e.g. coherent:3 or fock:1")
 @click.option("--pulses", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -543,8 +536,8 @@ def simulate(
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--tags", "tags_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--tags", "tags_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", "report_path", required=True, help="JSON report output")
 @click.option("--hist-output", default=None, help="also write the gated histogram CSV")
 @click.option(
@@ -556,8 +549,10 @@ def simulate(
 def analyze(config_path, tags_path, report_path, hist_output, witness_bins, bootstrap_iterations, seed):
     """Gate a time-tag stream and report click statistics and witnesses."""
     config = load_loop_config(config_path)
+    gate = clickstats.TagGate(config)
+    _fold_tags_file(tags_path, gate.feed)
     try:
-        gated = _fold_tags_file(tags_path, functools.partial(clickstats.TagGate, config)).result()
+        gated = gate.result()
     except NoSyncRecords:
         raise ValueError(f"tags file {tags_path} has no sync (channel 0) records") from None
     hist, stats = gated
@@ -605,8 +600,8 @@ def analyze(config_path, tags_path, report_path, hist_output, witness_bins, boot
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--hist", "hist_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--hist", "hist_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", "report_path", required=True, help="JSON fit output")
 @_cli_errors
 def fit(config_path, hist_path, report_path):
@@ -618,9 +613,9 @@ def fit(config_path, hist_path, report_path):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--bright", "bright_path", required=True, type=click.Path(exists=True))
-@click.option("--attenuated", "atten_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--bright", "bright_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--attenuated", "atten_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", "report_path", required=True, help="JSON report output")
 @click.option("--power", type=float, default=None, help="power-meter reading, watts")
 @click.option("--rep-rate", type=float, default=None, help="pulse repetition rate, Hz")

@@ -629,15 +629,15 @@ class TestMalformedInputs:
         )
         lines = hist.read_text().splitlines()
         fields = lines[2].split(",")
-        fields[1] = "3.5"  # row 2's clicks, on file line 3
-        lines[2] = ",".join(fields)
-        hist.write_text("\n".join(lines) + "\n")
-        result = runner.invoke(
-            main, ["fit", "--config", config_file, "--hist", str(hist), "-o", str(tmp_path / "f.json")]
-        )
-        assert result.exit_code == 2
-        assert "h.csv" in result.output and "line 3" in result.output
-        assert "'clicks'" in result.output and "'3.5'" in result.output
+        for cell, message in [("3.5", "column 'clicks' is '3.5'"), ("3\udcff5", "is not UTF-8")]:
+            fields[1] = cell  # row 2's clicks, on file line 3; \udcff writes the byte 0xff
+            lines[2] = ",".join(fields)
+            hist.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+            result = runner.invoke(
+                main, ["fit", "--config", config_file, "--hist", str(hist), "-o", str(tmp_path / "f.json")]
+            )
+            assert result.exit_code == 2
+            assert "h.csv" in result.output and f"line 3 {message}" in result.output
 
     @pytest.mark.parametrize(
         "body, line, column",
@@ -649,11 +649,12 @@ class TestMalformedInputs:
             ("0\n1\n", 2, "1 columns"),
             ("0,5\n  \n1,7\n", 3, "1 columns"),
             ("0,5\n  # c\n1,7\n", 3, "1 columns"),
+            ("0,0\n1,15\udcff6000\n", 3, "not UTF-8"),
         ],
     )
     def test_non_integer_tag_cell_exits_2(self, runner, config_file, tmp_path, body, line, column):
         tags = tmp_path / "t.csv"
-        tags.write_text("channel,time_ps\n" + body)
+        tags.write_text("channel,time_ps\n" + body, encoding="utf-8", errors="surrogateescape")  # \udcff: byte 0xff
         result = runner.invoke(
             main, ["analyze", "--config", config_file, "--tags", str(tags), "-o", str(tmp_path / "r.json")]
         )
@@ -693,6 +694,28 @@ class TestMalformedInputs:
         assert f"tags file {tags}: {message}" in result.output
         with pytest.raises(ValueError, match=re.escape(message)):
             read_tags_csv(str(tags))
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["analyze", "--config", "{config}", "--tags", "{dir}", "-o", "{tmp}/r.json"], "{dir}"),
+            (["fit", "--config", "{dir}", "--hist", "{config}", "-o", "{tmp}/f.json"], "{dir}"),
+            (["simulate", "--config", "{config}", "--source", "coherent:1", "--pulses", "10", "-o", "{dir}"], "{dir}"),
+            (
+                ["simulate", "--config", "{config}", "--source", "coherent:1", "--pulses", "10",
+                 "-o", "{tmp}/missing/h.csv"],
+                "{tmp}/missing/h.csv",
+            ),
+        ],
+        ids=["analyze-tags-dir", "fit-config-dir", "simulate-output-dir", "simulate-output-no-parent"],
+    )
+    def test_unusable_path_exits_2_naming_it(self, runner, config_file, tmp_path, args, named):
+        (tmp_path / "d").mkdir()
+        fill = lambda text: text.format(config=config_file, dir=tmp_path / "d", tmp=tmp_path)
+        result = runner.invoke(main, [fill(arg) for arg in args])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert fill(named) in result.output
 
     def test_unknown_tag_channel_exits_2(self, runner, config_file, tmp_path):
         tags = tmp_path / "t.csv"
@@ -1130,38 +1153,48 @@ class TestTagsCsvRoundTrip:
         np.testing.assert_array_equal(back.channels, np.arange(n) % 2)
         np.testing.assert_array_equal(back.times_ps, times)
 
-    def test_other_forms_fall_back_after_the_first_chunk(self, tmp_path, monkeypatch):
-        """A file with spaces after its commas is not counted through before np.loadtxt reads it."""
+    def test_a_file_changing_form_is_read_once(self, tmp_path, monkeypatch):
+        """Spaces after a comma well past the first read: what was decoded stays, no byte is read twice."""
         n, bytes_per_read = 2000, 64
+        lines = [b"%d,%d\n" % (i % 2, 1000 * i) for i in range(n)]
+        lines[n // 2] = b"%d, %d\n" % (n // 2 % 2, 1000 * (n // 2))
         path = tmp_path / "tags.csv"
-        path.write_bytes(b"channel,time_ps\n" + b"".join(b"%d, %d\n" % (i % 2, 1000 * i) for i in range(n)))
-        read = []
+        path.write_bytes(b"channel,time_ps\n" + b"".join(lines))
+        reads, parsed = [], []
 
         class Counted(io.FileIO):
-            def read(self, size=-1):
-                data = super().read(size)
-                read.append(len(data))
-                return data
-
             def readinto(self, buffer):
-                n = super().readinto(buffer)
-                read.append(n)
-                return n
+                start, n_read = self.tell(), super().readinto(buffer)
+                reads.append((start, n_read))
+                return n_read
 
+        def counted_open(p, mode="r", **kwargs):
+            fh = io.BufferedReader(Counted(p))
+            return fh if mode == "rb" else io.TextIOWrapper(fh, **kwargs)
+
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda lines, **k: parsed.append(len(lines)) or loadtxt(lines, **k))
         monkeypatch.setattr(cli, "_TAG_BYTES_PER_READ", bytes_per_read)
-        counted_open = lambda p, mode="r", **k: Counted(p) if mode == "rb" else open(p, mode, **k)
         monkeypatch.setattr(cli, "open", counted_open, raising=False)
         back = read_tags_csv(str(path))
+        np.testing.assert_array_equal(back.channels, np.arange(n) % 2)
         np.testing.assert_array_equal(back.times_ps, 1000 * np.arange(n))
-        assert sum(read) <= len("channel,time_ps\n") + bytes_per_read
+        times_read = np.zeros(path.stat().st_size, dtype=int)
+        for start, n_read in reads:
+            times_read[start : start + n_read] += 1
+        assert (times_read == 1).all()
+        # the writer's decoder kept every record before the read that showed spaces
+        assert n // 2 - bytes_per_read < n - sum(parsed) <= n // 2
 
 
 class TestBoundedMemory:
-    def test_tag_path_memory_does_not_grow_with_pulses(self, runner, config_file, tmp_path):
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_tag_path_memory_does_not_grow_with_pulses(self, runner, config_file, tmp_path, newline):
         """simulate --emit-tags plus analyze at 10x the pulses peaks within 1.5x of 1x.
 
         At 1x the tags file already spans several reads and blocks; a path
-        holding whole streams would peak about 7x higher at 10x.
+        holding whole streams would peak about 7x higher at 10x. CRLF line
+        ends take the batched ``np.loadtxt`` path from the first read on.
         """
         tags, cfg = str(tmp_path / "t.csv"), ["--config", config_file]
 
@@ -1169,7 +1202,10 @@ class TestBoundedMemory:
             tracemalloc.reset_peak()
             run_ok(runner, ["simulate", *cfg, "--source", "coherent:2", "--pulses", str(pulses),
                             "-o", str(tmp_path / "h.csv"), "--emit-tags", tags])
-            run_ok(runner, ["analyze", *cfg, "--tags", tags, "-o", str(tmp_path / "r.json"),
+            with open(tags, "rb") as src, open(tmp_path / "e.csv", "wb") as dst:
+                for chunk in iter(lambda: src.read(1 << 20), b""):
+                    dst.write(chunk.replace(b"\n", newline))
+            run_ok(runner, ["analyze", *cfg, "--tags", str(tmp_path / "e.csv"), "-o", str(tmp_path / "r.json"),
                             "--bootstrap-iterations", "100"])
             return tracemalloc.get_traced_memory()[1]
 
