@@ -209,16 +209,21 @@ def _write_tag_rows(fh, channels: np.ndarray, times: np.ndarray):
 
 
 @contextlib.contextmanager
-def _replaced_on_success(path: str) -> Iterator[str]:
-    """A temporary path beside ``path``, moved onto it if the block succeeds and deleted otherwise."""
-    head, tail = os.path.split(path)
-    part = os.path.join(head, f".{tail}.{os.getpid()}.part")
+def _replaced_on_success(*paths: Optional[str]) -> Iterator[list]:
+    """Temporary paths beside ``paths`` (None for None), moved onto them if the block succeeds, else deleted."""
+    parts = {path: os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.part")
+             for path in filter(None, paths)}
     try:
-        yield part
-        os.replace(part, path)
+        yield [parts.get(path) for path in paths]
+        for path, part in parts.items():
+            os.replace(part, path)
+    except OSError as exc:  # name the output, not its temporary path
+        exc.filename = {part: path for path, part in parts.items()}.get(exc.filename, exc.filename)
+        raise
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(part)
+        for part in parts.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
 
 
 def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -472,6 +477,11 @@ def _cli_errors(func):
     return wrapper
 
 
+def _output_option(*decls: str, **attrs):
+    """An option naming an output file: a directory there exits 2 before the command runs."""
+    return click.option(*decls, type=click.Path(dir_okay=False), **attrs)
+
+
 @click.group(context_settings={"auto_envvar_prefix": "PHOTONLOOP"})
 def main():
     """Loop-detector simulation and calibration toolkit."""
@@ -482,8 +492,8 @@ def main():
 @click.option("--source", "source_spec", required=True, help="e.g. coherent:3 or fock:1")
 @click.option("--pulses", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("-o", "--output", "hist_path", required=True, help="histogram CSV output")
-@click.option("--emit-tags", "tags_path", default=None, help="also write a time-tag CSV")
+@_output_option("-o", "--output", "hist_path", required=True, help="histogram CSV output")
+@_output_option("--emit-tags", "tags_path", default=None, help="also write a time-tag CSV")
 @click.option("--rep-period-ps", type=click.IntRange(min=1), default=None, help="pulse period for time tags")
 @click.option("--back-reflection-prob", type=float, default=0.0, show_default=True)
 @click.option("--reflection-delay-ps", type=click.IntRange(min=1), default=None)
@@ -514,39 +524,37 @@ def simulate(
             dead_time_ps=dead_time_ps,
         )
     opts = simulator.SimOptions(n_pulses=pulses, seed=seed)
-    if tags_path is None and artifact is None:
-        hist = simulator.simulate_ensemble(config, source, opts).histogram
-    else:
-        # one simulation: the histogram is gated from the tags, artifacts included
-        if rep_period_ps is None:
-            rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
-        gate = clickstats.TagGate(config)
-        chunks = simulator.iter_time_tags(config, source, opts, rep_period_ps, artifact)
-        if tags_path is None:
-            for channels, times in chunks:
-                gate.feed(channels, times)
+    with _replaced_on_success(hist_path, tags_path) as (hist_part, tags_part):
+        if tags_path is None and artifact is None:
+            hist = simulator.simulate_ensemble(config, source, opts).histogram
         else:
-            with _replaced_on_success(tags_path) as part, open(part, "wb") as fh:
-                fh.write(_TAG_HEADER)
+            # one simulation: the histogram is gated from the tags, artifacts included
+            if rep_period_ps is None:
+                rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
+            gate = clickstats.TagGate(config)
+            chunks = simulator.iter_time_tags(config, source, opts, rep_period_ps, artifact)
+            if tags_part is None:
                 for channels, times in chunks:
                     gate.feed(channels, times)
-                    _write_tag_rows(fh, channels, times)
-        hist = gate.result().histogram
-    write_histogram_csv(hist, hist_path)
+            else:
+                with open(tags_part, "wb") as fh:
+                    fh.write(_TAG_HEADER)
+                    for channels, times in chunks:
+                        gate.feed(channels, times)
+                        _write_tag_rows(fh, channels, times)
+            hist = gate.result().histogram
+        write_histogram_csv(hist, hist_part)
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--tags", "tags_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", "report_path", required=True, help="JSON report output")
-@click.option("--hist-output", default=None, help="also write the gated histogram CSV")
-@click.option(
-    "--witness-bins", type=click.IntRange(min=1), default=None, help="N entering the witnesses"
-)
+@_output_option("-o", "--output", "report_path", required=True, help="JSON report output")
+@_output_option("--hist-output", default=None, help="also write the gated histogram CSV")
 @click.option("--bootstrap-iterations", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=click.IntRange(0, 2**128 - 1), default=0, show_default=True)
 @_cli_errors
-def analyze(config_path, tags_path, report_path, hist_output, witness_bins, bootstrap_iterations, seed):
+def analyze(config_path, tags_path, report_path, hist_output, bootstrap_iterations, seed):
     """Gate a time-tag stream and report click statistics and witnesses."""
     config = load_loop_config(config_path)
     gate = clickstats.TagGate(config)
@@ -556,67 +564,67 @@ def analyze(config_path, tags_path, report_path, hist_output, witness_bins, boot
     except NoSyncRecords:
         raise ValueError(f"tags file {tags_path} has no sync (channel 0) records") from None
     hist, stats = gated
-    if hist_output is not None:
-        write_histogram_csv(hist, hist_output)
-
-    n_bins = config.n_bins if witness_bins is None else witness_bins
     qpb = qb = degenerate_reason = None
     try:
-        qpb = clickstats.q_pb(stats, n_bins)
+        qpb = clickstats.q_pb(stats)
     except DegenerateDenominator as exc:
         degenerate_reason = str(exc)
     try:  # q_b's denominator is never below q_pb's, so q_b may survive alone
-        qb = clickstats.q_b(stats, n_bins)
+        qb = clickstats.q_b(stats)
     except DegenerateDenominator as exc:
         degenerate_reason = degenerate_reason or str(exc)
     boot = clickstats.bootstrap_sigma(
-        stats, n_bins, trials_observed=hist.trials, iterations=bootstrap_iterations, seed=seed
+        stats, trials_observed=hist.trials, iterations=bootstrap_iterations, seed=seed
     )
 
-    _write_report(
-        report_path,
-        config,
-        {
-            "trials": hist.trials,
-            "clicks": hist.clicks.tolist(),
-            "p_hat": hist.p_hat.tolist(),
-            "c": stats.c.tolist(),
-            "mean_c": stats.mean_c,
-            "var_c": stats.var_c,
-            "m": stats.m,
-            "sigma2": stats.sigma2,
-            "witness_bins": n_bins,
-            "qpb": qpb,
-            "qb": qb,
-            "sigma_qpb": boot.sigma_qpb,
-            "sigma_qb": boot.sigma_qb,
-            "bootstrap_iterations": bootstrap_iterations,
-            "n_degenerate_qpb": boot.n_degenerate_qpb,
-            "n_degenerate_qb": boot.n_degenerate_qb,
-            "degenerate_reason": degenerate_reason,
-            "n_discarded_records": gated.n_discarded,
-        },
-    )
+    with _replaced_on_success(report_path, hist_output) as (report_part, hist_part):
+        if hist_part is not None:
+            write_histogram_csv(hist, hist_part)
+        _write_report(
+            report_part,
+            config,
+            {
+                "trials": hist.trials,
+                "clicks": hist.clicks.tolist(),
+                "p_hat": hist.p_hat.tolist(),
+                "c": stats.c.tolist(),
+                "mean_c": stats.mean_c,
+                "var_c": stats.var_c,
+                "m": stats.m,
+                "sigma2": stats.sigma2,
+                "witness_bins": stats.n_bins,
+                "qpb": qpb,
+                "qb": qb,
+                "sigma_qpb": boot.sigma_qpb,
+                "sigma_qb": boot.sigma_qb,
+                "bootstrap_iterations": bootstrap_iterations,
+                "n_degenerate_qpb": boot.n_degenerate_qpb,
+                "n_degenerate_qb": boot.n_degenerate_qb,
+                "degenerate_reason": degenerate_reason,
+                "n_discarded_records": gated.n_discarded,
+            },
+        )
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--hist", "hist_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", "report_path", required=True, help="JSON fit output")
+@_output_option("-o", "--output", "report_path", required=True, help="JSON fit output")
 @_cli_errors
 def fit(config_path, hist_path, report_path):
     """Fit loop parameters to an attenuated-coherent histogram."""
     config = load_loop_config(config_path)
     hist = read_histogram_csv(hist_path)
     result = calibration.fit_loop_params(hist, config)
-    _write_report(report_path, config, dataclasses.asdict(result))
+    with _replaced_on_success(report_path) as (report_part,):
+        _write_report(report_part, config, dataclasses.asdict(result))
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--bright", "bright_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--attenuated", "atten_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", "report_path", required=True, help="JSON report output")
+@_output_option("-o", "--output", "report_path", required=True, help="JSON report output")
 @click.option("--power", type=float, default=None, help="power-meter reading, watts")
 @click.option("--rep-rate", type=float, default=None, help="pulse repetition rate, Hz")
 @click.option("--wavelength", type=float, default=None, help="wavelength, metres")
@@ -661,11 +669,7 @@ def calibrate(
     n_pm = sigma_n_pm = None
     if not missing:
         n_pm = calibration.power_to_photons(power, rep_rate, wavelength)
-        sigma_n_pm = (
-            calibration.power_to_photons(sigma_power, rep_rate, wavelength)
-            if sigma_power > 0
-            else 0.0
-        )
+        sigma_n_pm = calibration.power_to_photons(sigma_power, rep_rate, wavelength)
     result = calibration.calibrate(
         bright,
         fit_result,
@@ -680,24 +684,25 @@ def calibrate(
         {"bin": j + 1, "n_out": n_out, "sigma": sigma, "included": (j + 1) in result.included_bins}
         for j, (n_out, sigma) in enumerate(result.n_out_per_bin.tolist())
     ]
-    _write_report(
-        report_path,
-        config,
-        {
-            **dataclasses.asdict(fit_result),
-            "j_min": result.j_min,
-            "n_measured": result.n_measured,
-            "sigma_n_measured": result.sigma_n_measured,
-            "n_pm": n_pm,
-            "sigma_n_pm": sigma_n_pm,
-            "sde": result.sde,
-            "sigma_sde": result.sigma_sde,
-            "dynamic_range_db": result.dynamic_range_db,
-            "saturated_bins": result.saturated_bins,
-            "below_noise_bins": result.below_noise_bins,
-            "per_bin": per_bin,
-        },
-    )
+    with _replaced_on_success(report_path) as (report_part,):
+        _write_report(
+            report_part,
+            config,
+            {
+                **dataclasses.asdict(fit_result),
+                "j_min": result.j_min,
+                "n_measured": result.n_measured,
+                "sigma_n_measured": result.sigma_n_measured,
+                "n_pm": n_pm,
+                "sigma_n_pm": sigma_n_pm,
+                "sde": result.sde,
+                "sigma_sde": result.sigma_sde,
+                "dynamic_range_db": result.dynamic_range_db,
+                "saturated_bins": result.saturated_bins,
+                "below_noise_bins": result.below_noise_bins,
+                "per_bin": per_bin,
+            },
+        )
 
 
 if __name__ == "__main__":

@@ -190,31 +190,26 @@ def _witness(mean, var, n_bins: int, sigma2):
         return np.divide(n_bins * var, denom) - 1.0, denom
 
 
-def q_pb(stats: ClickPatternStats, n_bins: int | None = None) -> float:
+def q_pb(stats: ClickPatternStats) -> float:
     """Poisson-binomial nonclassicality witness of a click-pattern distribution.
 
-    ``n_bins`` defaults to the natural bin count of ``stats``; it is exposed
-    because the witness value depends on how many bins are counted (e.g.
-    whether trailing noise-floor bins are kept). The pattern distribution and
-    the bin-probability moments in ``stats`` must refer to the same bin set.
+    N is ``stats.n_bins``, the bins that c_k and sigma^2 were gathered on;
+    any other N gives a wrong witness. To leave out trailing noise-floor
+    bins, gate fewer bins: lower ``n_bins`` in the config.
     """
-    N = stats.n_bins if n_bins is None else n_bins
-    q, denom = _witness(stats.mean_c, stats.var_c, N, stats.sigma2)
+    q, denom = _witness(stats.mean_c, stats.var_c, stats.n_bins, stats.sigma2)
     if denom <= 0:
-        raise DegenerateDenominator(
-            f"<c>(N - <c>) - N^2 sigma^2 = {denom} is not positive"
-        )
+        raise DegenerateDenominator(f"<c>(N - <c>) - N^2 sigma^2 = {denom} is not positive")
     return float(q)
 
 
-def q_b(stats: ClickPatternStats, n_bins: int | None = None) -> float:
-    """Binomial witness: the uniform-splitting special case (sigma^2 = 0) of :func:`q_pb`.
+def q_b(stats: ClickPatternStats) -> float:
+    """Binomial witness: the uniform-splitting special case (sigma^2 = 0) of :func:`q_pb`, same N.
 
     Ignores the spread of the per-bin probabilities, so exponentially
     decaying bins make classical light look falsely nonclassical.
     """
-    N = stats.n_bins if n_bins is None else n_bins
-    q, denom = _witness(stats.mean_c, stats.var_c, N, 0.0)
+    q, denom = _witness(stats.mean_c, stats.var_c, stats.n_bins, 0.0)
     if denom <= 0:
         raise DegenerateDenominator(f"<c>(N - <c>) = {denom} is not positive")
     return float(q)
@@ -235,16 +230,16 @@ class BootstrapResult:
 
 def bootstrap_sigma(
     stats: ClickPatternStats,
-    n_bins: int | None = None,
-    trials_observed: int = 1,
+    *,
+    trials_observed: int,
     iterations: int = 10000,
     seed: int = 0,
 ) -> BootstrapResult:
-    """Parametric bootstrap uncertainties of both witnesses.
+    """Parametric bootstrap uncertainties of both witnesses, with N = ``stats.n_bins``.
 
-    Each iteration redraws ``trials_observed`` pulses from a multinomial over
-    the measured pattern distribution c_k and recomputes both witnesses; the
-    returned sigmas are the (population) standard deviations across
+    Each iteration redraws ``trials_observed`` pulses, the count that c_k was
+    measured on, from a multinomial over c_k and recomputes both witnesses;
+    the returned sigmas are the (population) standard deviations across
     iterations. The bin-probability moments entering the Poisson-binomial
     witness stay fixed at their measured values, since the pattern
     distribution alone carries no per-bin information. Degenerate iterations
@@ -255,7 +250,6 @@ def bootstrap_sigma(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if trials_observed < 1:
         raise ValueError(f"trials_observed must be >= 1, got {trials_observed}")
-    N = stats.n_bins if n_bins is None else n_bins
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     c_resampled = rng.multinomial(trials_observed, stats.c, size=iterations) / trials_observed
@@ -263,7 +257,7 @@ def bootstrap_sigma(
 
     sigmas, n_degenerate = [], []
     for sigma2 in (stats.sigma2, 0.0):  # q_pb, then q_b
-        values, denom = _witness(mean, var, N, sigma2)
+        values, denom = _witness(mean, var, stats.n_bins, sigma2)
         ok = denom > 0
         sigmas.append(float(np.std(values[ok])) if ok.any() else float("nan"))
         n_degenerate.append(int((~ok).sum()))

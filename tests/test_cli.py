@@ -412,8 +412,9 @@ class TestAnalyzeCommand:
         assert report["sigma_qpb"] is None and report["sigma_qb"] is None
         assert report["n_degenerate_qpb"] == report["n_degenerate_qb"] == 50
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_non_positive_witness_bins_exits_2(self, runner, config_file, tmp_path, value):
+    @pytest.mark.parametrize("value", ["0", "-3", "30"])
+    def test_witness_bins_flag_is_gone_exits_2(self, runner, config_file, tmp_path, value):
+        """N is the gated bin count: no value, in range or not, may override it."""
         tags = tmp_path / "t.csv"
         tags.write_text("channel,time_ps\n0,0\n1,156000\n0,10000000\n")
         result = runner.invoke(
@@ -424,6 +425,28 @@ class TestAnalyzeCommand:
         assert result.exit_code == 2, result.output
         assert "--witness-bins" in result.output
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("n_bins", [20, 30, 40])
+    def test_coherent_light_is_witness_neutral_at_any_gated_bin_count(self, runner, tmp_path, n_bins):
+        """One coherent tags file gated on fewer bins: N follows the config, and q_pb stays near 0."""
+        loop = {"mode": "passive", "R": 0.5, "eta": 0.9, "nu": 1e-4}
+        (tmp_path / "loop40.json").write_text(json.dumps({**loop, "n_bins": 40}))
+        (tmp_path / "loop.json").write_text(json.dumps({**loop, "n_bins": n_bins}))
+        run_ok(
+            runner,
+            ["simulate", "--config", str(tmp_path / "loop40.json"), "--source", "coherent:2",
+             "--pulses", "20000", "--seed", "5", "-o", str(tmp_path / "h.csv"),
+             "--emit-tags", str(tmp_path / "t.csv")],
+        )
+        run_ok(
+            runner,
+            ["analyze", "--config", str(tmp_path / "loop.json"), "--tags", str(tmp_path / "t.csv"),
+             "-o", str(tmp_path / "r.json"), "--bootstrap-iterations", "1000", "--seed", "6"],
+        )
+        report = strict_json(tmp_path / "r.json")
+        assert report["witness_bins"] == n_bins == len(report["clicks"])
+        assert report["trials"] == 20000 and report["n_degenerate_qpb"] == 0
+        assert abs(report["qpb"]) <= 5 * report["sigma_qpb"], report["qpb"]
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_non_positive_bootstrap_iterations_exits_2(self, runner, config_file, tmp_path, value):
@@ -706,16 +729,67 @@ class TestMalformedInputs:
                  "-o", "{tmp}/missing/h.csv"],
                 "{tmp}/missing/h.csv",
             ),
+            (
+                ["simulate", "--config", "{config}", "--source", "coherent:1", "--pulses", "10",
+                 "-o", "{dir}", "--emit-tags", "{tmp}/tt.csv"],
+                "{dir}",
+            ),
+            (
+                ["simulate", "--config", "{config}", "--source", "coherent:1", "--pulses", "10",
+                 "-o", "{tmp}/h.csv", "--emit-tags", "{tmp}/missing/tt.csv"],
+                "{tmp}/missing/tt.csv",
+            ),
+            (
+                ["simulate", "--config", "{config}", "--source", "coherent:1", "--pulses", "10",
+                 "-o", "{tmp}/missing/h.csv", "--emit-tags", "{tmp}/tt.csv"],
+                "{tmp}/missing/h.csv",
+            ),
+            (
+                ["analyze", "--config", "{config}", "--tags", "{tmp}/t.csv", "-o", "{dir}",
+                 "--hist-output", "{tmp}/g.csv"],
+                "{dir}",
+            ),
+            (
+                ["analyze", "--config", "{config}", "--tags", "{tmp}/t.csv", "-o", "{tmp}/missing/r.json",
+                 "--hist-output", "{tmp}/g.csv", "--bootstrap-iterations", "10"],
+                "{tmp}/missing/r.json",
+            ),
+            (
+                ["analyze", "--config", "{config}", "--tags", "{tmp}/t.csv", "-o", "{tmp}/r.json",
+                 "--hist-output", "{dir}"],
+                "{dir}",
+            ),
+            (["fit", "--config", "{config}", "--hist", "{tmp}/h0.csv", "-o", "{dir}"], "{dir}"),
+            (
+                ["calibrate", "--config", "{config}", "--bright", "{tmp}/h0.csv",
+                 "--attenuated", "{tmp}/h0.csv", "-o", "{tmp}/missing/c.json"],
+                "{tmp}/missing/c.json",
+            ),
         ],
-        ids=["analyze-tags-dir", "fit-config-dir", "simulate-output-dir", "simulate-output-no-parent"],
+        ids=[
+            "analyze-tags-dir", "fit-config-dir", "simulate-output-dir", "simulate-output-no-parent",
+            "simulate-output-dir-with-tags", "simulate-tags-no-parent", "simulate-output-no-parent-with-tags",
+            "analyze-output-dir", "analyze-output-no-parent", "analyze-hist-output-dir", "fit-output-dir",
+            "calibrate-output-no-parent",
+        ],
     )
     def test_unusable_path_exits_2_naming_it(self, runner, config_file, tmp_path, args, named):
+        """Exit 2, naming the path as given (not a temporary one), and leave no output behind."""
         (tmp_path / "d").mkdir()
+        (tmp_path / "t.csv").write_text("channel,time_ps\n0,0\n1,156000\n0,10000000\n")
+        sim = simulator.simulate_ensemble(
+            cli.load_loop_config(config_file), Coherent(2.0), simulator.SimOptions(n_pulses=20000, seed=1)
+        )
+        cli.write_histogram_csv(sim.histogram, str(tmp_path / "h0.csv"))
+        inputs = sorted(p.name for p in tmp_path.iterdir())
         fill = lambda text: text.format(config=config_file, dir=tmp_path / "d", tmp=tmp_path)
         result = runner.invoke(main, [fill(arg) for arg in args])
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 2, result.output
         assert fill(named) in result.output
+        assert ".part" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+        assert not any((tmp_path / "d").iterdir())
 
     def test_unknown_tag_channel_exits_2(self, runner, config_file, tmp_path):
         tags = tmp_path / "t.csv"

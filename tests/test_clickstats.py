@@ -325,6 +325,12 @@ class TestWitnesses:
         assert clickstats.q_pb(stats) == pytest.approx(0.0, abs=1e-12)
         assert clickstats.q_b(stats) < -0.1
 
+    def test_n_is_the_gated_bin_count(self):
+        stats = stats_from_probs([0.9, 0.45, 0.22, 0.1, 0.05])
+        for witness in (clickstats.q_pb, clickstats.q_b):
+            with pytest.raises(TypeError):
+                witness(stats, 4)
+
     def test_all_vacuum_is_degenerate(self):
         stats = stats_from_probs([0.0, 0.0], c=[1.0, 0.0, 0.0])
         with pytest.raises(DegenerateDenominator):
@@ -357,6 +363,14 @@ class TestBootstrap:
     def test_default_iteration_count(self):
         sig = inspect.signature(clickstats.bootstrap_sigma)
         assert sig.parameters["iterations"].default == 10000
+
+    def test_trials_observed_is_required(self):
+        """One redrawn pulse gives every resample var 0 and zero error bars: there is no default."""
+        stats = stats_from_probs([0.5, 0.5])
+        with pytest.raises(TypeError, match="trials_observed"):
+            clickstats.bootstrap_sigma(stats)
+        with pytest.raises(TypeError):  # not by position either, where N used to go
+            clickstats.bootstrap_sigma(stats, 100)
 
     def test_spread_shrinks_with_sample_size(self):
         stats = stats_from_probs([0.6, 0.35, 0.2, 0.1])
