@@ -55,6 +55,12 @@ _TAG_HEADER = b"channel,time_ps\n"
 _TAG_ROWS_PER_WRITE = 16_384
 #: 10**1 .. 10**18: a magnitude up to 2**63 has 1 + (how many it reaches) decimal digits.
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
+#: Where the printed width of sorted int64 values changes: 1 - 10**18 .. -9, 0, 10 .. 10**18.
+_WIDTH_EDGES = np.r_[1 - _POWERS_OF_TEN[::-1].astype(np.int64), 0, _POWERS_OF_TEN.astype(np.int64)]
+#: The printed width below the first edge, then from each edge on: '-' and 19 .. 1 digits, then 1 .. 19.
+_EDGE_WIDTHS = np.r_[20:1:-1, 1:20]
+#: Digits are printed 9 at a time, in uint32 limbs.
+_LIMB = np.uint64(10**9)
 #: Tag file bytes read per chunk: bounds the memory of one decoded chunk.
 _TAG_BYTES_PER_READ = 1 << 20
 #: The longest line numpy decodes: ``-`` and 18 digits per cell, a comma and a newline.
@@ -188,29 +194,34 @@ def write_tags_csv(stream: TimeTagStream, path: str):
 
 
 def _write_tag_rows(fh, channels: np.ndarray, times: np.ndarray):
-    """Write ``f"{c},{t}\\n"`` per record to the binary file ``fh``.
+    """Write ``f"{c},{t}\\n"`` per record to the binary file ``fh``; ``times`` must be sorted.
 
-    Sorted by time, a chunk's rows fall into a few runs of equal printed widths;
-    each run is one (rows, width) uint8 array, written in one piece.
+    Sorted times change width only at ±10**k, so one search of those edges and the channels' widths
+    cut a chunk into runs of equal widths. A run is built column-major, as a (width, rows) uint8
+    array of whole lines (a digit position is one contiguous store), and written transposed.
     """
     for lo in range(0, len(times), _TAG_ROWS_PER_WRITE):
-        rows = slice(lo, lo + _TAG_ROWS_PER_WRITE)
-        c_mag, c_neg, c_width = _decimal(channels[rows])
-        t_mag, t_neg, t_width = _decimal(times[rows])
-        cuts = (np.flatnonzero(np.diff(c_width) | np.diff(t_width)) + 1).tolist()
-        for a, b in zip([0, *cuts], [*cuts, len(t_mag)]):
-            cw, tw = c_width[a], t_width[a]
-            block = np.empty((b - a, cw + tw + 2), dtype=np.uint8)
-            _put_decimal(block[:, :cw], c_mag[a:b], c_neg[a:b])
-            _put_decimal(block[:, cw + 1 : -1], t_mag[a:b], t_neg[a:b])
-            block[:, cw] = ord(",")
-            block[:, -1] = ord("\n")
-            fh.write(block.tobytes())
+        c_mag, c_neg, c_width = _decimal(channels[lo : lo + _TAG_ROWS_PER_WRITE])
+        chunk = times[lo : lo + _TAG_ROWS_PER_WRITE]
+        t_edges = np.searchsorted(chunk, _WIDTH_EDGES)
+        cuts = sorted({*(np.flatnonzero(np.diff(c_width)) + 1).tolist(), *t_edges.tolist()} - {0, len(chunk)})
+        for a, b in zip([0, *cuts], [*cuts, len(chunk)]):
+            cw, tw = c_width[a], _EDGE_WIDTHS[np.searchsorted(t_edges, a, side="right")]
+            block = np.empty((cw + tw + 2, b - a), dtype=np.uint8)
+            _put_digits(block[:cw], c_mag[a:b])
+            _put_digits(block[cw + 1 : -1], np.abs(chunk[a:b]).view(np.uint64))  # |-2**63| wraps to 2**63
+            block[0, c_neg[a:b]] = block[cw + 1, chunk[a:b] < 0] = ord("-")
+            block[cw], block[-1] = ord(","), ord("\n")
+            fh.write(block.T.tobytes())
 
 
 @contextlib.contextmanager
 def _replaced_on_success(*paths: Optional[str]) -> Iterator[list]:
-    """Temporary paths beside ``paths`` (None for None), moved onto them if the block succeeds, else deleted."""
+    """Temporary paths beside ``paths`` (None for None), moved onto them if the block succeeds, else deleted;
+    two paths naming one file, of which one would be lost, raise ``ValueError`` before the block runs."""
+    for a, b in itertools.combinations(filter(None, paths), 2):
+        if os.path.realpath(a) == os.path.realpath(b):
+            raise ValueError(f"outputs {a} and {b} are one file; give each output its own path")
     parts = {path: os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.part")
              for path in filter(None, paths)}
     try:
@@ -227,22 +238,31 @@ def _replaced_on_success(*paths: Optional[str]) -> Iterator[list]:
 
 
 def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(magnitude as uint64, sign, printed width with any '-') of int64 values."""
+    """(magnitude as uint64, sign, printed width with any '-') of non-empty int64 values."""
     negative = values < 0
     magnitude = values.astype(np.uint64)
     np.negative(magnitude, out=magnitude, where=negative)  # wraps to |v|, for -2**63 too
-    width = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1 + negative
+    width = negative + 1
+    for power in _POWERS_OF_TEN[: np.searchsorted(_POWERS_OF_TEN, magnitude.max(), side="right")]:
+        width += magnitude >= power  # one pass per power the largest reaches: none for channels 0 and 1
     return magnitude, negative, width
 
 
-def _put_decimal(block: np.ndarray, magnitude: np.ndarray, negative: np.ndarray):
-    """Write ``magnitude`` right-aligned over ``block`` in ASCII, '-' first where ``negative``."""
-    for col in range(block.shape[1] - 1, -1, -1):
-        quotient = magnitude // 10  # about twice as fast as np.divmod
-        block[:, col] = magnitude - 10 * quotient
-        magnitude = quotient
-    block += ord("0")
-    block[negative, 0] = ord("-")
+def _put_digits(rows: np.ndarray, magnitude: np.ndarray):
+    """Write the last ``len(rows)`` decimal digits of ``magnitude`` in ASCII, one row per digit,
+    from 9-digit limbs of the uint64 magnitudes: uint32 divides faster."""
+    for end in range(len(rows), 0, -9):
+        if end > 9:
+            high = magnitude // _LIMB
+            limb = (magnitude - high * _LIMB).astype(np.uint32)
+            magnitude = high
+        else:
+            limb = magnitude.astype(np.uint32)
+        for row in range(end - 1, max(end - 9, 0) - 1, -1):
+            quotient = limb // 10
+            rows[row] = limb - 10 * quotient
+            limb = quotient
+    rows += ord("0")
 
 
 def _get_decimal(block: np.ndarray, negative: bool, out: np.ndarray):
@@ -528,21 +548,24 @@ def simulate(
         if tags_path is None and artifact is None:
             hist = simulator.simulate_ensemble(config, source, opts).histogram
         else:
-            # one simulation: the histogram is gated from the tags, artifacts included
+            # one simulation: -o tallies the sampled clicks, which gating the tags gives
+            # too; artifacts move and drop records, so then -o is gated from the tags
             if rep_period_ps is None:
                 rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
-            gate = clickstats.TagGate(config)
+            gate = clickstats.TagGate(config) if artifact else None
+            clicks = np.zeros(config.n_bins, dtype=np.int64)
             chunks = simulator.iter_time_tags(config, source, opts, rep_period_ps, artifact)
-            if tags_part is None:
-                for channels, times in chunks:
-                    gate.feed(channels, times)
-            else:
-                with open(tags_part, "wb") as fh:
+            with open(tags_part, "wb") if tags_part else contextlib.nullcontext() as fh:
+                if fh:
                     fh.write(_TAG_HEADER)
-                    for channels, times in chunks:
+                for channels, times, block_clicks in chunks:
+                    if gate:
                         gate.feed(channels, times)
+                    else:
+                        clicks += block_clicks
+                    if fh:
                         _write_tag_rows(fh, channels, times)
-            hist = gate.result().histogram
+            hist = gate.result().histogram if gate else ClickHistogram.from_clicks(clicks, pulses)
         write_histogram_csv(hist, hist_part)
 
 
@@ -557,27 +580,27 @@ def simulate(
 def analyze(config_path, tags_path, report_path, hist_output, bootstrap_iterations, seed):
     """Gate a time-tag stream and report click statistics and witnesses."""
     config = load_loop_config(config_path)
-    gate = clickstats.TagGate(config)
-    _fold_tags_file(tags_path, gate.feed)
-    try:
-        gated = gate.result()
-    except NoSyncRecords:
-        raise ValueError(f"tags file {tags_path} has no sync (channel 0) records") from None
-    hist, stats = gated
-    qpb = qb = degenerate_reason = None
-    try:
-        qpb = clickstats.q_pb(stats)
-    except DegenerateDenominator as exc:
-        degenerate_reason = str(exc)
-    try:  # q_b's denominator is never below q_pb's, so q_b may survive alone
-        qb = clickstats.q_b(stats)
-    except DegenerateDenominator as exc:
-        degenerate_reason = degenerate_reason or str(exc)
-    boot = clickstats.bootstrap_sigma(
-        stats, trials_observed=hist.trials, iterations=bootstrap_iterations, seed=seed
-    )
-
     with _replaced_on_success(report_path, hist_output) as (report_part, hist_part):
+        gate = clickstats.TagGate(config)
+        _fold_tags_file(tags_path, gate.feed)
+        try:
+            gated = gate.result()
+        except NoSyncRecords:
+            raise ValueError(f"tags file {tags_path} has no sync (channel 0) records") from None
+        hist, stats = gated
+        qpb = qb = degenerate_reason = None
+        try:
+            qpb = clickstats.q_pb(stats)
+        except DegenerateDenominator as exc:
+            degenerate_reason = str(exc)
+        try:  # q_b's denominator is never below q_pb's, so q_b may survive alone
+            qb = clickstats.q_b(stats)
+        except DegenerateDenominator as exc:
+            degenerate_reason = degenerate_reason or str(exc)
+        boot = clickstats.bootstrap_sigma(
+            stats, trials_observed=hist.trials, iterations=bootstrap_iterations, seed=seed
+        )
+
         if hist_part is not None:
             write_histogram_csv(hist, hist_part)
         _write_report(
@@ -648,6 +671,8 @@ def calibrate(
     for flag, value in {"--sigma-power": sigma_power, "--n-dark": n_dark}.items():
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{flag} must be a finite non-negative number, got {value}")
+        if value > 0 and power is None:  # each acts only on the efficiency, which needs a power reading
+            raise ValueError(f"{flag} needs --power, --rep-rate and --wavelength")
     reading = {"--power": power, "--rep-rate": rep_rate, "--wavelength": wavelength}
     missing = [flag for flag, value in reading.items() if value is None]
     if 0 < len(missing) < len(reading):
@@ -655,8 +680,6 @@ def calibrate(
             f"{' and '.join(missing)} missing: give --power, --rep-rate and --wavelength "
             "together or none of them"
         )
-    if sigma_power > 0 and power is None:
-        raise ValueError("--sigma-power needs --power, --rep-rate and --wavelength")
     for flag, value in reading.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be a finite number, got {value}")

@@ -357,15 +357,17 @@ def emit_time_tags(
 
     One sync record marks each pulse start; a detector record is placed at
     ``start + j * loop_delay_ps`` for every fired bin j. Without
-    ``artifact``, ingesting the stream reproduces :func:`simulate_ensemble`
-    exactly (the pattern RNG stream is shared). With it, back-reflection
-    records and dead-time suppression are applied to the detector channel.
+    ``artifact``, gating the stream gives the clicks that were sampled, so
+    its histogram and k-counts are those of :func:`simulate_ensemble` (the
+    pattern RNG stream is shared). With it, back-reflection records and
+    dead-time suppression are applied to the detector channel.
     Deterministic for a fixed seed, independent of ``opts.n_workers``. The
     records are those of :func:`iter_time_tags`, joined.
     """
     empty = np.empty(0, dtype=np.int64)
-    chunks = [(empty, empty), *iter_time_tags(config, source, opts, rep_period_ps, artifact)]
-    channels, times = (np.concatenate(parts) for parts in zip(*chunks))
+    chunks = iter_time_tags(config, source, opts, rep_period_ps, artifact)
+    # zip stops at the shortest tuple: the empty head keeps channels and times, not clicks
+    channels, times = (np.concatenate(parts) for parts in zip((empty, empty), *chunks))
     return TimeTagStream(channels=channels, times_ps=times)
 
 
@@ -375,15 +377,17 @@ def iter_time_tags(
     opts: SimOptions,
     rep_period_ps: int,
     artifact: Optional[ArtifactModel] = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The records of :func:`emit_time_tags` as ``(channels, times)`` chunks, one per block.
+) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """The records of :func:`emit_time_tags` as ``(channels, times, clicks)`` chunks, one per block.
 
     Block b's chunk holds its syncs and every detector record from its first
     sync up to the next block's first sync, which a record at that very time
     follows; the last chunk holds every record after that. So a chunk sorts
     only its own records: spurious records wait in a sorted buffer until the
     block they land in, and dead time carries the last detector time, kept
-    or suppressed, across chunks. The arguments are checked before the first
+    or suppressed, across chunks. ``clicks`` is the block's clicks per bin as
+    sampled, which gating the chunk gives too; with ``artifact``, which moves
+    and drops records, it is None. The arguments are checked before the first
     block is simulated; with one worker, memory stays that of one block.
     """
     if rep_period_ps <= config.n_bins * config.loop_delay_ps:
@@ -401,16 +405,18 @@ def iter_time_tags(
     def detector_times(block, size, *pairs):
         pulses, bins = _hit_pairs(size, *pairs)
         t = (block * BLOCK_SIZE + pulses) * rep + (bins + 1) * delay
-        if artifact and len(t):
+        if not artifact:
+            return t, np.bincount(bins, minlength=config.n_bins)
+        if len(t):
             art_rng = _block_rng(opts.seed, block, key_offset=_ARTIFACT_KEY_OFFSET)
             spur = t[art_rng.random(len(t)) < artifact.back_reflection_prob]
             t = np.concatenate([t, spur + np.int64(artifact.reflection_delay_ps)])
-        return t
+        return t, None
 
     def chunks():
         pending = np.empty(0, dtype=np.int64)  # detector times past the blocks so far, sorted
         previous = None  # the last detector time, kept or suppressed
-        for block, det_times in enumerate(_map_blocks(config, source, opts, detector_times)):
+        for block, (det_times, clicks) in enumerate(_map_blocks(config, source, opts, detector_times)):
             first = block * BLOCK_SIZE
             size = min(BLOCK_SIZE, opts.n_pulses - first)
             det_times = np.sort(np.concatenate([pending, det_times]))
@@ -421,17 +427,16 @@ def iter_time_tags(
                 keep = _apply_dead_time(det_times, artifact.dead_time_ps, previous)
                 previous = det_times[-1]
                 det_times = det_times[keep]
-            # merge the block's syncs (first + i) * rep_period_ps in by position: detector
-            # record i follows every sync at or before its time, min(t // rep_period_ps + 1,
-            # n_pulses) of them, of which the first `first` lie in earlier blocks
-            n_records = size + len(det_times)
-            n_syncs_before = np.minimum(det_times // rep + 1 - first, size)
-            is_sync = np.ones(n_records, dtype=bool)
-            is_sync[np.arange(len(det_times)) + n_syncs_before] = False
-            times = np.empty(n_records, dtype=np.int64)
-            times[is_sync] = (first + np.arange(size, dtype=np.int64)) * rep
-            times[~is_sync] = det_times
-            channels = np.where(is_sync, TimeTagStream.sync_channel, TimeTagStream.detector_channel)
-            yield channels, times
+            # place by count: detector record k follows the k records before it and the block's
+            # syncs at or before its time, min(t // rep_period_ps + 1 - first, size) of them;
+            # sync i follows i syncs and the records that follow at most i syncs
+            n_syncs = np.minimum(det_times // rep + 1 - first, size)
+            sync_at = np.arange(size) + np.cumsum(np.bincount(n_syncs, minlength=size))[:size]
+            times = np.empty(size + len(det_times), dtype=np.int64)
+            times[sync_at] = (first + np.arange(size, dtype=np.int64)) * rep
+            times[np.arange(len(det_times)) + n_syncs] = det_times
+            channels = np.full(len(times), TimeTagStream.detector_channel, dtype=np.int64)
+            channels[sync_at] = TimeTagStream.sync_channel
+            yield channels, times, clicks
 
     return chunks()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import photonloop
@@ -136,16 +136,35 @@ class TestSimulateCommand:
         assert (stream.channels == 0).sum() == 500
         assert stream.n_records > 500
 
-    @pytest.mark.parametrize("source", ["lossyfock:1:0.6", "coherent:3"])
-    def test_tagged_histogram_matches_untagged(self, runner, config_file, tmp_path, source):
-        # -o of a tagged run is gated from its own tags, yet equals the ensemble's
+    @pytest.mark.parametrize(
+        "source, guard",
+        [
+            ("lossyfock:1:0.6", None),
+            ("coherent:3", None),
+            ("fock:1", None),
+            ("thermal:3", None),
+            ("multithermal:300:1.8", None),
+            ("coherent:100", None),  # bins 1-6 fire in most pulses: the sampler flips them
+            ("coherent:3", 100),  # under a guard coherent light takes the routing chain
+        ],
+        ids=["lossyfock:1:0.6", "coherent:3", "fock:1", "thermal:3", "multithermal:300:1.8",
+             "coherent:100", "coherent:3-guarded"],
+    )
+    def test_tagged_histogram_matches_untagged(self, runner, config_file, tmp_path, source, guard):
+        """-o of a tagged run tallies the sampled clicks: it equals the ensemble's and the gated tags'."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**json.loads(Path(config_file).read_text()), "n_max_guard": guard}))
         args = [
-            "simulate", "--config", config_file, "--source", source,
+            "simulate", "--config", str(config), "--source", source,
             "--pulses", str(simulator.BLOCK_SIZE + 500), "--seed", "13",
         ]
         run_ok(runner, args + ["-o", str(tmp_path / "plain.csv")])
         run_ok(runner, args + ["-o", str(tmp_path / "tagged.csv"), "--emit-tags", str(tmp_path / "t.csv")])
+        run_ok(runner, ["analyze", "--config", str(config), "--tags", str(tmp_path / "t.csv"),
+                        "-o", str(tmp_path / "r.json"), "--hist-output", str(tmp_path / "gated.csv"),
+                        "--bootstrap-iterations", "10"])
         assert (tmp_path / "tagged.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert (tmp_path / "tagged.csv").read_bytes() == (tmp_path / "gated.csv").read_bytes()
 
     def test_failure_in_a_later_block_leaves_no_outputs(self, runner, tmp_path):
         """Block 0 passes the guard and is written; block 1 exceeds it: neither file is left."""
@@ -765,12 +784,29 @@ class TestMalformedInputs:
                  "--attenuated", "{tmp}/h0.csv", "-o", "{tmp}/missing/c.json"],
                 "{tmp}/missing/c.json",
             ),
+            # two outputs naming one file: one of them would be lost
+            (
+                ["simulate", "--config", "{config}", "--source", "coherent:1", "--pulses", "10",
+                 "-o", "{tmp}/same.csv", "--emit-tags", "{tmp}/same.csv"],
+                "outputs {tmp}/same.csv and {tmp}/same.csv are one file",
+            ),
+            (
+                ["analyze", "--config", "{config}", "--tags", "{tmp}/t.csv", "-o", "{tmp}/r.json",
+                 "--hist-output", "{tmp}/r.json", "--bootstrap-iterations", "10"],
+                "outputs {tmp}/r.json and {tmp}/r.json are one file",
+            ),
+            (
+                ["analyze", "--config", "{config}", "--tags", "{tmp}/t.csv", "-o", "{tmp}/r.json",
+                 "--hist-output", "{dir}/../r.json", "--bootstrap-iterations", "10"],
+                "outputs {tmp}/r.json and {dir}/../r.json are one file",
+            ),
         ],
         ids=[
             "analyze-tags-dir", "fit-config-dir", "simulate-output-dir", "simulate-output-no-parent",
             "simulate-output-dir-with-tags", "simulate-tags-no-parent", "simulate-output-no-parent-with-tags",
             "analyze-output-dir", "analyze-output-no-parent", "analyze-hist-output-dir", "fit-output-dir",
-            "calibrate-output-no-parent",
+            "calibrate-output-no-parent", "simulate-output-is-tags", "analyze-output-is-hist-output",
+            "analyze-output-is-hist-output-spelt-otherwise",
         ],
     )
     def test_unusable_path_exits_2_naming_it(self, runner, config_file, tmp_path, args, named):
@@ -954,10 +990,13 @@ class TestCalibrateCommand:
         assert result.exit_code == 2, result.output
         assert f"{missing} missing" in result.output
 
-    def test_sigma_power_without_power_exits_2(self, runner, calibrate_args):
-        result = runner.invoke(main, calibrate_args + ["--sigma-power", "1e-10"])
+    @pytest.mark.parametrize("flag, value", [("--sigma-power", "1e-10"), ("--n-dark", "1e9")],
+                             ids=["sigma-power", "n-dark"])
+    def test_sigma_power_without_power_exits_2(self, runner, calibrate_args, flag, value):
+        """Both act only on the efficiency, which needs a power reading: without one they exit 2."""
+        result = runner.invoke(main, calibrate_args + [flag, value])
         assert result.exit_code == 2, result.output
-        assert "--sigma-power needs --power" in result.output
+        assert f"{flag} needs --power" in result.output
 
     @pytest.mark.parametrize("sigma_power", ["-1e-13", "nan", "inf"])
     def test_bad_sigma_power_exits_2(self, runner, calibrate_args, sigma_power):
@@ -1057,6 +1096,9 @@ _INT64_EDGES = sorted(
     | {sign * (10**k + d) for k in range(19) for d in (-1, 0, 1) for sign in (1, -1)}
 )
 
+#: One record per value of ``_INT64_EDGES``, the channels running through them backwards.
+_EDGE_STREAM = TimeTagStream(channels=_INT64_EDGES[::-1], times_ps=_INT64_EDGES)
+
 
 @st.composite
 def sorted_int64_streams(draw, max_abs=2**63, channels=None):
@@ -1130,6 +1172,9 @@ class TestTagsCsvRoundTrip:
         stream=sorted_int64_streams(),
         rows_per_write=st.sampled_from([1, 2, 3, 7, cli._TAG_ROWS_PER_WRITE]),
     )
+    # every width edge of the times in one stream, beside channels of both signs and every width
+    @example(stream=_EDGE_STREAM, rows_per_write=cli._TAG_ROWS_PER_WRITE)
+    @example(stream=_EDGE_STREAM, rows_per_write=7)
     @settings(
         max_examples=150,
         deadline=None,

@@ -404,10 +404,16 @@ class TestTagChunks:
         opts = SimOptions(n_pulses=3 * simulator.BLOCK_SIZE + 50, seed=8)
         chunks = list(simulator.iter_time_tags(self.CFG, source, opts, self.REP, artifact))
         assert len(chunks) == 4
-        for block, (channels, times) in enumerate(chunks[1:], start=1):
+        for block, (channels, times, _clicks) in enumerate(chunks[1:], start=1):
             # each chunk opens with its block's first sync
             assert (channels[0], times[0]) == (0, block * self.BLOCK_PS)
-        channels, times = (np.concatenate(parts) for parts in zip(*chunks))
+        channels, times, clicks = zip(*chunks)
+        channels, times = np.concatenate(channels), np.concatenate(times)
+        if artifact:
+            assert clicks == (None,) * 4
+        else:  # the sampled clicks, as the ensemble tallies them
+            hist = simulator.simulate_ensemble(self.CFG, source, opts).histogram
+            np.testing.assert_array_equal(np.sum(clicks, axis=0), hist.clicks)
         want_channels, want_times = _whole_stream_tags(self.CFG, source, opts, self.REP, artifact)
         np.testing.assert_array_equal(times, want_times)
         np.testing.assert_array_equal(channels, want_channels)
@@ -420,7 +426,7 @@ class TestTagChunks:
         artifact = ArtifactModel(0.9, (simulator.BLOCK_SIZE + 3) * self.REP - 100_000, 0)
         opts = SimOptions(n_pulses=3 * simulator.BLOCK_SIZE + 50, seed=8)
         chunks = list(simulator.iter_time_tags(self.CFG, Coherent(50.0), opts, self.REP, artifact))
-        for channels, times in chunks[2:]:
+        for channels, times, _clicks in chunks[2:]:
             assert (channels[1], times[1]) == (1, times[0])
 
     def test_blocks_simulated_as_chunks_are_asked_for(self, monkeypatch):
