@@ -59,12 +59,13 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 _WIDTH_EDGES = np.r_[1 - _POWERS_OF_TEN[::-1].astype(np.int64), 0, _POWERS_OF_TEN.astype(np.int64)]
 #: The printed width below the first edge, then from each edge on: '-' and 19 .. 1 digits, then 1 .. 19.
 _EDGE_WIDTHS = np.r_[20:1:-1, 1:20]
-#: Digits are printed 9 at a time, in uint32 limbs.
+#: Digits are printed and read 9 at a time, in uint32 limbs; the weight of each digit of a limb.
 _LIMB = np.uint64(10**9)
-#: Tag file bytes read per chunk: bounds the memory of one decoded chunk.
-_TAG_BYTES_PER_READ = 1 << 20
-#: The longest line numpy decodes: ``-`` and 18 digits per cell, a comma and a newline.
-_TAG_LINE_MAX = 40
+_LIMB_WEIGHTS = 10 ** np.arange(8, -1, -1, dtype=np.uint32)
+#: Tag file bytes read per chunk: bounds the memory of one decoded chunk, which then fits in L2.
+_TAG_BYTES_PER_READ = 1 << 18
+#: A line numpy decodes, and the longest: ``-`` and 18 digits per cell, a comma and a newline.
+_TAG_LINE, _TAG_LINE_MAX = re.compile(rb"(-?)(\d{1,18}),(-?)(\d{1,18})\n"), 40
 
 
 def load_loop_config(path: str) -> LoopConfig:
@@ -171,7 +172,7 @@ def read_histogram_csv(path: str) -> ClickHistogram:
     if len(set(trials)) != 1:
         raise ValueError(f"histogram file {path}: trials column must be constant")
     try:
-        hist = ClickHistogram.from_clicks(np.array(clicks), trials[0])
+        hist = ClickHistogram.from_clicks(clicks, trials[0])
     except (ValueError, OverflowError) as exc:  # clicks outside [0, trials] or int64, trials < 1
         raise ValueError(f"histogram file {path}: {exc}") from None
     rebuilt = np.column_stack([hist.p_hat, hist.ci_lo, hist.ci_hi])
@@ -265,63 +266,63 @@ def _put_digits(rows: np.ndarray, magnitude: np.ndarray):
     rows += ord("0")
 
 
-def _get_decimal(block: np.ndarray, negative: bool, out: np.ndarray):
-    """Read the ASCII integers filling the rows of ``block`` into ``out``; all start with '-' or none."""
-    digits = block[:, 1:] if negative else block
-    np.copyto(out, digits[:, 0], casting="unsafe")
-    for col in range(1, digits.shape[1]):
-        out *= 10
-        out += digits[:, col]
-    # each digit was added as its ASCII code: take off ord("0") * 11...1; at most 18 digits, no overflow
-    out -= ord("0") * (10 ** digits.shape[1] // 9)
+def _get_digits(digits: np.ndarray, negative: bool, out: np.ndarray):
+    """Read into ``out`` the integers whose digits (0 to 9, most significant first) are the 1 to 18
+    rows of ``digits``, negated if ``negative``; 9-digit limbs sum in uint32, as :func:`_put_digits`."""
+    limbs = [digits[:-9], digits[-9:]] if len(digits) > 9 else [digits]
+    np.einsum("i,ij->j", _LIMB_WEIGHTS[-len(limbs[0]) :], limbs[0], dtype=np.uint32, out=out, casting="unsafe")
+    if len(limbs) > 1:
+        out *= 10**9
+        out += np.einsum("i,ij->j", _LIMB_WEIGHTS, limbs[1], dtype=np.uint32)
     if negative:
         np.negative(out, out=out)
 
 
 def _decode_tag_lines(buf: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(channels, times) of ``buf``, whole ``[-]digits,[-]digits\\n`` lines.
+    """(channels, times) of ``buf``, whole ``[-]digits,[-]digits\\n`` lines; None if a line is not
+    of that form, a cell has more than 18 digits, or the layout changes too often for runs to pay.
 
-    Returns None if a line is not of that form, a cell has more than 18
-    digits, or the printed widths change too often for runs of equal widths
-    to pay.
+    A run is the rows at its first line's stride that share that line's newline, comma and sign
+    columns; only those are tested, in windows of 64 rows growing 8-fold, so a run costs its own
+    length. Rows that pass are copied transposed to check and sum their digits; a non-digit ends it.
     """
-    ends, commas = np.flatnonzero(buf == ord("\n")), np.flatnonzero(buf == ord(","))
-    if len(commas) != len(ends):
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    c_width, t_width = commas - starts, ends - commas - 1
-    # at least one digit per cell (checked below) puts each comma inside its
-    # line; then the only other non-digits may be '-' opening cells
-    c_neg, t_neg = buf[starts] == ord("-"), buf[commas + 1] == ord("-")
-    n_signs = np.count_nonzero(buf - np.uint8(ord("0")) > 9) - 2 * len(ends)
-    if np.count_nonzero(c_neg) + np.count_nonzero(t_neg) != n_signs:
-        return None
-    for n_digits in (c_width - c_neg, t_width - t_neg):
-        if not 1 <= n_digits.min() <= n_digits.max() <= 18:
+    n_lines = np.count_nonzero(buf == ord("\n"))
+    channels, times = np.empty(n_lines, dtype=np.int64), np.empty(n_lines, dtype=np.int64)
+    pos = done = n_runs = 0
+    while pos < len(buf):
+        first = _TAG_LINE.match(buf[pos : pos + _TAG_LINE_MAX].tobytes())
+        n_runs += 1
+        # ~35 us a window vs np.loadtxt's ~0.15 us a line: even near 1 run per 512 lines (numpy 2.4, 2 vCPUs)
+        if not first or n_runs > 64 + n_lines // 512:
             return None
-    key = c_width | t_width << 5 | c_neg << 10 | t_neg << 11
-    cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
-    # a run costs one Python iteration, about 30 us; np.loadtxt, about 0.15 us
-    # a line, wins beyond about one run per 256 lines (200,000-line buffers,
-    # numpy 2.4, 2 vCPUs)
-    if len(cuts) > 64 + len(ends) // 256:
-        return None
-    channels, times = np.empty(len(ends), dtype=np.int64), np.empty(len(ends), dtype=np.int64)
-    for a, b in zip([0, *cuts], [*cuts, len(ends)]):
-        cw = int(c_width[a])
-        block = buf[starts[a] : ends[b - 1] + 1].reshape(b - a, -1)
-        _get_decimal(block[:, :cw], bool(c_neg[a]), channels[a:b])
-        _get_decimal(block[:, cw + 1 : -1], bool(t_neg[a]), times[a:b])
+        width = first.end()
+        # the newline, comma and sign columns: each row of the run holds its first line's bytes there
+        fixed = [width - 1, first.end(2), *(first.start(group) for group in (1, 3) if first[group])]
+        layout = buf[pos : pos + width][fixed]
+        for window in (64 * 8**i for i in itertools.count()):
+            rows = buf[pos : pos + min(window, (len(buf) - pos) // width) * width].reshape(-1, width)
+            ok = (rows[:, fixed] == layout).all(axis=1)
+            n = len(rows) if ok.all() else int(ok.argmin())
+            columns = rows[:n].T.copy()
+            columns -= ord("0")
+            c_digits, t_digits = columns[slice(*first.span(2))], columns[slice(*first.span(4))]
+            bad = np.flatnonzero((c_digits.max(axis=0) > 9) | (t_digits.max(axis=0) > 9))
+            n = int(bad[0]) if len(bad) else n
+            _get_digits(c_digits[:, :n], bool(first[1]), channels[done : done + n])
+            _get_digits(t_digits[:, :n], bool(first[3]), times[done : done + n])
+            pos, done = pos + n * width, done + n
+            if n < window:
+                break
     return channels, times
 
 
 def _writer_form_chunks(fh) -> Generator[tuple[np.ndarray, np.ndarray], None, bytes]:
     """(channels, times) of the form ``write_tags_csv`` writes, one chunk per read of the binary ``fh``.
 
-    That form is ``[-]digits,[-]digits\\n`` lines, at most 18 digits a cell.
-    Every read goes into one buffer, after the partial line that the read
-    before left at its front. Returns the bytes read but not decoded: those
-    from the first line of the first read that shows another form on.
+    That form is ``[-]digits,[-]digits\\n`` lines, at most 18 digits a cell. Every read of
+    ``_TAG_BYTES_PER_READ`` goes into one buffer, after the partial line that the read before left
+    at its front, and its whole lines go to :func:`_decode_tag_lines`. Returns the bytes read but
+    not decoded: those from the first line of the first read that shows another form on.
     """
     buf = bytearray(_TAG_LINE_MAX + _TAG_BYTES_PER_READ)
     view, data = memoryview(buf), np.frombuffer(buf, np.uint8)
@@ -330,14 +331,11 @@ def _writer_form_chunks(fh) -> Generator[tuple[np.ndarray, np.ndarray], None, by
         filled = tail + n_read
         end = buf.rfind(b"\n", 0, filled) + 1
         tail = filled - end
-        if tail >= _TAG_LINE_MAX:
+        lines = _decode_tag_lines(data[:end]) if tail < _TAG_LINE_MAX else None
+        if lines is None:
             return bytes(buf[:filled])
-        if end:
-            lines = _decode_tag_lines(data[:end])
-            if lines is None:
-                return bytes(buf[:filled])
-            yield lines
-            buf[:tail] = buf[end:filled]
+        yield lines
+        buf[:tail] = buf[end:filled]
     return bytes(buf[:tail])
 
 
@@ -347,9 +345,9 @@ def _tag_chunks(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     The writer's form goes through :func:`_writer_form_chunks`. From the
     first line of the first read in another form on (the header, if it is
     not byte-exact), ``np.loadtxt`` parses batches of whole lines of a text
-    stream, about ``_TAG_BYTES_PER_READ`` bytes each, so universal newlines,
-    comments and blank lines behave as ever. A batch it rejects raises,
-    naming the file's first bad line.
+    stream, about ``_TAG_BYTES_PER_READ`` (256 KiB) each, so universal
+    newlines, comments and blank lines behave as ever. A batch it rejects
+    raises, naming the file's first bad line.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(_TAG_HEADER))
@@ -574,7 +572,7 @@ def simulate(
 @click.option("--tags", "tags_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @_output_option("-o", "--output", "report_path", required=True, help="JSON report output")
 @_output_option("--hist-output", default=None, help="also write the gated histogram CSV")
-@click.option("--bootstrap-iterations", type=click.IntRange(min=1), default=10000, show_default=True)
+@click.option("--bootstrap-iterations", type=click.IntRange(min=2), default=10000, show_default=True)
 @click.option("--seed", type=click.IntRange(0, 2**128 - 1), default=0, show_default=True)
 @_cli_errors
 def analyze(config_path, tags_path, report_path, hist_output, bootstrap_iterations, seed):

@@ -27,6 +27,9 @@ __all__ = [
     "bootstrap_sigma",
 ]
 
+#: Bootstrap iterations drawn per call: bounds the count arrays, whatever ``iterations``.
+_BOOTSTRAP_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class IngestResult:
@@ -173,13 +176,6 @@ class TagGate:
             self._n_syncs += n_new
 
 
-def _pattern_moments(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = np.arange(c.shape[-1], dtype=float)
-    mean = c @ k
-    var = c @ k**2 - mean**2
-    return mean, var
-
-
 def _witness(mean, var, n_bins: int, sigma2):
     """(N var / D - 1, D) with D = <c>(N - <c>) - N^2 sigma^2, for scalar or array moments.
 
@@ -243,22 +239,28 @@ def bootstrap_sigma(
     iterations. The bin-probability moments entering the Poisson-binomial
     witness stay fixed at their measured values, since the pattern
     distribution alone carries no per-bin information. Degenerate iterations
-    are excluded and tallied; a witness degenerate in every iteration gets a
-    NaN sigma.
+    are excluded and tallied; a witness with fewer than 2 usable iterations
+    gets a NaN sigma. Iterations are drawn ``_BOOTSTRAP_ROWS`` at a time,
+    the rows one call would draw, keeping their moments: 64 B an iteration.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if iterations < 2:
+        raise ValueError(f"iterations must be >= 2, got {iterations}")
     if trials_observed < 1:
         raise ValueError(f"trials_observed must be >= 1, got {trials_observed}")
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    c_resampled = rng.multinomial(trials_observed, stats.c, size=iterations) / trials_observed
-    mean, var = _pattern_moments(c_resampled)
+    k = np.arange(len(stats.c), dtype=float)
+    mean, var = np.empty(iterations), np.empty(iterations)
+    edges = [*range(0, iterations, _BOOTSTRAP_ROWS), iterations]
+    for lo, hi in zip(edges, edges[1:]):
+        c_resampled = rng.multinomial(trials_observed, stats.c, size=hi - lo) / trials_observed
+        mean[lo:hi] = c_resampled @ k
+        var[lo:hi] = c_resampled @ k**2 - mean[lo:hi] ** 2
 
     sigmas, n_degenerate = [], []
     for sigma2 in (stats.sigma2, 0.0):  # q_pb, then q_b
         values, denom = _witness(mean, var, stats.n_bins, sigma2)
-        ok = denom > 0
-        sigmas.append(float(np.std(values[ok])) if ok.any() else float("nan"))
-        n_degenerate.append(int((~ok).sum()))
+        usable = values[denom > 0]
+        sigmas.append(float(np.std(usable)) if len(usable) >= 2 else float("nan"))
+        n_degenerate.append(iterations - len(usable))
     return BootstrapResult(*sigmas, *n_degenerate)

@@ -467,8 +467,8 @@ class TestAnalyzeCommand:
         assert report["trials"] == 20000 and report["n_degenerate_qpb"] == 0
         assert abs(report["qpb"]) <= 5 * report["sigma_qpb"], report["qpb"]
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_non_positive_bootstrap_iterations_exits_2(self, runner, config_file, tmp_path, value):
+    @pytest.mark.parametrize("value", ["1", "0", "-2"])  # one iteration has no spread: zero error bars
+    def test_bootstrap_iterations_below_2_exits_2(self, runner, config_file, tmp_path, value):
         tags = tmp_path / "t.csv"
         tags.write_text("channel,time_ps\n0,0\n1,156000\n0,10000000\n")
         result = runner.invoke(
@@ -691,6 +691,7 @@ class TestMalformedInputs:
             ("0\n1\n", 2, "1 columns"),
             ("0,5\n  \n1,7\n", 3, "1 columns"),
             ("0,5\n  # c\n1,7\n", 3, "1 columns"),
+            ("0,5\n125\n", 3, "1 columns"),  # the length of the line before, a digit where its comma stood
             ("0,0\n1,15\udcff6000\n", 3, "not UTF-8"),
         ],
     )
@@ -1199,6 +1200,16 @@ class TestTagsCsvRoundTrip:
         zeros=st.lists(st.integers(0, 3), min_size=1, max_size=40),
         bytes_per_read=st.sampled_from([1, 5, 16, cli._TAG_BYTES_PER_READ]),
     )
+    # the second row at the first line's stride lines up its newline, comma and '-', but holds a
+    # newline and a comma among its digits: that row ends the run, the read still decodes
+    @example(stream=TimeTagStream(channels=[0] * 6, times_ps=[-(10**17 - 1), -1, 0, 0, 0, 0]),
+             zeros=[0], bytes_per_read=cli._TAG_BYTES_PER_READ)
+    # padded "001,005" then "0,12345": one length, another comma column
+    @example(stream=TimeTagStream(channels=[1, 0], times_ps=[5, 12345]),
+             zeros=[2, 0], bytes_per_read=cli._TAG_BYTES_PER_READ)
+    # "0,-5", "1,-3", then "0,12", "1,14": one length, the sign changes inside the run
+    @example(stream=TimeTagStream(channels=[0, 1, 0, 1], times_ps=[-5, -3, 12, 14]),
+             zeros=[0], bytes_per_read=cli._TAG_BYTES_PER_READ)
     @settings(
         max_examples=150,
         deadline=None,
@@ -1220,6 +1231,23 @@ class TestTagsCsvRoundTrip:
             for back in (read_tags_csv(str(path)), read_tags_csv(str(padded))):
                 np.testing.assert_array_equal(back.channels, stream.channels)
                 np.testing.assert_array_equal(back.times_ps, stream.times_ps)
+
+    def test_simulated_first_read_decodes_without_loadtxt(self, runner, tmp_path, monkeypatch):
+        """The first read of a simulated file holds several short runs; it decodes all the same."""
+        loop = {"mode": "passive", "R": 0.5, "eta": 0.9, "nu": 1e-4, "n_bins": 40}
+        (tmp_path / "loop.json").write_text(json.dumps(loop))
+        config, tags, rep = LoopConfig(**loop), tmp_path / "t.csv", 44 * 156000
+        run_ok(runner, ["simulate", "--config", str(tmp_path / "loop.json"), "--source", "coherent:2",
+                        "--pulses", "20000", "--seed", "1", "--rep-period-ps", str(rep),
+                        "-o", str(tmp_path / "h.csv"), "--emit-tags", str(tags)])
+        first_read = tags.read_bytes()[len("channel,time_ps\n") :][: cli._TAG_BYTES_PER_READ]
+        lengths = [len(line) for line in first_read.split(b"\n")[:-1]]
+        assert sum(a != b for a, b in zip(lengths, lengths[1:])) >= 6  # 7 or more runs
+        stream = simulator.emit_time_tags(config, Coherent(2.0), photonloop.SimOptions(n_pulses=20000, seed=1), rep)
+        monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+        back = read_tags_csv(str(tags))
+        np.testing.assert_array_equal(back.channels, stream.channels)
+        np.testing.assert_array_equal(back.times_ps, stream.times_ps)
 
     def test_large_writer_file_reads_without_loadtxt(self, tmp_path, monkeypatch):
         """About 1.6 MB of 18-digit times: lines straddle the real chunk edges."""

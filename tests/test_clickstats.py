@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,11 +355,67 @@ class TestWitnesses:
         assert abs(direct) < 1e-9  # independent bins sit exactly at the baseline
 
 
+@pytest.fixture(scope="module")
+def coherent_stats():
+    """Pattern stats of 5000 coherent:2 pulses on a 40-bin loop."""
+    cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-4, n_bins=40)
+    return simulator.simulate_ensemble(cfg, Coherent(2.0), SimOptions(n_pulses=5000, seed=9)).pattern_stats
+
+
+def _whole_array_bootstrap(stats, trials_observed, iterations, seed):
+    """``bootstrap_sigma`` with every iteration drawn in one call: the reference for batched draws."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    c = rng.multinomial(trials_observed, stats.c, size=iterations) / trials_observed
+    k = np.arange(c.shape[-1], dtype=float)
+    mean = c @ k
+    var = c @ k**2 - mean**2
+    out = []
+    for sigma2 in (stats.sigma2, 0.0):
+        denom = mean * (stats.n_bins - mean) - stats.n_bins**2 * sigma2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.divide(stats.n_bins * var, denom) - 1.0
+        ok = denom > 0
+        out.append((float(np.std(values[ok])) if ok.sum() >= 2 else float("nan"), int((~ok).sum())))
+    return out
+
+
 class TestBootstrap:
-    def test_single_iteration_has_zero_spread(self):
+    @pytest.mark.parametrize("iterations", [1, 0, -3])
+    def test_fewer_than_two_iterations_refused(self, iterations):
+        """The spread of one resample is 0: it would report zero error bars."""
         stats = stats_from_probs([0.5, 0.5])
-        res = clickstats.bootstrap_sigma(stats, trials_observed=100, iterations=1, seed=0)
-        assert res.sigma_qpb == 0.0 and res.sigma_qb == 0.0
+        with pytest.raises(ValueError, match="iterations"):
+            clickstats.bootstrap_sigma(stats, trials_observed=100, iterations=iterations, seed=0)
+
+    def test_one_usable_iteration_gives_nan_sigmas(self):
+        stats = stats_from_probs([0.1, 0.0], c=[0.8, 0.2, 0.0])
+        res = clickstats.bootstrap_sigma(stats, trials_observed=2, iterations=5, seed=6)
+        assert res.n_degenerate_qpb == res.n_degenerate_qb == 4  # 4 resamples with no click
+        assert np.isnan(res.sigma_qpb) and np.isnan(res.sigma_qb)
+
+    @pytest.mark.parametrize("seed", [0, 2**100 + 3])
+    @pytest.mark.parametrize(
+        "iterations",
+        [2, clickstats._BOOTSTRAP_ROWS - 1, clickstats._BOOTSTRAP_ROWS, clickstats._BOOTSTRAP_ROWS + 1,
+         2 * clickstats._BOOTSTRAP_ROWS + 1, 10_000],
+    )
+    def test_batches_match_whole_array(self, coherent_stats, iterations, seed):
+        """Batched draws give the sigmas and degenerate counts of one whole-array draw, bit for bit."""
+        res = clickstats.bootstrap_sigma(coherent_stats, trials_observed=5000, iterations=iterations, seed=seed)
+        (sigma_qpb, n_qpb), (sigma_qb, n_qb) = _whole_array_bootstrap(coherent_stats, 5000, iterations, seed)
+        assert (res.n_degenerate_qpb, res.n_degenerate_qb) == (n_qpb, n_qb)
+        assert res.sigma_qpb.hex() == sigma_qpb.hex() and res.sigma_qb.hex() == sigma_qb.hex()
+
+    def test_memory_per_iteration_is_bounded(self, coherent_stats):
+        """Only each iteration's moments are kept: a row of counts and its float copy took 656 B."""
+        iterations = 100_000
+        tracemalloc.start()
+        try:
+            clickstats.bootstrap_sigma(coherent_stats, trials_observed=5000, iterations=iterations, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * iterations, peak
 
     def test_default_iteration_count(self):
         sig = inspect.signature(clickstats.bootstrap_sigma)
