@@ -5,22 +5,24 @@ two exact kernels:
 
 * Coherent light without an ``n_max_guard``: by Poisson splitting the bins
   are independent, and bin j fires with p_j = 1 - (1 - nu) exp(-q_j nbar),
-  dark counts included. Each bin is sampled sparsely: a binomial number of
-  pulses, then that many distinct pulses, at a cost of O(min(clicks,
-  misses)) per bin. A bin with p_j > 1/2 is *flipped*: its drawn pulses
-  are the ones that miss.
+  dark counts included. Each bin is sampled sparsely, at a cost of
+  O(min(clicks, misses)): a bin with p_j > 1/2 is *flipped*, and its drawn
+  pulses are the ones that miss. A *dense* bin, one that expects many
+  drawn pulses, takes a binomial number of pulses and then that many
+  distinct pulses; all *sparse* bins of a block are drawn at once, by
+  geometric gaps between their pulses.
 * Every other source, and Coherent light under a guard (the guard needs the
   per-pulse photon numbers): each pulse draws a photon number and one
   conditional-binomial chain routes the photons, lost ones first and then
   bin by bin, over only the pulses that still hold photons. The dark counts
-  come from the sparse kernel with p_j = nu and are merged with the photon
+  come from the per-bin kernel with p_j = nu and are merged with the photon
   pairs sparsely; no (pulses, bins) array is built.
 
-A block's output is its list of (pulse, bin) pairs plus the flip mask: the
-pairs of a flipped bin are its misses, all others its clicks. The ensemble
-tallies that encoding directly, in O(min(clicks, misses)); only the
-time-tag emitter, whose output is O(clicks) anyway, expands misses into
-clicks (``_hit_pairs``). Both run their blocks through one block map,
+A block's output is its (pulse, bin) pairs, in no particular order, plus
+the flip mask: the pairs of a flipped bin are its misses, all others its
+clicks. The ensemble tallies that encoding directly, in O(min(clicks,
+misses)); only the time-tag emitter, whose output is O(clicks) anyway,
+expands misses into clicks (``_hit_pairs``). Both run their blocks through one block map,
 ``_map_blocks``. Randomness comes from counter-based Philox streams keyed
 by the seed and jumped per fixed-size pulse block, so histograms and tag
 streams are bit-identical for a given seed no matter how many workers run
@@ -61,6 +63,17 @@ BLOCK_SIZE = 16384
 
 #: Key offset separating the artifact RNG stream from the pattern stream.
 _ARTIFACT_KEY_OFFSET = 1 << 64
+
+#: Expected pairs per block, size * min(p, 1 - p), below which :func:`_sample_clicks` draws a
+#: bin by geometric gaps, with the block's other sparse bins, and not by rng.choice.
+# Gaps beat a binomial plus rng.choice up to ~1,024 pairs a bin (8 such bins beside 130 dark ones:
+# 207-211 vs 227-233 us a block), not at 1,536 (500-542 vs 262 us); whole hdr_calibration and
+# 40-bin blocks ran flat from a cutoff of 512 to 1,024 (numpy 2.4, 2 vCPUs)
+_SPARSE_PAIRS = 512
+
+#: A sparse bin expecting mu pairs first draws ceil(mu + _GAP_MARGIN * (sqrt(mu) + 1)) gaps;
+#: at 4 about one hdr_calibration block in 3,000 draws a second round.
+_GAP_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -151,21 +164,64 @@ def _sample_clicks(
 
     Bin j fires in each pulse independently with probability
     1 - exp(log_miss[j]); taking the log of the no-click probability keeps
-    both tails exact. Per bin, draw k ~ Binomial(size, min(p, 1 - p)) and
-    pick k distinct pulses. Returns 0-based ``(pulses, bins, flip)``: the
-    (pulse, bin) pairs, grouped by bin, and the per-bin mask of p > 1/2.
-    The pairs of a bin with ``flip`` set are the pulses that *miss* it, so
-    a flipped bin without pairs fires in every pulse.
+    both tails exact. A bin with p > 1/2 is flipped: its pairs are the
+    pulses that *miss* it, drawn with probability 1 - p. So each bin draws
+    pairs with p' = min(p, 1 - p), in one of two ways:
+
+    * a *dense* bin, which expects at least ``_SPARSE_PAIRS`` pairs
+      (size * p'), draws k ~ Binomial(size, p') and picks k distinct pulses;
+    * all *sparse* bins at once draw geometric gaps: a bin's next pair is
+      ``floor(log1p(-U) / log1p(-p')) + 1`` pulses after its last, for U
+      uniform on [0, 1), and its pairs are the gaps' running sums that fall
+      inside the block. Each bin first draws ceil(mu + ``_GAP_MARGIN`` *
+      (sqrt(mu) + 1)) gaps, mu = size * p' being its expected pairs; the few
+      bins whose gaps end inside the block draw again from where they
+      stopped, until every bin has passed the block's end.
+
+    Both ways make every (pulse, bin) a pair with probability p', all
+    independently. Returns 0-based ``(pulses, bins, flip)``: the distinct
+    (pulse, bin) pairs, in no particular order, and the per-bin mask of
+    p > 1/2. A flipped bin without pairs fires in every pulse.
     """
     hit = -np.expm1(log_miss)
     miss = np.exp(log_miss)
     flip = miss < hit
-    ks = rng.binomial(size, np.where(flip, miss, hit))
-    js = np.flatnonzero(ks)
-    if not len(js):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), flip
-    pulses = [rng.choice(size, ks[j], replace=False, shuffle=False) for j in js]
-    return np.concatenate(pulses), np.repeat(js, ks[js]), flip
+    p = np.where(flip, miss, hit)
+    expected = size * p
+    dense = np.flatnonzero(expected >= _SPARSE_PAIRS)
+    ks = rng.binomial(size, p[dense])
+    pulses = [np.empty(0, dtype=np.int64)]
+    pulses += [rng.choice(size, k, replace=False, shuffle=False) for k in ks]
+    bins = [np.repeat(dense, ks)]
+    sparse = np.flatnonzero((expected > 0) & (expected < _SPARSE_PAIRS))
+    # log(1 - p') per sparse bin, from whichever of log_miss and miss holds it exactly
+    log_skip = log_miss[sparse]
+    flipped = flip[sparse]
+    log_skip[flipped] = np.log1p(-miss[sparse[flipped]])
+    mean = expected[sparse]
+    n_gaps = np.ceil(mean + _GAP_MARGIN * (np.sqrt(mean) + 1.0)).astype(np.int64)
+    start = np.zeros(len(sparse), dtype=np.int64)  # the pulse each bin's next gap counts from
+    todo = np.arange(len(sparse))
+    while len(todo):
+        counts = n_gaps[todo]
+        log_skips = np.repeat(log_skip[todo], counts)
+        ratio = np.log1p(-rng.random(len(log_skips)))
+        # a gap over size pulses passes the block's end all the same: capping the ratio at
+        # size + 1 keeps a subnormal log1p(-p') from overflowing it
+        np.maximum(ratio, (size + 1) * log_skips, out=ratio)
+        ratio /= log_skips
+        at = ratio.astype(np.int64)  # the floor, as ratio >= 0
+        at += 1
+        np.cumsum(at, out=at)
+        ends = np.cumsum(counts) - 1
+        # each bin's running sum of gaps from its start; a pair's pulse is that sum minus 1
+        at -= np.repeat(np.concatenate(([0], at[ends[:-1]])) - start[todo] + 1, counts)
+        inside = at < size
+        pulses.append(at[inside])
+        bins.append(np.repeat(sparse[todo], counts)[inside])
+        start[todo] = at[ends] + 1
+        todo = todo[start[todo] < size]
+    return np.concatenate(pulses), np.concatenate(bins), flip
 
 
 def _hit_pairs(
@@ -173,22 +229,26 @@ def _hit_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand :func:`_sample_clicks` output into (pulse, bin) click pairs.
 
-    Each flipped bin's misses become its clicks, in ascending pulse order;
-    the other bins keep their pairs as drawn. The result stays grouped by
-    bin, in bin order. Costs O(size) per flipped bin.
+    The pairs of unflipped bins are clicks and stay as they are. The
+    flipped bins' pairs, their misses, are cleared from one (flipped bins,
+    size) mask whose other entries are their clicks. The pairs may come in
+    any order, and the clicks come out in no particular order. Costs
+    O(size) per flipped bin.
     """
-    if not flip.any():
+    flipped = np.flatnonzero(flip)
+    if not len(flipped):
         return pulses, bins
-    edges = np.searchsorted(bins, np.arange(len(flip) + 1))
-    hits = []
-    for j in range(len(flip)):
-        picked = pulses[edges[j] : edges[j + 1]]
-        if flip[j]:
-            fires = np.ones(size, dtype=bool)
-            fires[picked] = False
-            picked = np.flatnonzero(fires)
-        hits.append(picked)
-    return np.concatenate(hits), np.repeat(np.arange(len(flip)), [len(h) for h in hits])
+    is_miss = flip[bins]
+    row = np.cumsum(flip) - 1  # a flipped bin's row of the mask
+    fires = np.ones((len(flipped), size), dtype=bool)
+    fires.reshape(-1)[row[bins[is_miss]] * size + pulses[is_miss]] = False
+    per_row = np.count_nonzero(fires, axis=1)
+    hit_pulses = np.flatnonzero(fires) - np.repeat(np.arange(len(flipped)) * size, per_row)
+    kept = ~is_miss
+    return (
+        np.concatenate([pulses[kept], hit_pulses]),
+        np.concatenate([bins[kept], np.repeat(flipped, per_row)]),
+    )
 
 
 def _route_photons(
@@ -234,8 +294,8 @@ def _simulate_block(
     per-bin kernel, dark counts included. Every other source draws photon
     numbers, routes them with :func:`_route_photons` and adds the dark
     counts of the per-bin kernel with p_j = nu, dropping a dark pair that
-    repeats a photon pair; it returns click pairs only (in no particular
-    order), with an all-False ``flip``.
+    repeats a photon pair; it returns click pairs only, with an all-False
+    ``flip``. Either way the pairs come in no particular order.
     """
     log_no_dark = np.full(config.n_bins, np.log1p(-config.nu))
     if isinstance(source, Coherent) and config.n_max_guard is None:
@@ -382,7 +442,8 @@ def iter_time_tags(
 
     Block b's chunk holds its syncs and every detector record from its first
     sync up to the next block's first sync, which a record at that very time
-    follows; the last chunk holds every record after that. So a chunk sorts
+    follows; the last chunk holds every record after that. A block's clicks
+    come from :func:`_hit_pairs` in no particular order, and a chunk sorts
     only its own records: spurious records wait in a sorted buffer until the
     block they land in, and dead time carries the last detector time, kept
     or suppressed, across chunks. ``clicks`` is the block's clicks per bin as

@@ -118,10 +118,84 @@ def _chi2_within_bounds(chi2, dof, coverage=0.999):
     return sps.chi2.ppf(tail, dof) <= chi2 <= sps.chi2.isf(tail, dof)
 
 
+def _poisson_binomial(p):
+    """Exact P(k bins fire), k = 0..N, for independent bins with click probabilities p."""
+    c = np.ones(1)
+    for pj in p:
+        c = np.convolve(c, [1.0 - pj, pj])
+    return c
+
+
+class _CountingRng:
+    """A generator that counts its ``random`` calls: one per round of geometric gaps."""
+
+    def __init__(self, seed):
+        self.rng, self.rounds = rng(seed), 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, size):
+        self.rounds += 1
+        return self.rng.random(size)
+
+
 class TestSparseKernel:
-    """The per-bin kernel is exact: clicks and patterns against closed forms."""
+    """The per-bin kernel is exact: clicks and patterns against closed forms.
+
+    Geometric gaps draw the sparse bins of a block and a binomial plus
+    rng.choice the dense ones; each way is checked one block at a time too.
+    """
 
     CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
+
+    def draw_blocks(self, log_miss, size, seeds):
+        """One block a seed: clicks per bin, per pulse index and k-counts, and the gap rounds.
+
+        Checks that each block draws every (pulse, bin) pair at most once.
+        """
+        n_bins = len(log_miss)
+        clicks, per_pulse, k_counts = np.zeros(n_bins), np.zeros(size), np.zeros(n_bins + 1)
+        rounds = 0
+        for seed in seeds:
+            counting = _CountingRng(seed)
+            encoded = simulator._sample_clicks(counting, size, log_miss)
+            keys = encoded[1] * size + encoded[0]
+            assert len(np.unique(keys)) == len(keys)
+            pulses, bins = simulator._hit_pairs(size, *encoded)
+            clicks += np.bincount(bins, minlength=n_bins)
+            fired = np.bincount(pulses, minlength=size)
+            per_pulse += fired
+            k_counts += np.bincount(fired, minlength=n_bins + 1)
+            rounds += counting.rounds
+        return clicks, per_pulse, k_counts, rounds
+
+    def check_closed_forms(self, p, n_blocks, clicks, per_pulse, k_counts):
+        """The counts of :meth:`draw_blocks` against independent bins that fire with p."""
+        m = n_blocks * len(per_pulse)
+        var = m * p * (1.0 - p)
+        tested = var > 5.0
+        certain = m * np.minimum(p, 1.0 - p) < 1e-6
+        np.testing.assert_array_equal(clicks[certain], np.round(m * p[certain]))
+        chi2 = float(((clicks - m * p) ** 2 / np.where(tested, var, 1.0))[tested].sum())
+        dof = int(tested.sum())
+        assert _chi2_within_bounds(chi2, dof), f"clicks: chi2 = {chi2:.2f} over {dof}"
+        # every pulse index fires alike, the block's first and last included
+        mean, var = n_blocks * p.sum(), n_blocks * (p * (1.0 - p)).sum()
+        chi2 = float(((per_pulse - mean) ** 2 / var).sum())
+        assert _chi2_within_bounds(chi2, len(per_pulse)), f"per pulse: chi2 = {chi2:.2f}"
+        # pool both sparse tails of the k-count distribution so every cell expects at least 5 pulses
+        expected = _poisson_binomial(p) * m
+        lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
+        pool = lambda c: np.concatenate(([c[: lo + 1].sum()], c[lo + 1 : hi], [c[hi:].sum()]))
+        observed, expected = pool(k_counts), pool(expected)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert _chi2_within_bounds(chi2, len(expected) - 1), f"k-counts: chi2 = {chi2:.2f}"
+
+    def log_miss(self, nbar):
+        """Per-bin log no-click probability of Coherent(nbar) on ``CFG``, dark counts included."""
+        no_dark = np.full(self.CFG.n_bins, np.log1p(-self.CFG.nu))
+        return no_dark - analytic.bin_exit_probs(self.CFG) * nbar
 
     def test_sample_clicks_edge_probabilities(self):
         p = np.array([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])
@@ -185,6 +259,63 @@ class TestSparseKernel:
         hist, _ = simulator.simulate_ensemble(cfg, source, SimOptions(n_pulses=m, seed=23))
         chi2 = float(((hist.clicks - m * p) ** 2 / (m * p * (1.0 - p))).sum())
         assert _chi2_within_bounds(chi2, len(p)), f"chi2 = {chi2:.2f}"
+
+
+    def test_block_of_sparse_dense_and_flipped_bins(self):
+        # Coherent(300): bins 1-7 flip (1-4 certain to fire), and bins of every class share a block
+        log_miss = self.log_miss(300.0)
+        p = np.array([analytic.click_prob_closed(self.CFG, Coherent(300.0), j) for j in range(1, 21)])
+        size = simulator.BLOCK_SIZE
+        pairs = size * np.minimum(p, 1.0 - p)
+        sparse = (pairs > 0) & (pairs < simulator._SPARSE_PAIRS)
+        assert (p > 0.5).sum() == 7
+        dense = pairs >= simulator._SPARSE_PAIRS
+        assert sparse[p > 0.5].any() and sparse[p < 0.5].any() and dense.any()
+        seeds = range(500, 540)
+        clicks, per_pulse, k_counts, _rounds = self.draw_blocks(log_miss, size, seeds)
+        self.check_closed_forms(p, len(seeds), clicks, per_pulse, k_counts)
+
+    def test_top_up_rounds(self, monkeypatch):
+        # with no margin a bin's first gaps often end inside the block; in blocks of 1000 pulses
+        # every bin is sparse, flipped bin 1 and bin 2 (p' = 0.22 and 0.49) among them
+        monkeypatch.setattr(simulator, "_GAP_MARGIN", 0.0)
+        size, seeds = 1000, range(600, 900)
+        p = np.array([analytic.click_prob_closed(self.CFG, Coherent(3.0), j) for j in range(1, 21)])
+        assert (size * np.minimum(p, 1.0 - p) < simulator._SPARSE_PAIRS).all()
+        clicks, per_pulse, k_counts, rounds = self.draw_blocks(self.log_miss(3.0), size, seeds)
+        self.check_closed_forms(p, len(seeds), clicks, per_pulse, k_counts)
+        assert rounds > 2 * len(seeds)
+
+    def test_extreme_probabilities_raise_no_warning(self):
+        # p = 0, p = 1, a p whose log1p(-p) is subnormal, and a p whose miss probability is
+        # subnormal (a flipped bin of subnormal p'); a division that overflowed would raise here
+        log_miss = np.array([0.0, -np.inf, -1e-310, -710.0])
+        tiny = np.finfo(float).tiny
+        assert 0.0 < -log_miss[2] < tiny and 0.0 < np.exp(log_miss[3]) < tiny
+        size = simulator.BLOCK_SIZE
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for seed in range(5):
+                encoded = simulator._sample_clicks(rng(seed), size, log_miss)
+                np.testing.assert_array_equal(encoded[2], [False, True, False, True])
+                pulses, bins = simulator._hit_pairs(size, *encoded)
+                np.testing.assert_array_equal(np.bincount(bins, minlength=4), [0, size, 0, size])
+
+    @pytest.mark.parametrize("nbar", [3.0, 300.0])
+    def test_hit_pairs_take_pairs_in_any_order(self, nbar):
+        size = 3000
+        pulses, bins, flip = simulator._sample_clicks(rng(41), size, self.log_miss(nbar))
+        assert flip.any() and not flip.all()
+        grouped = np.lexsort((pulses, bins))
+        shuffled = np.random.default_rng(42).permutation(len(pulses))
+        want = np.zeros((self.CFG.n_bins, size), dtype=bool)  # the dense reference
+        want[bins, pulses] = True
+        want[flip] = ~want[flip]
+        for order in (grouped, shuffled):
+            hit_pulses, hit_bins = simulator._hit_pairs(size, pulses[order], bins[order], flip)
+            got = np.zeros_like(want)
+            got[hit_bins, hit_pulses] = True
+            assert len(hit_pulses) == want.sum()
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPhotonChain:
@@ -422,8 +553,13 @@ class TestTagChunks:
         np.testing.assert_array_equal(stream.channels, want_channels)
 
     def test_spurs_tie_block_first_syncs(self):
-        """The reference case above does put detector records on a later block's first sync."""
-        artifact = ArtifactModel(0.9, (simulator.BLOCK_SIZE + 3) * self.REP - 100_000, 0)
+        """The delay of the reference case above puts detector records on a later block's first sync.
+
+        Such a record is the spur of a bin-1 record BLOCK_SIZE + 3 pulses earlier. Coherent(50)
+        misses bin 1 with probability 1.4e-11 and a spur is missing with probability 1e-9, so
+        whatever the draw, both later blocks that can have the tie have it.
+        """
+        artifact = ArtifactModel(1.0 - 1e-9, (simulator.BLOCK_SIZE + 3) * self.REP - 100_000, 0)
         opts = SimOptions(n_pulses=3 * simulator.BLOCK_SIZE + 50, seed=8)
         chunks = list(simulator.iter_time_tags(self.CFG, Coherent(50.0), opts, self.REP, artifact))
         for channels, times, _clicks in chunks[2:]:
@@ -507,10 +643,9 @@ class TestBlockRng:
 class TestSeededOutputs:
     """SHA-256 pins of seeded outputs, so a kernel change cannot alter them silently.
 
-    The coherent digests come from version 0.4.0, the LossyFock ones from
-    0.6.0 (the photon-routing chain); the ensemble ones hold for any worker
-    count. A change that means to draw differently updates them and bumps
-    the version.
+    The digests date from version 0.9.0, which draws sparse bins by
+    geometric gaps; the ensemble ones hold for any worker count. A change
+    that means to draw differently updates them and bumps the version.
     """
 
     CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
@@ -519,10 +654,10 @@ class TestSeededOutputs:
     @pytest.mark.parametrize(
         "source, digest",
         [
-            (Coherent(3.0), "a2f97df0b0cc4c34e876c67908de3e714fe98cf32aa97f696702a2669f588edb"),
-            (Coherent(300.0), "740ab62027be568f31f259b30b29907c763421678c29cd60a1417313432e6d99"),
-            (Coherent(1e6), "0fc1ad7ddefb5630dfb10217d0cdc89b6cad50bdc7f8e89c6477dcae579cf98b"),
-            (LossyFock(1, 0.6), "5669f406cf8966935dfa39715f4dffaa51a318f550ad03bfbadbd0204e9555ab"),
+            (Coherent(3.0), "cd2b8aa1dc6ae517abeb1fad853ec419ce56528894f25fa61659aa70ff7dc48e"),
+            (Coherent(300.0), "359c10c62e637033bed20f4c11bfaf8a89e2ead2215dd8940351bcc9f4f3bbdf"),
+            (Coherent(1e6), "728a2f62bcf08094b116c0c2764b8d037356b9fa74fc2667b21de768a2f7b0dc"),
+            (LossyFock(1, 0.6), "fcf1d6e435510b1e19e0adb07be88dca43b97b03eb78f151bc6a393c767092ce"),
         ],
         ids=["coherent-3", "coherent-300", "coherent-1e6", "lossyfock"],
     )
@@ -541,9 +676,9 @@ class TestSeededOutputs:
             (
                 Coherent(300.0),
                 ArtifactModel(back_reflection_prob=0.05, reflection_delay_ps=50_000, dead_time_ps=100_000),
-                "ea42a43110dd20926f20e94ebcdb041b33e278114641db19a69d9755e2a42fc0",
+                "f0b16d205a99304292ca67b31a46231ede3f6f19b463904b0411383ebb6ea26e",
             ),
-            (LossyFock(1, 0.6), None, "2b4e210c42672af5d4461bb1308e22499ecb557b1d71677b3bf69fb9c86e954b"),
+            (LossyFock(1, 0.6), None, "d6432ff2cacd87b93cba95e34c3ed75946888b1c4b15e8e08bcb403a7329e40a"),
         ],
         ids=["coherent-artifact", "lossyfock"],
     )
