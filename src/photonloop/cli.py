@@ -53,10 +53,8 @@ _HISTOGRAM_COLUMNS = ("bin", "clicks", "trials") + _DERIVED_COLUMNS
 _TAG_HEADER = b"channel,time_ps\n"
 #: Tag rows formatted per write: bounds the memory of one formatted chunk.
 _TAG_ROWS_PER_WRITE = 16_384
-#: 10**1 .. 10**18: a magnitude up to 2**63 has 1 + (how many it reaches) decimal digits.
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 #: Where the printed width of sorted int64 values changes: 1 - 10**18 .. -9, 0, 10 .. 10**18.
-_WIDTH_EDGES = np.r_[1 - _POWERS_OF_TEN[::-1].astype(np.int64), 0, _POWERS_OF_TEN.astype(np.int64)]
+_WIDTH_EDGES = np.r_[1 - 10 ** np.arange(18, 0, -1, dtype=np.int64), 0, 10 ** np.arange(1, 19, dtype=np.int64)]
 #: The printed width below the first edge, then from each edge on: '-' and 19 .. 1 digits, then 1 .. 19.
 _EDGE_WIDTHS = np.r_[20:1:-1, 1:20]
 #: Digits are printed and read 9 at a time, in uint32 limbs; the weight of each digit of a limb.
@@ -188,31 +186,31 @@ def read_histogram_csv(path: str) -> ClickHistogram:
 
 
 def write_tags_csv(stream: TimeTagStream, path: str):
-    """Write the header, then ``f"{c},{t}\\n"`` per record, byte for byte."""
+    """Write the header, then ``f"{c},{t}\\n"`` per record, byte for byte; a channel is one digit."""
     with open(path, "wb") as fh:
         fh.write(_TAG_HEADER)
         _write_tag_rows(fh, stream.channels, stream.times_ps)
 
 
 def _write_tag_rows(fh, channels: np.ndarray, times: np.ndarray):
-    """Write ``f"{c},{t}\\n"`` per record to the binary file ``fh``; ``times`` must be sorted.
+    """Write ``f"{c},{t}\\n"`` per record to the binary file ``fh``; ``times`` must be sorted and
+    every channel 0 or 1, as in a :class:`TimeTagStream`, so that it prints as one byte.
 
-    Sorted times change width only at ±10**k, so one search of those edges and the channels' widths
-    cut a chunk into runs of equal widths. A run is built column-major, as a (width, rows) uint8
-    array of whole lines (a digit position is one contiguous store), and written transposed.
+    Sorted times change width only at ±10**k, so one search of those edges cuts a chunk into runs
+    of equal widths. A run is built column-major, as a (width, rows) uint8 array of whole lines (a
+    digit position is one contiguous store), and written transposed.
     """
     for lo in range(0, len(times), _TAG_ROWS_PER_WRITE):
-        c_mag, c_neg, c_width = _decimal(channels[lo : lo + _TAG_ROWS_PER_WRITE])
         chunk = times[lo : lo + _TAG_ROWS_PER_WRITE]
         t_edges = np.searchsorted(chunk, _WIDTH_EDGES)
-        cuts = sorted({*(np.flatnonzero(np.diff(c_width)) + 1).tolist(), *t_edges.tolist()} - {0, len(chunk)})
+        cuts = sorted(set(t_edges.tolist()) - {0, len(chunk)})
         for a, b in zip([0, *cuts], [*cuts, len(chunk)]):
-            cw, tw = c_width[a], _EDGE_WIDTHS[np.searchsorted(t_edges, a, side="right")]
-            block = np.empty((cw + tw + 2, b - a), dtype=np.uint8)
-            _put_digits(block[:cw], c_mag[a:b])
-            _put_digits(block[cw + 1 : -1], np.abs(chunk[a:b]).view(np.uint64))  # |-2**63| wraps to 2**63
-            block[0, c_neg[a:b]] = block[cw + 1, chunk[a:b] < 0] = ord("-")
-            block[cw], block[-1] = ord(","), ord("\n")
+            width = _EDGE_WIDTHS[np.searchsorted(t_edges, a, side="right")]
+            block = np.empty((width + 3, b - a), dtype=np.uint8)
+            block[0] = channels[lo + a : lo + b] + ord("0")
+            block[1], block[-1] = ord(","), ord("\n")
+            _put_digits(block[2:-1], np.abs(chunk[a:b]).view(np.uint64))  # |-2**63| wraps to 2**63
+            block[2, chunk[a:b] < 0] = ord("-")
             fh.write(block.T.tobytes())
 
 
@@ -236,17 +234,6 @@ def _replaced_on_success(*paths: Optional[str]) -> Iterator[list]:
         for part in parts.values():
             with contextlib.suppress(FileNotFoundError):
                 os.remove(part)
-
-
-def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(magnitude as uint64, sign, printed width with any '-') of non-empty int64 values."""
-    negative = values < 0
-    magnitude = values.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)  # wraps to |v|, for -2**63 too
-    width = negative + 1
-    for power in _POWERS_OF_TEN[: np.searchsorted(_POWERS_OF_TEN, magnitude.max(), side="right")]:
-        width += magnitude >= power  # one pass per power the largest reaches: none for channels 0 and 1
-    return magnitude, negative, width
 
 
 def _put_digits(rows: np.ndarray, magnitude: np.ndarray):
@@ -383,9 +370,9 @@ def _fold_tags_file(path: str, feed: Callable):
     done, unknown, unsorted = 0, None, None
     for channels, times in _tag_chunks(path):
         if unknown is None:
-            bad = np.flatnonzero((channels != sync) & (channels != detector))
-            if len(bad):
-                unknown = done + int(bad[0]), int(channels[bad[0]])
+            bad = TimeTagStream.first_unknown_channel(channels)
+            if bad >= 0:
+                unknown = done + bad, int(channels[bad])
             elif unsorted is None:
                 try:
                     feed(channels, times)
@@ -679,8 +666,8 @@ def calibrate(
             "together or none of them"
         )
     for flag, value in reading.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be a finite number, got {value}")
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{flag} must be a finite positive number, got {value}")
     config = load_loop_config(config_path)
     bright = read_histogram_csv(bright_path)
     atten = read_histogram_csv(atten_path)

@@ -54,7 +54,7 @@ def ingest_time_tags(stream: TimeTagStream, config: LoopConfig) -> IngestResult:
 
 
 class TagGate:
-    """Gates a time-tag stream fed in consecutive chunks, cut anywhere.
+    """Gates a time-tag stream, sync and detector records only, fed in consecutive chunks cut anywhere.
 
     For each sync record, bin j spans a window of ``gate_width_ps`` centred
     on ``t_sync + j * loop_delay_ps`` (left edge inclusive, right edge

@@ -342,9 +342,9 @@ class ClickHistogram:
         object.__setattr__(self, "ci_hi", np.asarray(self.ci_hi, dtype=float))
 
     @classmethod
-    def from_clicks(cls, clicks, trials: int, coverage: float = 0.683) -> "ClickHistogram":
+    def from_clicks(cls, clicks, trials: int) -> "ClickHistogram":
         clicks = np.asarray(clicks, dtype=np.int64)
-        lo, hi = wilson_interval(clicks, trials, coverage)
+        lo, hi = wilson_interval(clicks, trials)
         return cls(trials=trials, clicks=clicks, p_hat=clicks / trials, ci_lo=lo, ci_hi=hi)
 
     @property
@@ -405,9 +405,10 @@ class ClickPatternStats:
 class TimeTagStream:
     """Raw time-tagger records: one channel id and one timestamp per event.
 
-    Records must be sorted by time (non-decreasing); construction raises
-    ``UnsortedStream`` naming the first offending record otherwise. Channel
-    ids are the class constants ``sync_channel`` and ``detector_channel``.
+    Each record is on channel ``sync_channel`` (0) or ``detector_channel``
+    (1), and records are sorted by time (non-decreasing). Construction
+    raises ``ValueError`` or ``UnsortedStream``, naming the first record
+    that breaks either rule.
     """
 
     sync_channel: ClassVar[int] = 0
@@ -416,10 +417,21 @@ class TimeTagStream:
     channels: np.ndarray
     times_ps: np.ndarray
 
+    @classmethod
+    def first_unknown_channel(cls, channels: np.ndarray) -> int:
+        """0-based index of the first record on neither the sync nor the detector channel, else -1."""
+        bad = np.flatnonzero((channels != cls.sync_channel) & (channels != cls.detector_channel))
+        return int(bad[0]) if len(bad) else -1
+
     def __post_init__(self):
         channels = np.asarray(self.channels, dtype=np.int64)
         times = np.asarray(self.times_ps, dtype=np.int64)
         _require(channels.shape == times.shape, "channels and times_ps must have equal length")
+        if (unknown := self.first_unknown_channel(channels)) >= 0:
+            raise ValueError(
+                f"record {unknown} has unknown channel {channels[unknown]}; "
+                f"expected {self.sync_channel} (sync) or {self.detector_channel} (detector)"
+            )
         bad = np.flatnonzero(times[1:] < times[:-1])  # np.diff wraps past 2**63 ps apart
         if len(bad):
             raise UnsortedStream(int(bad[0]) + 1)

@@ -51,6 +51,11 @@ class TestProbBinGivenN:
     def test_active_first_bin(self):
         assert analytic.prob_bin_given_n(active(R=0.1, eta=1.0), 1, 1) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_certain_exit(self, n):
+        """A bin that takes every photon (passive R = 1, bin 1) clicks whenever one comes."""
+        assert analytic.prob_bin_given_n(passive(R=1.0), 1, n) == (0.0 if n == 0 else 1.0)
+
     def test_single_photon_routing_matches_monte_carlo(self):
         # empirical frequency of bin 2 when one photon is routed repeatedly
         cfg = passive()
@@ -184,6 +189,30 @@ class TestInvertTotalOutput:
         y = 17.0
         expected = y * (1 - cfg.R * cfg.eta) / ((1 - cfg.R) * cfg.eta)
         assert analytic.invert_total_output(cfg, y) == pytest.approx(expected, rel=1e-12)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: analytic.bin_exit_prob(passive(), 0), "j must be >= 1"),
+            (lambda: analytic.bin_exit_prob(passive(), np.array([1, 0, 2])), "j must be >= 1"),
+            (lambda: analytic.prob_bin_given_n(passive(), 1, -1), "n must be >= 0"),
+            (lambda: analytic.click_prob_numeric(passive(), Coherent(1.0), 1, tail_tol=0.0), "tail_tol must be"),
+            (lambda: analytic.click_prob_numeric(passive(), Coherent(1.0), 1, tail_tol=-1e-12), "tail_tol must be"),
+            (lambda: analytic.mean_photons_per_bin(passive(), -1.0, 1), "nbar_in must be non-negative"),
+            (lambda: analytic.total_output_photons(passive(), -1.0), "nbar_in must be non-negative"),
+            (lambda: analytic.invert_total_output(passive(), -1.0), "nbar_out must be non-negative"),
+        ],
+        ids=["j-0", "j-array", "n", "tail-tol-0", "tail-tol-negative", "per-bin", "total", "invert"],
+    )
+    def test_out_of_range_argument_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_no_output_needs_no_input(self):
+        """Zero output inverts to zero input, also through a loop that delivers nothing."""
+        assert analytic.invert_total_output(active(eta=0.0), 0.0) == 0.0
 
 
 class TestClickProbabilityProperties:

@@ -398,6 +398,21 @@ class TestHeadlineRatios:
         assert calibration.dynamic_range_db(100.0, 1e-3) == pytest.approx(base + 10.0)
 
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: calibration.system_detection_efficiency(10.0, 0.0, 0.0), "n_pm must be positive"),
+            (lambda: calibration.system_detection_efficiency(10.0, 0.0, -1.0), "n_pm must be positive"),
+            (lambda: calibration.dynamic_range_db(0.0, 1e-3), "n_bar must be positive"),
+            (lambda: calibration.dynamic_range_db(10.0, 0.0), "nu must be positive"),
+        ],
+        ids=["sde-pm-0", "sde-pm-negative", "range-nbar-0", "range-nu-0"],
+    )
+    def test_non_positive_argument_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestMaxUsableBins:
     def test_bench_configuration(self):
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3)
@@ -419,6 +434,21 @@ class TestMaxUsableBins:
         assert calibration.max_usable_bins(cfg, cfg.nu * (1 + 1e-12)) == pytest.approx(0.0, abs=1e-9)
         quieter = replace(cfg, nu=1e-6)
         assert calibration.max_usable_bins(quieter, 300.0) > calibration.max_usable_bins(cfg, 300.0)
+
+    @pytest.mark.parametrize(
+        "nu, n_max, decay_base, match",
+        [
+            (1e-3, 1e-3, None, "need n_max > nu > 0"),
+            (0.0, 300.0, None, "need n_max > nu > 0"),
+            (1e-3, 300.0, 1.0, "decay base must be in"),
+            (1e-3, 300.0, 0.0, "decay base must be in"),
+        ],
+        ids=["n-max-at-nu", "nu-0", "base-1", "base-0"],
+    )
+    def test_out_of_range_rejected(self, nu, n_max, decay_base, match):
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=nu)
+        with pytest.raises(ValueError, match=match):
+            calibration.max_usable_bins(cfg, n_max, decay_base)
 
     def test_alternative_decay_base(self):
         cfg = LoopConfig(mode="passive", R=0.7, eta=0.9, nu=1e-3)

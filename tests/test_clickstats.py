@@ -387,6 +387,12 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="iterations"):
             clickstats.bootstrap_sigma(stats, trials_observed=100, iterations=iterations, seed=0)
 
+    @pytest.mark.parametrize("trials_observed", [0, -1])
+    def test_no_observed_trials_refused(self, trials_observed):
+        stats = stats_from_probs([0.5, 0.5])
+        with pytest.raises(ValueError, match="trials_observed must be >= 1"):
+            clickstats.bootstrap_sigma(stats, trials_observed=trials_observed, iterations=10, seed=0)
+
     def test_one_usable_iteration_gives_nan_sigmas(self):
         stats = stats_from_probs([0.1, 0.0], c=[0.8, 0.2, 0.0])
         res = clickstats.bootstrap_sigma(stats, trials_observed=2, iterations=5, seed=6)

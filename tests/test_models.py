@@ -92,6 +92,10 @@ class TestPmf:
         n = np.arange(source.truncation_bound(1e-12) + 1)
         assert float(np.sum(source.pmf(n))) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("source", [Thermal(0.0), MultiThermal(0.0, 1.0), MultiThermal(0.0, 4.2)])
+    def test_vacuum_truncates_at_zero(self, source):
+        assert source.truncation_bound(1e-12) == 0
+
     @given(nbar=st.floats(0.01, 50.0), k=st.floats(1.0, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_multithermal_normalized(self, nbar, k):
@@ -152,8 +156,6 @@ class TestWilsonInterval:
     def test_rejects_coverage_outside_unit_interval(self, coverage):
         with pytest.raises(ValueError, match="coverage"):
             wilson_interval(np.array([3]), 10, coverage)
-        with pytest.raises(ValueError, match="coverage"):
-            ClickHistogram.from_clicks([3], 10, coverage)
 
     @staticmethod
     def _scipy_reference(clicks, trials, coverage):
@@ -231,6 +233,15 @@ class TestTimeTagStream:
         with pytest.raises(UnsortedStream) as err:
             TimeTagStream(channels=[0, 0], times_ps=[2**63 - 1, -(2**63)])
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("channel", [2, -1])
+    def test_other_channels_raise_naming_the_record(self, channel):
+        """Only sync and detector records: the first other one is named, before any sort error."""
+        message = rf"record 2 has unknown channel {channel}; expected 0 \(sync\) or 1 \(detector\)"
+        with pytest.raises(ValueError, match=message):
+            TimeTagStream(channels=[0, 1, channel, 1, channel], times_ps=[0, 1, 2, 3, 4])
+        with pytest.raises(ValueError, match=message):
+            TimeTagStream(channels=[0, 1, channel], times_ps=[5, 0, 7])
 
     def test_channel_ids_are_class_constants(self):
         assert [f.name for f in dataclasses.fields(TimeTagStream)] == ["channels", "times_ps"]

@@ -629,6 +629,30 @@ class TestBackReflectionArtifact:
         assert np.all(np.abs(dev) < 4.5)
 
 
+class TestOptionChecks:
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: ArtifactModel(0.1, 0, 0), "reflection_delay_ps must be positive"),
+            (lambda: ArtifactModel(0.1, -5, 0), "reflection_delay_ps must be positive"),
+            (lambda: SimOptions(n_pulses=-1), "n_pulses must be non-negative"),
+            (lambda: SimOptions(n_pulses=10, seed=-1), "seed must be a 64-bit"),
+            (lambda: SimOptions(n_pulses=10, seed=2**64), "seed must be a 64-bit"),
+            (lambda: SimOptions(n_pulses=10, n_workers=0), "n_workers must be >= 1"),
+            (
+                lambda: simulator.simulate_ensemble(
+                    LoopConfig(mode="passive", R=0.5, eta=0.9, nu=0.0), Coherent(1.0), SimOptions(n_pulses=0)
+                ),
+                "n_pulses must be >= 1",
+            ),
+        ],
+        ids=["delay-0", "delay-negative", "pulses", "seed-negative", "seed-2**64", "workers", "ensemble-pulses"],
+    )
+    def test_out_of_range_option_raises(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
 class TestBlockRng:
     @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
     @pytest.mark.parametrize("key_offset", [0, simulator._ARTIFACT_KEY_OFFSET])
