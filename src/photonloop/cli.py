@@ -519,6 +519,17 @@ def simulate(
     """Monte Carlo a pulse ensemble and write its click histogram."""
     config = load_loop_config(config_path)
     source = parse_source(source_spec)
+    # checked whenever given, as the simulator checks them only on the runs that use them
+    if rep_period_ps is not None and rep_period_ps <= config.n_bins * config.loop_delay_ps:
+        raise ValueError(
+            f"--rep-period-ps must exceed n_bins * loop_delay_ps = "
+            f"{config.n_bins * config.loop_delay_ps}, got {rep_period_ps}"
+        )
+    if reflection_delay_ps is not None and reflection_delay_ps % config.loop_delay_ps == 0:
+        raise ValueError(
+            f"--reflection-delay-ps must not be a multiple of loop_delay_ps = "
+            f"{config.loop_delay_ps}, got {reflection_delay_ps}"
+        )
     artifact = None
     if back_reflection_prob != 0.0 or dead_time_ps != 0:  # ArtifactModel rejects bad values
         if reflection_delay_ps is None:

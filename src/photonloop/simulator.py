@@ -18,22 +18,26 @@ two exact kernels:
   come from the per-bin kernel with p_j = nu and are merged with the photon
   pairs sparsely; no (pulses, bins) array is built.
 
-A block's output is its (pulse, bin) pairs, in no particular order, plus
-the flip mask: the pairs of a flipped bin are its misses, all others its
-clicks. The ensemble tallies that encoding directly, in O(min(clicks,
-misses)); only the time-tag emitter, whose output is O(clicks) anyway,
-expands misses into clicks (``_hit_pairs``). Both run their blocks through one block map,
-``_map_blocks``. Randomness comes from counter-based Philox streams keyed
-by the seed and jumped per fixed-size pulse block, so histograms and tag
-streams are bit-identical for a given seed no matter how many workers run
-the blocks.
+All that the per-bin kernel works out before its first draw (which bins
+flip, which are dense or sparse, the gap counts and the first round of
+gaps' fixed arrays) is a plan, made once per call and block size and shared
+by every block of that size. A block's output is its clicks per bin and its
+(pulse, bin) pairs, each filed as a hit or, for a flipped bin, a miss as it
+is drawn. The ensemble tallies that encoding directly, in O(min(clicks,
+misses)): a pulse's k-count is the number of flipped bins plus its hits
+minus its misses. Only the time-tag emitter, whose output is O(clicks)
+anyway, expands misses into clicks (``_hit_pairs``). Both run their blocks
+through one block map, ``_map_blocks``. Randomness comes from counter-based
+Philox streams keyed by the seed and jumped per fixed-size pulse block, so
+histograms and tag streams are bit-identical for a given seed no matter how
+many workers run the blocks.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -157,16 +161,112 @@ def _check_guard(config: LoopConfig, ns: np.ndarray):
         )
 
 
-def _sample_clicks(
-    rng: np.random.Generator, size: int, log_miss: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample independent per-bin clicks for ``size`` pulses, sparsely.
+class _GapRound(NamedTuple):
+    """The part of one round of geometric gaps that no draw changes.
+
+    The round draws for the plan's sparse bins ``sparse[todo]``, ``counts[i]``
+    gaps for bin ``todo[i]``, one bin after another. Gap g belongs to bin
+    ``bins[g]``, its pair is a miss when ``miss[g]``, it divides by
+    log(1 - p') ``log_skips[g]`` and its ratio is capped at ``caps[g]``.
+    ``ends`` indexes each bin's last gap.
+    """
+
+    todo: np.ndarray
+    counts: np.ndarray
+    ends: np.ndarray
+    bins: np.ndarray
+    miss: np.ndarray
+    log_skips: np.ndarray
+    caps: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """What the block kernel works out before its first draw, for blocks of ``size`` pulses.
+
+    Made once per call and block size, by :func:`_plan_bins` or
+    :func:`_plan_block`, and only read by the blocks. Bin j draws pairs with
+    p' = min(p_j, 1 - p_j), and ``flip`` marks p_j > 1/2, whose pairs are
+    misses. Each ``dense`` bin draws Binomial(size, ``p_dense``) pairs,
+    misses where ``dense_flip``. The ``sparse`` bins, ascending, draw
+    geometric gaps with log(1 - p') ``log_skip``, ``n_gaps`` each in the
+    first round, whose fixed part is ``first`` (None without sparse bins).
+    ``route`` is q_j when the photons go through the routing chain and the
+    kernel draws only the dark counts; it is None when the kernel draws the
+    photons too.
+    """
+
+    size: int
+    flip: np.ndarray
+    dense: np.ndarray
+    dense_flip: np.ndarray
+    p_dense: np.ndarray
+    sparse: np.ndarray
+    log_skip: np.ndarray
+    n_gaps: np.ndarray
+    first: Optional[_GapRound] = None
+    route: Optional[np.ndarray] = None
+
+    def gap_round(self, todo: np.ndarray) -> _GapRound:
+        """The fixed part of a round of gaps for the sparse bins ``sparse[todo]``."""
+        counts = self.n_gaps[todo]
+        bins = self.sparse[todo]
+        log_skips = np.repeat(self.log_skip[todo], counts)
+        # a gap over size pulses passes the block's end all the same: capping the ratio at
+        # size + 1 keeps a subnormal log1p(-p') from overflowing it
+        caps = (self.size + 1) * log_skips
+        miss = np.repeat(self.flip[bins], counts)
+        return _GapRound(todo, counts, np.cumsum(counts) - 1, np.repeat(bins, counts), miss, log_skips, caps)
+
+
+class _Draws(NamedTuple):
+    """One block's clicks, as they were drawn.
+
+    ``clicks`` holds each bin's clicks in the block's ``size`` pulses. The
+    (pulse, bin) pairs come in parts ``(bins, pulses)``, where ``bins`` is
+    one bin or one bin per pulse. A pair in ``hits`` is a click; one in
+    ``misses`` is a pulse that a ``flip`` bin misses, and a flipped bin fires
+    in every other pulse of the block.
+    """
+
+    size: int
+    flip: np.ndarray
+    clicks: np.ndarray
+    hits: list
+    misses: list
+
+
+def _concat(parts: list) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+
+
+def _plan_bins(size: int, log_miss: np.ndarray) -> _Plan:
+    """The :class:`_Plan` of :func:`_sample_clicks` for bins of log no-click probability ``log_miss``."""
+    hit = -np.expm1(log_miss)
+    miss = np.exp(log_miss)
+    flip = miss < hit
+    p = np.where(flip, miss, hit)
+    expected = size * p
+    dense = np.flatnonzero(expected >= _SPARSE_PAIRS)
+    sparse = np.flatnonzero((expected > 0) & (expected < _SPARSE_PAIRS))
+    # log(1 - p') per sparse bin, from whichever of log_miss and miss holds it exactly
+    log_skip = log_miss[sparse]
+    flipped = flip[sparse]
+    log_skip[flipped] = np.log1p(-miss[sparse[flipped]])
+    mean = expected[sparse]
+    n_gaps = np.ceil(mean + _GAP_MARGIN * (np.sqrt(mean) + 1.0)).astype(np.int64)
+    plan = _Plan(size, flip, dense, flip[dense], p[dense], sparse, log_skip, n_gaps)
+    return plan._replace(first=plan.gap_round(np.arange(len(sparse))) if len(sparse) else None)
+
+
+def _sample_clicks(rng: np.random.Generator, plan: _Plan) -> _Draws:
+    """Sample independent per-bin clicks for ``plan.size`` pulses, sparsely.
 
     Bin j fires in each pulse independently with probability
-    1 - exp(log_miss[j]); taking the log of the no-click probability keeps
-    both tails exact. A bin with p > 1/2 is flipped: its pairs are the
-    pulses that *miss* it, drawn with probability 1 - p. So each bin draws
-    pairs with p' = min(p, 1 - p), in one of two ways:
+    1 - exp(log_miss[j]), for the ``log_miss`` the plan was made from;
+    taking the log of the no-click probability keeps both tails exact. A bin
+    with p > 1/2 is flipped: its pairs are the pulses that *miss* it, drawn
+    with probability 1 - p. So each bin draws pairs with p' = min(p, 1 - p),
+    in one of two ways:
 
     * a *dense* bin, which expects at least ``_SPARSE_PAIRS`` pairs
       (size * p'), draws k ~ Binomial(size, p') and picks k distinct pulses;
@@ -179,76 +279,61 @@ def _sample_clicks(
       stopped, until every bin has passed the block's end.
 
     Both ways make every (pulse, bin) a pair with probability p', all
-    independently. Returns 0-based ``(pulses, bins, flip)``: the distinct
-    (pulse, bin) pairs, in no particular order, and the per-bin mask of
-    p > 1/2. A flipped bin without pairs fires in every pulse.
+    independently. Each pair is filed as a hit or a miss as it is drawn, and
+    each bin's clicks are counted from its pairs: its k, or the sparse pairs
+    it drew, taken from ``size`` when it is flipped. A flipped bin without
+    pairs fires in every pulse.
     """
-    hit = -np.expm1(log_miss)
-    miss = np.exp(log_miss)
-    flip = miss < hit
-    p = np.where(flip, miss, hit)
-    expected = size * p
-    dense = np.flatnonzero(expected >= _SPARSE_PAIRS)
-    ks = rng.binomial(size, p[dense])
-    pulses = [np.empty(0, dtype=np.int64)]
-    pulses += [rng.choice(size, k, replace=False, shuffle=False) for k in ks]
-    bins = [np.repeat(dense, ks)]
-    sparse = np.flatnonzero((expected > 0) & (expected < _SPARSE_PAIRS))
-    # log(1 - p') per sparse bin, from whichever of log_miss and miss holds it exactly
-    log_skip = log_miss[sparse]
-    flipped = flip[sparse]
-    log_skip[flipped] = np.log1p(-miss[sparse[flipped]])
-    mean = expected[sparse]
-    n_gaps = np.ceil(mean + _GAP_MARGIN * (np.sqrt(mean) + 1.0)).astype(np.int64)
-    start = np.zeros(len(sparse), dtype=np.int64)  # the pulse each bin's next gap counts from
-    todo = np.arange(len(sparse))
-    while len(todo):
-        counts = n_gaps[todo]
-        log_skips = np.repeat(log_skip[todo], counts)
-        ratio = np.log1p(-rng.random(len(log_skips)))
-        # a gap over size pulses passes the block's end all the same: capping the ratio at
-        # size + 1 keeps a subnormal log1p(-p') from overflowing it
-        np.maximum(ratio, (size + 1) * log_skips, out=ratio)
-        ratio /= log_skips
+    size = plan.size
+    pairs = np.zeros(len(plan.flip), dtype=np.int64)  # per bin
+    hits, misses = [], []
+    ks = rng.binomial(size, plan.p_dense)
+    pairs[plan.dense] = ks
+    for j, flipped, k in zip(plan.dense.tolist(), plan.dense_flip.tolist(), ks.tolist()):
+        (misses if flipped else hits).append((j, rng.choice(size, k, replace=False, shuffle=False)))
+    start = np.zeros(len(plan.sparse), dtype=np.int64)  # the pulse each bin's next gap counts from
+    gaps = plan.first
+    while gaps is not None:
+        ratio = np.log1p(-rng.random(len(gaps.log_skips)))
+        np.maximum(ratio, gaps.caps, out=ratio)
+        ratio /= gaps.log_skips
         at = ratio.astype(np.int64)  # the floor, as ratio >= 0
         at += 1
         np.cumsum(at, out=at)
-        ends = np.cumsum(counts) - 1
         # each bin's running sum of gaps from its start; a pair's pulse is that sum minus 1
-        at -= np.repeat(np.concatenate(([0], at[ends[:-1]])) - start[todo] + 1, counts)
+        at -= np.repeat(np.concatenate(([0], at[gaps.ends[:-1]])) - start[gaps.todo] + 1, gaps.counts)
         inside = at < size
-        pulses.append(at[inside])
-        bins.append(np.repeat(sparse[todo], counts)[inside])
-        start[todo] = at[ends] + 1
-        todo = todo[start[todo] < size]
-    return np.concatenate(pulses), np.concatenate(bins), flip
+        for part, kept in ((hits, inside & ~gaps.miss), (misses, inside & gaps.miss)):
+            bins = gaps.bins[kept]
+            part.append((bins, at[kept]))
+            pairs += np.bincount(bins, minlength=len(pairs))
+        start[gaps.todo] = at[gaps.ends] + 1
+        todo = gaps.todo[start[gaps.todo] < size]
+        gaps = plan.gap_round(todo) if len(todo) else None
+    return _Draws(size, plan.flip, np.where(plan.flip, size - pairs, pairs), hits, misses)
 
 
-def _hit_pairs(
-    size: int, pulses: np.ndarray, bins: np.ndarray, flip: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand :func:`_sample_clicks` output into (pulse, bin) click pairs.
+def _hit_pairs(draws: _Draws) -> tuple[np.ndarray, np.ndarray]:
+    """Expand :class:`_Draws` into its (pulse, bin) click pairs.
 
-    The pairs of unflipped bins are clicks and stay as they are. The
-    flipped bins' pairs, their misses, are cleared from one (flipped bins,
-    size) mask whose other entries are their clicks. The pairs may come in
-    any order, and the clicks come out in no particular order. Costs
-    O(size) per flipped bin.
+    The pairs in ``hits`` are clicks and stay as they are. The ``misses`` of
+    the flipped bins are cleared from one (flipped bins, size) mask whose
+    other entries are their clicks. The pairs may come in any order, within
+    a part and across parts, and the clicks come out in no particular order.
+    Costs O(size) per flipped bin.
     """
-    flipped = np.flatnonzero(flip)
-    if not len(flipped):
-        return pulses, bins
-    is_miss = flip[bins]
-    row = np.cumsum(flip) - 1  # a flipped bin's row of the mask
-    fires = np.ones((len(flipped), size), dtype=bool)
-    fires.reshape(-1)[row[bins[is_miss]] * size + pulses[is_miss]] = False
-    per_row = np.count_nonzero(fires, axis=1)
-    hit_pulses = np.flatnonzero(fires) - np.repeat(np.arange(len(flipped)) * size, per_row)
-    kept = ~is_miss
-    return (
-        np.concatenate([pulses[kept], hit_pulses]),
-        np.concatenate([bins[kept], np.repeat(flipped, per_row)]),
-    )
+    pulses = [p for _j, p in draws.hits]
+    bins = [np.broadcast_to(j, p.shape) for j, p in draws.hits]
+    flipped = np.flatnonzero(draws.flip)
+    if len(flipped):
+        row = np.cumsum(draws.flip) - 1  # a flipped bin's row of the mask
+        fires = np.ones((len(flipped), draws.size), dtype=bool)
+        for j, p in draws.misses:
+            fires[row[j], p] = False
+        per_row = np.count_nonzero(fires, axis=1)
+        pulses.append(np.flatnonzero(fires) - np.repeat(np.arange(len(flipped)) * draws.size, per_row))
+        bins.append(np.repeat(flipped, per_row))
+    return _concat(pulses), _concat(bins)
 
 
 def _route_photons(
@@ -285,56 +370,75 @@ def _route_photons(
     return np.concatenate(pulses), np.repeat(np.arange(len(counts)), counts)
 
 
-def _simulate_block(
-    config: LoopConfig, source: PhotonSource, q: np.ndarray, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(pulses, bins, flip)`` of one block, encoded as by :func:`_sample_clicks`.
+def _plan_block(config: LoopConfig, source: PhotonSource, size: int) -> _Plan:
+    """The :class:`_Plan` of :func:`_simulate_block` for blocks of ``size`` pulses.
 
-    ``q`` is ``bin_exit_probs(config)``. Unguarded Coherent light takes the
-    per-bin kernel, dark counts included. Every other source draws photon
-    numbers, routes them with :func:`_route_photons` and adds the dark
-    counts of the per-bin kernel with p_j = nu, dropping a dark pair that
-    repeats a photon pair; it returns click pairs only, with an all-False
-    ``flip``. Either way the pairs come in no particular order.
+    Unguarded Coherent light plans the per-bin kernel over its photons and
+    dark counts together. Every other source, and Coherent light under a
+    guard (the guard needs the per-pulse photon numbers), plans the kernel
+    over the dark counts alone, p_j = nu, and routes its photons by q_j.
     """
+    q = analytic.bin_exit_probs(config)
     log_no_dark = np.full(config.n_bins, np.log1p(-config.nu))
     if isinstance(source, Coherent) and config.n_max_guard is None:
-        return _sample_clicks(rng, size, log_no_dark - q * source.nbar)
-    ns = source.sample(rng, size)
+        return _plan_bins(size, log_no_dark - q * source.nbar)
+    return _plan_bins(size, log_no_dark)._replace(route=q)
+
+
+def _simulate_block(
+    config: LoopConfig, source: PhotonSource, plan: _Plan, rng: np.random.Generator
+) -> _Draws:
+    """The :class:`_Draws` of one block of ``plan.size`` pulses.
+
+    Without a ``plan.route`` this is the per-bin kernel, dark counts
+    included. With one, the block draws photon numbers, routes them with
+    :func:`_route_photons` and adds the dark counts of the per-bin kernel,
+    dropping a dark pair that repeats a photon pair; every pair is then a
+    hit, and no bin is flipped.
+    """
+    if plan.route is None:
+        return _sample_clicks(rng, plan)
+    ns = source.sample(rng, plan.size)
     _check_guard(config, ns)
-    pulses, bins = _route_photons(rng, ns, q)
-    dark_pulses, dark_bins = _hit_pairs(size, *_sample_clicks(rng, size, log_no_dark))
+    pulses, bins = _route_photons(rng, ns, plan.route)
+    dark_pulses, dark_bins = _hit_pairs(_sample_clicks(rng, plan))
     if len(pulses) and len(dark_pulses):
         # the chain's keys come out sorted, so membership is a binary search
-        keys = bins * size + pulses
-        dark = dark_bins * size + dark_pulses
+        keys = bins * plan.size + pulses
+        dark = dark_bins * plan.size + dark_pulses
         new = keys[np.minimum(np.searchsorted(keys, dark), len(keys) - 1)] != dark
         dark_pulses, dark_bins = dark_pulses[new], dark_bins[new]
     pulses = np.concatenate([pulses, dark_pulses])
     bins = np.concatenate([bins, dark_bins])
-    return pulses, bins, np.zeros(config.n_bins, dtype=bool)
+    no_flip = np.zeros(config.n_bins, dtype=bool)
+    return _Draws(plan.size, no_flip, np.bincount(bins, minlength=config.n_bins), [(bins, pulses)], [])
 
 
 def _map_blocks(
     config: LoopConfig, source: PhotonSource, opts: SimOptions, fn: Callable
 ) -> Iterator:
-    """``fn(block, size, pulses, bins, flip)`` of every block, in block order.
+    """``fn(block, draws)`` of every block, in block order.
 
-    Block b holds ``size`` pulses from ``b * BLOCK_SIZE`` on and draws from
-    the seed's Philox stream jumped b times; ``pulses`` (counted within the
-    block), ``bins`` and ``flip`` are its 0-based pairs in the encoding of
-    :func:`_sample_clicks`. ``fn`` runs on the worker threads, and the
-    results do not depend on ``opts.n_workers``. With one worker a block is
-    simulated only when its result is asked for.
+    Block b holds ``draws.size`` pulses from ``b * BLOCK_SIZE`` on and draws
+    from the seed's Philox stream jumped b times; ``draws`` is its
+    :class:`_Draws`, with pulses counted within the block. The plans of the
+    blocks, one per block size (the last block may be partial), are made
+    once, when the first result is asked for. ``fn`` runs on the worker
+    threads, and the results do not depend on ``opts.n_workers``. With one
+    worker a block is simulated only when its result is asked for.
     """
-    q = analytic.bin_exit_probs(config)
+    blocks = range(-(-opts.n_pulses // BLOCK_SIZE))
+
+    def size_of(block: int) -> int:
+        return min(BLOCK_SIZE, opts.n_pulses - block * BLOCK_SIZE)
+
+    sizes = {size_of(block) for block in (*blocks[:1], *blocks[-1:])}
+    plans = {size: _plan_block(config, source, size) for size in sizes}
 
     def run(block: int):
-        size = min(BLOCK_SIZE, opts.n_pulses - block * BLOCK_SIZE)
-        rng = _block_rng(opts.seed, block)
-        return fn(block, size, *_simulate_block(config, source, q, rng, size))
+        plan = plans[size_of(block)]
+        return fn(block, _simulate_block(config, source, plan, _block_rng(opts.seed, block)))
 
-    blocks = range(-(-opts.n_pulses // BLOCK_SIZE))
     if opts.n_workers > 1:
         with ThreadPoolExecutor(max_workers=opts.n_workers) as pool:
             yield from pool.map(run, blocks)
@@ -346,8 +450,8 @@ def simulate_pulse(
     config: LoopConfig, source: PhotonSource, rng: np.random.Generator
 ) -> frozenset[int]:
     """Simulate a single pulse; returns the set of fired bins (1-based)."""
-    encoded = _simulate_block(config, source, analytic.bin_exit_probs(config), rng, 1)
-    _pulses, bins = _hit_pairs(1, *encoded)
+    draws = _simulate_block(config, source, _plan_block(config, source, 1), rng)
+    _pulses, bins = _hit_pairs(draws)
     return frozenset((bins + 1).tolist())
 
 
@@ -360,30 +464,27 @@ def simulate_ensemble(
     ``(ClickHistogram, ClickPatternStats)``. Deterministic for a fixed
     seed, independent of ``n_workers``.
 
-    Each block yields (pulse, bin) pairs and a flip mask: from the sparse
-    per-bin kernel for Coherent light without ``n_max_guard``, otherwise
-    from the photon-routing chain over per-pulse photon numbers (the guard
-    has to see them) plus sparse dark counts. A flipped bin's pairs are its
-    misses, and the tally reads them as such, so a saturated bin costs
-    O(misses), not O(size): its clicks are ``size`` minus its pairs, and a
-    pulse's k-count is the number of flipped bins plus its click pairs
-    minus its miss pairs. Artifacts act on detector records, so only
-    :func:`emit_time_tags` models them.
+    Each block comes as its :class:`_Draws`: from the sparse per-bin kernel
+    for Coherent light without ``n_max_guard``, otherwise from the
+    photon-routing chain over per-pulse photon numbers (the guard has to see
+    them) plus sparse dark counts. The tally takes each bin's clicks as the
+    kernel counted them and never expands a flipped bin's misses into
+    clicks, so a saturated bin costs O(misses), not O(size): a pulse's
+    k-count is the number of flipped bins plus its hits minus its misses.
+    Artifacts act on detector records, so only :func:`emit_time_tags`
+    models them.
     """
     if opts.n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {opts.n_pulses}")
     n_bins = config.n_bins
 
-    def tally(_block, size, pulses, bins, flip):
-        clicks = np.bincount(bins, minlength=n_bins)
-        clicks[flip] = size - clicks[flip]
-        is_miss = flip[bins]
-        fired_per_pulse = (
-            np.count_nonzero(flip)
-            + np.bincount(pulses[~is_miss], minlength=size)
-            - np.bincount(pulses[is_miss], minlength=size)
+    def tally(_block, draws):
+        fired_per_pulse = np.count_nonzero(draws.flip) + np.bincount(
+            _concat([p for _j, p in draws.hits]), minlength=draws.size
         )
-        return clicks, np.bincount(fired_per_pulse, minlength=n_bins + 1)
+        if draws.misses:
+            fired_per_pulse -= np.bincount(_concat([p for _j, p in draws.misses]), minlength=draws.size)
+        return draws.clicks, np.bincount(fired_per_pulse, minlength=n_bins + 1)
 
     clicks = np.zeros(n_bins, dtype=np.int64)
     k_counts = np.zeros(n_bins + 1, dtype=np.int64)
@@ -463,11 +564,11 @@ def iter_time_tags(
     rep = np.int64(rep_period_ps)
     delay = np.int64(config.loop_delay_ps)
 
-    def detector_times(block, size, *pairs):
-        pulses, bins = _hit_pairs(size, *pairs)
+    def detector_times(block, draws):
+        pulses, bins = _hit_pairs(draws)
         t = (block * BLOCK_SIZE + pulses) * rep + (bins + 1) * delay
         if not artifact:
-            return t, np.bincount(bins, minlength=config.n_bins)
+            return t, draws.clicks
         if len(t):
             art_rng = _block_rng(opts.seed, block, key_offset=_ARTIFACT_KEY_OFFSET)
             spur = t[art_rng.random(len(t)) < artifact.back_reflection_prob]

@@ -203,6 +203,34 @@ class TestSimulateCommand:
         assert "--rep-period-ps" in result.output
         assert not (tmp_path / "h.csv").exists()
 
+    @pytest.mark.parametrize("tagged", [False, True], ids=["histogram", "emit-tags"])
+    @pytest.mark.parametrize("value", ["5", str(25 * 156000)], ids=["5", "n_bins-delays"])
+    def test_rep_period_inside_the_bins_exits_2(self, runner, config_file, tmp_path, value, tagged):
+        """A period that does not pass the last bin is refused, tags or not, naming the flag."""
+        args = ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "10",
+                "-o", str(tmp_path / "h.csv"), "--rep-period-ps", value]
+        if tagged:
+            args += ["--emit-tags", str(tmp_path / "t.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "--rep-period-ps" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json"]
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--back-reflection-prob", "0.1"]], ids=["alone", "with-artifact"]
+    )
+    @pytest.mark.parametrize("value", ["156000", "312000"])
+    def test_reflection_delay_on_a_gate_exits_2(self, runner, config_file, tmp_path, extra, value):
+        """A delay that puts spurious records in the gates is refused, artifact or not, naming the flag."""
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "10",
+             "-o", str(tmp_path / "h.csv"), "--reflection-delay-ps", value, *extra],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--reflection-delay-ps" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json"]
+
     @pytest.mark.parametrize(
         "source, field",
         [("coherent:inf", "nbar"), ("thermal:inf", "nbar"),

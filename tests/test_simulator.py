@@ -129,8 +129,8 @@ def _poisson_binomial(p):
 class _CountingRng:
     """A generator that counts its ``random`` calls: one per round of geometric gaps."""
 
-    def __init__(self, seed):
-        self.rng, self.rounds = rng(seed), 0
+    def __init__(self, generator):
+        self.rng, self.rounds = generator, 0
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -158,11 +158,11 @@ class TestSparseKernel:
         clicks, per_pulse, k_counts = np.zeros(n_bins), np.zeros(size), np.zeros(n_bins + 1)
         rounds = 0
         for seed in seeds:
-            counting = _CountingRng(seed)
-            encoded = simulator._sample_clicks(counting, size, log_miss)
-            keys = encoded[1] * size + encoded[0]
+            counting = _CountingRng(rng(seed))
+            encoded = simulator._sample_clicks(counting, simulator._plan_bins(size, log_miss))
+            keys = np.concatenate([j * size + p for j, p in encoded.hits + encoded.misses])
             assert len(np.unique(keys)) == len(keys)
-            pulses, bins = simulator._hit_pairs(size, *encoded)
+            pulses, bins = simulator._hit_pairs(encoded)
             clicks += np.bincount(bins, minlength=n_bins)
             fired = np.bincount(pulses, minlength=size)
             per_pulse += fired
@@ -202,7 +202,8 @@ class TestSparseKernel:
         size = 50_000
         with np.errstate(divide="ignore"):
             log_miss = np.log1p(-p)
-        pulses, bins = simulator._hit_pairs(size, *simulator._sample_clicks(rng(11), size, log_miss))
+        draws = simulator._sample_clicks(rng(11), simulator._plan_bins(size, log_miss))
+        pulses, bins = simulator._hit_pairs(draws)
         clicks = np.bincount(bins, minlength=len(p))
         assert clicks[0] == 0
         assert clicks[1] == 0
@@ -286,6 +287,31 @@ class TestSparseKernel:
         self.check_closed_forms(p, len(seeds), clicks, per_pulse, k_counts)
         assert rounds > 2 * len(seeds)
 
+    def test_plan_made_per_call(self, monkeypatch):
+        # a run at the default margin first, then one without: were the plan kept across calls,
+        # the second would draw one round a block. Without margin a bin's first gaps often end
+        # inside the block, in both full blocks and in the partial last one
+        source, opts = Coherent(3.0), SimOptions(n_pulses=2 * simulator.BLOCK_SIZE + 5000, seed=700)
+        simulator.simulate_ensemble(self.CFG, source, opts)
+        monkeypatch.setattr(simulator, "_GAP_MARGIN", 0.0)
+        block_rng, counting = simulator._block_rng, []
+        monkeypatch.setattr(
+            simulator, "_block_rng", lambda *args: counting.append(_CountingRng(block_rng(*args))) or counting[-1]
+        )
+        hist, stats = simulator.simulate_ensemble(self.CFG, source, opts)
+        assert len(counting) == 3 and sum(c.rounds for c in counting) > len(counting)
+        rep = (self.CFG.n_bins + 4) * self.CFG.loop_delay_ps
+        stream = simulator.emit_time_tags(self.CFG, source, opts, rep)
+        gated = clickstats.ingest_time_tags(stream, self.CFG)
+        np.testing.assert_array_equal(gated.histogram.clicks, hist.clicks)
+        np.testing.assert_array_equal(gated.pattern_stats.c, stats.c)
+        # every pulse of the run is its own index, so the partial block's pulses are tested too
+        detector = stream.times_ps[stream.channels == stream.detector_channel]
+        per_pulse = np.bincount(detector // rep, minlength=opts.n_pulses)
+        k_counts = np.rint(stats.c * opts.n_pulses)
+        p = np.array([analytic.click_prob_closed(self.CFG, source, j) for j in range(1, 21)])
+        self.check_closed_forms(p, 1, hist.clicks, per_pulse, k_counts)
+
     def test_extreme_probabilities_raise_no_warning(self):
         # p = 0, p = 1, a p whose log1p(-p) is subnormal, and a p whose miss probability is
         # subnormal (a flipped bin of subnormal p'); a division that overflowed would raise here
@@ -295,23 +321,29 @@ class TestSparseKernel:
         size = simulator.BLOCK_SIZE
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for seed in range(5):
-                encoded = simulator._sample_clicks(rng(seed), size, log_miss)
-                np.testing.assert_array_equal(encoded[2], [False, True, False, True])
-                pulses, bins = simulator._hit_pairs(size, *encoded)
+                encoded = simulator._sample_clicks(rng(seed), simulator._plan_bins(size, log_miss))
+                np.testing.assert_array_equal(encoded.flip, [False, True, False, True])
+                pulses, bins = simulator._hit_pairs(encoded)
                 np.testing.assert_array_equal(np.bincount(bins, minlength=4), [0, size, 0, size])
 
     @pytest.mark.parametrize("nbar", [3.0, 300.0])
     def test_hit_pairs_take_pairs_in_any_order(self, nbar):
         size = 3000
-        pulses, bins, flip = simulator._sample_clicks(rng(41), size, self.log_miss(nbar))
+        draws = simulator._sample_clicks(rng(41), simulator._plan_bins(size, self.log_miss(nbar)))
+        flip = draws.flip
         assert flip.any() and not flip.all()
-        grouped = np.lexsort((pulses, bins))
-        shuffled = np.random.default_rng(42).permutation(len(pulses))
         want = np.zeros((self.CFG.n_bins, size), dtype=bool)  # the dense reference
-        want[bins, pulses] = True
+        for j, p in draws.hits + draws.misses:
+            want[j, p] = True
         want[flip] = ~want[flip]
-        for order in (grouped, shuffled):
-            hit_pulses, hit_bins = simulator._hit_pairs(size, pulses[order], bins[order], flip)
+        permutation = np.random.default_rng(42).permutation
+
+        def reorder(parts, order):  # each part's pairs in ``order``, and the parts in reverse
+            return [(j if np.ndim(j) == 0 else j[o], p[o]) for j, p in parts[::-1] for o in [order(p)]]
+
+        for order in (np.argsort, lambda p: permutation(len(p))):
+            reordered = draws._replace(hits=reorder(draws.hits, order), misses=reorder(draws.misses, order))
+            hit_pulses, hit_bins = simulator._hit_pairs(reordered)
             got = np.zeros_like(want)
             got[hit_bins, hit_pulses] = True
             assert len(hit_pulses) == want.sum()
@@ -366,9 +398,9 @@ class TestPhotonChain:
 
     def test_block_pairs_are_distinct(self):
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=0.05, n_bins=10)
-        q = analytic.bin_exit_probs(cfg)
-        pulses, bins, flip = simulator._simulate_block(cfg, Fock(5), q, rng(32), 4096)
-        assert not flip.any()
+        draws = simulator._simulate_block(cfg, Fock(5), simulator._plan_block(cfg, Fock(5), 4096), rng(32))
+        assert not draws.flip.any() and not draws.misses
+        pulses, bins = simulator._hit_pairs(draws)
         keys = bins * 4096 + pulses
         assert len(np.unique(keys)) == len(keys)
 
@@ -376,7 +408,8 @@ class TestPhotonChain:
         cfg = LoopConfig(mode="active", R=0.5, eta=0.0, nu=0.0, n_bins=20)
         q = analytic.bin_exit_probs(cfg)
         assert not q.any()
-        pulses, bins, _flip = simulator._simulate_block(cfg, Fock(300), q, rng(33), 1000)
+        draws = simulator._simulate_block(cfg, Fock(300), simulator._plan_block(cfg, Fock(300), 1000), rng(33))
+        pulses, bins = simulator._hit_pairs(draws)
         assert len(pulses) == len(bins) == 0
 
     def test_empty_tail_raises_no_warning(self):
@@ -385,15 +418,16 @@ class TestPhotonChain:
         cfg = LoopConfig(mode="passive", R=1.0, eta=0.9, nu=0.0, n_bins=20)
         q = analytic.bin_exit_probs(cfg)
         assert q[0] == 1.0 and not q[1:].any()
-        pulses, bins, _flip = simulator._simulate_block(cfg, Thermal(3.0), q, rng(34), 1000)
+        plan = simulator._plan_block(cfg, Thermal(3.0), 1000)
+        pulses, bins = simulator._hit_pairs(simulator._simulate_block(cfg, Thermal(3.0), plan, rng(34)))
         assert (bins == 0).all() and len(np.unique(pulses)) == len(pulses)
 
     def test_block_memory_stays_sparse(self, hdr_config):
         # a dense (pulses, n_bins + 1) int64 matrix of this block alone would be 17 MB
-        q = analytic.bin_exit_probs(hdr_config)
+        plan = simulator._plan_block(hdr_config, Fock(3), simulator.BLOCK_SIZE)
         tracemalloc.start()
         try:
-            simulator._simulate_block(hdr_config, Fock(3), q, rng(35), simulator.BLOCK_SIZE)
+            simulator._simulate_block(hdr_config, Fock(3), plan, rng(35))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -488,9 +522,9 @@ def _whole_stream_tags(config, source, opts, rep_period_ps, artifact):
     """Reference emitter: every detector time at once, one global sort, dead time and sync merge."""
     delay, rep = np.int64(config.loop_delay_ps), np.int64(rep_period_ps)
     det = []
-    blocks = simulator._map_blocks(config, source, opts, lambda _block, size, *pairs: (size, pairs))
-    for block, (size, pairs) in enumerate(blocks):
-        pulses, bins = simulator._hit_pairs(size, *pairs)
+    blocks = simulator._map_blocks(config, source, opts, lambda _block, draws: draws)
+    for block, draws in enumerate(blocks):
+        pulses, bins = simulator._hit_pairs(draws)
         t = (block * simulator.BLOCK_SIZE + pulses) * rep + (bins + 1) * delay
         if artifact and len(t):
             art_rng = simulator._block_rng(opts.seed, block, key_offset=simulator._ARTIFACT_KEY_OFFSET)
@@ -674,6 +708,9 @@ class TestSeededOutputs:
 
     CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
     OPTS = dict(n_pulses=40_000, seed=2024)
+    # the hdr_calibration loop, and its bright source: n_out = 208,011 photons a pulse
+    HDR = LoopConfig(mode="passive", R=0.9137, eta=0.8615, nu=1.2e-7, n_bins=130)
+    HDR_BRIGHT = Coherent(208_011.0 / analytic.output_fraction(HDR))
 
     @pytest.mark.parametrize(
         "source, digest",
@@ -693,6 +730,40 @@ class TestSeededOutputs:
         k_counts = np.rint(stats.c * hist.trials).astype("<i8")
         got = hashlib.sha256(hist.clicks.astype("<i8").tobytes() + k_counts.tobytes())
         assert got.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            (HDR_BRIGHT, "242ccdf398349d1667f39be0338c02c01e7a595755c42d2926d22e0b96f725c4"),
+            (Coherent(4.5), "46266a989688f665a1e51045861db6b582a1b0a1bfbd63822a5d73957407b3e1"),
+        ],
+        ids=["hdr-bright", "hdr-attenuated"],
+    )
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_hdr_ensemble_digest(self, source, digest, n_workers):
+        """The hdr_calibration loop's two legs, pinned at version 0.10.0."""
+        hist, stats = simulator.simulate_ensemble(
+            self.HDR, source, SimOptions(**self.OPTS, n_workers=n_workers)
+        )
+        k_counts = np.rint(stats.c * hist.trials).astype("<i8")
+        got = hashlib.sha256(hist.clicks.astype("<i8").tobytes() + k_counts.tobytes())
+        assert got.hexdigest() == digest
+
+    def test_hdr_bright_tags_match_ensemble(self):
+        # a full bright block holds bins of every class: dense and sparse, flipped or not
+        plan = simulator._plan_block(self.HDR, self.HDR_BRIGHT, simulator.BLOCK_SIZE)
+        assert (len(plan.dense), plan.flip.sum(), len(plan.sparse)) == (19, 33, 107)
+        assert plan.dense_flip.any() and not plan.dense_flip.all()
+        assert plan.flip[plan.sparse].any() and not plan.flip[plan.sparse].all()
+        opts = SimOptions(**self.OPTS)
+        hist, stats = simulator.simulate_ensemble(self.HDR, self.HDR_BRIGHT, opts)
+        gate = clickstats.TagGate(self.HDR)
+        rep = (self.HDR.n_bins + 4) * self.HDR.loop_delay_ps
+        for channels, times, _clicks in simulator.iter_time_tags(self.HDR, self.HDR_BRIGHT, opts, rep):
+            gate.feed(channels, times)
+        gated = gate.result()
+        np.testing.assert_array_equal(gated.histogram.clicks, hist.clicks)
+        np.testing.assert_array_equal(gated.pattern_stats.c, stats.c)
 
     @pytest.mark.parametrize(
         "source, artifact, digest",
