@@ -10,7 +10,8 @@ range of the detector.
 The fit is a box-bounded Levenberg-Marquardt on the 2 or 3 loop
 parameters, written in numpy and driven by the closed-form Jacobian of the
 click model (q_j and d ln q_j from :mod:`analytic`); the module needs no
-scipy.
+scipy. It solves once from a start derived from the data, then twice more
+from its result with weights taken on the fitted curve.
 """
 
 from __future__ import annotations
@@ -186,18 +187,6 @@ def weighted_mean_nout(
     return float((weights @ x[ok]) / weights.sum()), float(1.0 / math.sqrt(weights.sum()))
 
 
-def _fit_starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
-    rng = np.random.Generator(np.random.Philox(key=20240712))
-    starts = [x0]
-    for _ in range(4):
-        jitter = rng.normal(0.0, 0.1, size=len(x0))
-        # a jitter that would leave the box goes the other way: clipped onto R's
-        # bound 1 - 1e-9 the model no longer depends on eta and J^T J is singular
-        jitter = np.where(x0 * np.exp(jitter) < hi, jitter, -np.abs(jitter))
-        starts.append(np.clip(x0 * np.exp(jitter), lo, hi))
-    return starts
-
-
 def _levenberg_marquardt(residuals, x, lo, hi):
     """Minimise the cost |r(x)|^2 / 2 over the box lo <= x <= hi, starting at ``x``.
 
@@ -284,16 +273,14 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
     measured value from ``config_prior``.
 
     The solver is :func:`_levenberg_marquardt` on the closed-form Jacobian
-    of :func:`_click_model`. It runs from the start guessed from the data
-    and four jittered copies of it, and the lowest cost wins.
-    ``starts_converged`` counts the starts that converged and
-    ``start_cost_spread`` is the spread (max - min) of their final chi^2;
-    ``FitDiverged`` is raised when none converges. The covariance is the
+    of :func:`_click_model`, run once from the start guessed from the data;
+    ``FitDiverged`` is raised when that solve fails. The covariance is the
     pseudo-inverse of J^T J at the optimum.
 
-    Weighting is inverse-variance and iteratively refined: the first pass
-    uses the confidence widths of the measured click probabilities, later
-    passes use binomial variances evaluated on the fitted curve. Reweighting
+    Weighting is inverse-variance and iteratively refined: the first solve
+    uses the confidence widths of the measured click probabilities, two more
+    start from its result with binomial variances evaluated on the fitted
+    curve (a refit that fails keeps the previous result). Reweighting
     on the model removes the bias that data-derived weights introduce
     (upward-fluctuating near-saturated bins would otherwise get
     systematically smaller errors and larger weights).
@@ -352,13 +339,9 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
 
         return _levenberg_marquardt(residuals, start, lo, hi)
 
-    fits = [solve(start, sigma) for start in _fit_starts(x0, lo, hi)]
-    fits = [res for res in fits if res is not None]
-    if not fits:
-        raise FitDiverged("the least-squares fit failed from every start point")
-    costs = [cost for _x, cost, _jac in fits]
-    best = fits[int(np.argmin(costs))]
-
+    best = solve(x0, sigma)
+    if best is None:
+        raise FitDiverged("the least-squares fit failed from the start point")
     for _ in range(2):
         p_model = _click_model(best[0], mode, nu, bins)[0]
         sigma = np.sqrt(np.maximum(p_model * (1.0 - p_model), 1.0 / hist.trials) / hist.trials)
@@ -383,8 +366,6 @@ def fit_loop_params(hist: ClickHistogram, config_prior: LoopConfig) -> FitResult
         r_eta_hat=float(r_eta),
         sigma_r_eta=float(sigma_r_eta),
         identifiable=passive,
-        starts_converged=len(fits),
-        start_cost_spread=float(2.0 * (max(costs) - min(costs))),
     )
 
 

@@ -43,7 +43,7 @@ from .models import (
     TimeTagStream,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(LoopConfig)}
 _REQUIRED_FIELDS = {"mode", "R", "eta", "nu"}
@@ -525,10 +525,10 @@ def simulate(
             f"--rep-period-ps must exceed n_bins * loop_delay_ps = "
             f"{config.n_bins * config.loop_delay_ps}, got {rep_period_ps}"
         )
-    if reflection_delay_ps is not None and reflection_delay_ps % config.loop_delay_ps == 0:
+    if reflection_delay_ps is not None and simulator.reflection_in_gates(config, reflection_delay_ps):
         raise ValueError(
-            f"--reflection-delay-ps must not be a multiple of loop_delay_ps = "
-            f"{config.loop_delay_ps}, got {reflection_delay_ps}"
+            f"--reflection-delay-ps {reflection_delay_ps} puts spurious records in the gates "
+            f"(loop_delay_ps = {config.loop_delay_ps}, gate_width_ps = {config.gate_width_ps})"
         )
     artifact = None
     if back_reflection_prob != 0.0 or dead_time_ps != 0:  # ArtifactModel rejects bad values

@@ -450,12 +450,9 @@ class FitResult:
     For a passive loop, R and eta are individually identifiable and
     ``identifiable`` is True. For an active loop only the product R*eta is
     constrained by the data; the per-parameter fields are NaN and the
-    product is reported in ``r_eta_hat``. ``starts_converged`` counts the
-    start points of the fit that converged and ``start_cost_spread`` is the
-    spread (max - min) of their final chi^2; a result built by hand rather
-    than by ``fit_loop_params`` leaves them at 0 and NaN. ``residual_norm`` is
-    the fit's chi^2 over ``dof`` degrees of freedom. The field order is the
-    key order of the ``fit`` report, which is ``dataclasses.asdict`` of this.
+    product is reported in ``r_eta_hat``. ``residual_norm`` is the fit's
+    chi^2 over ``dof`` degrees of freedom. The field order is the key order
+    of the ``fit`` report, which is ``dataclasses.asdict`` of this.
     """
 
     R_hat: float
@@ -469,8 +466,6 @@ class FitResult:
     residual_norm: float
     dof: int
     identifiable: bool
-    starts_converged: int = 0
-    start_cost_spread: float = math.nan
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ __all__ = [
     "simulate_ensemble",
     "emit_time_tags",
     "iter_time_tags",
+    "reflection_in_gates",
 ]
 
 #: Pulses per RNG block. Fixed so that outputs are independent of worker count.
@@ -107,6 +108,19 @@ class ArtifactModel:
             )
         if self.dead_time_ps < 0:
             raise ValueError(f"dead_time_ps must be non-negative, got {self.dead_time_ps}")
+
+
+def reflection_in_gates(config: LoopConfig, reflection_delay_ps: int) -> bool:
+    """Whether a detector record moved by ``reflection_delay_ps`` can land in a gate of its pulse.
+
+    It lands k bins on, r from that bin's centre, inside the gate by the test of
+    :class:`~photonloop.clickstats.TagGate`; a multiple of the loop delay always counts.
+    A later pulse's gates, which depend on the repetition period, are not checked.
+    """
+    delay, gate = config.loop_delay_ps, config.gate_width_ps
+    k = (reflection_delay_ps + delay // 2) // delay
+    r2 = 2 * (reflection_delay_ps - k * delay)
+    return reflection_delay_ps % delay == 0 or (k < config.n_bins and -gate <= r2 < gate)
 
 
 @dataclass(frozen=True)
@@ -556,10 +570,10 @@ def iter_time_tags(
         raise ValueError(
             f"rep_period_ps must exceed n_bins * loop_delay_ps, got {rep_period_ps}"
         )
-    if artifact and artifact.reflection_delay_ps % config.loop_delay_ps == 0:
+    if artifact and reflection_in_gates(config, artifact.reflection_delay_ps):
         raise ValueError(
-            "reflection_delay_ps must not be a multiple of loop_delay_ps; "
-            "spurious events have to fall outside the gates"
+            f"reflection_delay_ps {artifact.reflection_delay_ps} puts spurious records in the "
+            "gates; they have to fall outside them"
         )
     rep = np.int64(rep_period_ps)
     delay = np.int64(config.loop_delay_ps)

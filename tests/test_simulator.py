@@ -503,6 +503,26 @@ class TestEmitTimeTags:
                 art,
             )
 
+    @pytest.mark.parametrize("delay_ps", [154_000, 156_100, 157_999, 1_999, 129 * 156_000 + 1_999])
+    def test_reflection_delay_beside_a_bin_centre_must_miss_gates(self, splitter_half_config, delay_ps):
+        """Within half a gate of bin j + k's centre, k < n_bins, a spur lands in that bin's gate."""
+        art = ArtifactModel(back_reflection_prob=0.1, reflection_delay_ps=delay_ps, dead_time_ps=0)
+        with pytest.raises(ValueError, match="reflection_delay_ps"):
+            simulator.emit_time_tags(
+                splitter_half_config, Coherent(3.0), SimOptions(n_pulses=10), 200 * 156_000, art
+            )
+
+    def test_reflection_delay_on_a_gate_edge_leaves_the_clicks(self):
+        """Spurs 158,000 ps late sit on the next bin's right gate edge, which the gate excludes."""
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-4, n_bins=40)
+        art = ArtifactModel(back_reflection_prob=0.5, reflection_delay_ps=158_000, dead_time_ps=0)
+        opts = SimOptions(n_pulses=5_000, seed=1)
+        stream = simulator.emit_time_tags(cfg, Coherent(2.0), opts, 44 * cfg.loop_delay_ps, art)
+        gated = clickstats.ingest_time_tags(stream, cfg)
+        hist = simulator.simulate_ensemble(cfg, Coherent(2.0), opts).histogram
+        assert gated.n_discarded > 1_000
+        np.testing.assert_array_equal(gated.histogram.clicks, hist.clicks)
+
     def test_sync_precedes_detector_record_at_same_time(self):
         # spurs of bin-1 records land exactly on the next sync: 156000 + 6708001 = 6864001
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=40)
