@@ -1,7 +1,7 @@
 """Pulse-level Monte Carlo of the loop detector.
 
 Photons route independently, so one block of pulses is sampled by one of
-two exact kernels:
+three exact kernels:
 
 * Coherent light without an ``n_max_guard``: by Poisson splitting the bins
   are independent, and bin j fires with p_j = 1 - (1 - nu) exp(-q_j nbar),
@@ -11,12 +11,16 @@ two exact kernels:
   drawn pulses, takes a binomial number of pulses and then that many
   distinct pulses; all *sparse* bins of a block are drawn at once, by
   geometric gaps between their pulses.
+* Fock(1) and LossyFock(1, t), unless a guard of 0 must see each photon:
+  one uniform u a pulse sends its photon to bin searchsorted(cdf, u) of
+  cdf = cumsum(t q_j), or loses it past cdf[-1], exact to 2^-53.
 * Every other source, and Coherent light under a guard (the guard needs the
   per-pulse photon numbers): each pulse draws a photon number and one
   conditional-binomial chain routes the photons, lost ones first and then
-  bin by bin, over only the pulses that still hold photons. The dark counts
-  come from the per-bin kernel with p_j = nu and are merged with the photon
-  pairs sparsely; no (pulses, bins) array is built.
+  bin by bin, over only the pulses that still hold photons.
+
+The last two draw the dark counts from the per-bin kernel with p_j = nu and
+merge them with the photon pairs sparsely; no (pulses, bins) array is built.
 
 All that the per-bin kernel works out before its first draw (which bins
 flip, which are dense or sparse, the gap counts and the first round of
@@ -47,7 +51,9 @@ from .models import (
     ClickHistogram,
     ClickPatternStats,
     Coherent,
+    Fock,
     LoopConfig,
+    LossyFock,
     PhotonSource,
     TimeTagStream,
 )
@@ -129,12 +135,7 @@ class SimOptions:
 
     ``n_pulses`` pulses are drawn from Philox streams keyed by ``seed``, in
     blocks of ``BLOCK_SIZE`` spread over ``n_workers`` threads; the output
-    does not depend on ``n_workers``. Two workers are barely faster than one
-    on either sampling kernel, since a block is a few milliseconds of short
-    numpy calls under the interpreter lock: ``emit_time_tags`` of 200,000
-    pulses took 60-64 -> 55-57 ms for LossyFock(1, 0.6) and 41-47 -> 48-52 ms
-    for Coherent(2) (medians of 11 in two rounds, 40-bin loop, 2 shared
-    vCPUs, numpy 2.4.6).
+    does not depend on ``n_workers``.
     """
 
     n_pulses: int
@@ -204,9 +205,10 @@ class _Plan(NamedTuple):
     misses where ``dense_flip``. The ``sparse`` bins, ascending, draw
     geometric gaps with log(1 - p') ``log_skip``, ``n_gaps`` each in the
     first round, whose fixed part is ``first`` (None without sparse bins).
-    ``route`` is q_j when the photons go through the routing chain and the
-    kernel draws only the dark counts; it is None when the kernel draws the
-    photons too.
+    ``route`` is q_j when the photons are routed apart and the kernel draws
+    only the dark counts; it is None when the kernel draws the photons too.
+    ``cdf``, cumsum(t q_j), routes a source of at most one photon by one
+    uniform a pulse; without it the routing chain does.
     """
 
     size: int
@@ -219,6 +221,7 @@ class _Plan(NamedTuple):
     n_gaps: np.ndarray
     first: Optional[_GapRound] = None
     route: Optional[np.ndarray] = None
+    cdf: Optional[np.ndarray] = None
 
     def gap_round(self, todo: np.ndarray) -> _GapRound:
         """The fixed part of a round of gaps for the sparse bins ``sparse[todo]``."""
@@ -301,10 +304,11 @@ def _sample_clicks(rng: np.random.Generator, plan: _Plan) -> _Draws:
     size = plan.size
     pairs = np.zeros(len(plan.flip), dtype=np.int64)  # per bin
     hits, misses = [], []
-    ks = rng.binomial(size, plan.p_dense)
-    pairs[plan.dense] = ks
-    for j, flipped, k in zip(plan.dense.tolist(), plan.dense_flip.tolist(), ks.tolist()):
-        (misses if flipped else hits).append((j, rng.choice(size, k, replace=False, shuffle=False)))
+    if len(plan.dense):
+        ks = rng.binomial(size, plan.p_dense)
+        pairs[plan.dense] = ks
+        for j, flipped, k in zip(plan.dense.tolist(), plan.dense_flip.tolist(), ks.tolist()):
+            (misses if flipped else hits).append((j, rng.choice(size, k, replace=False, shuffle=False)))
     start = np.zeros(len(plan.sparse), dtype=np.int64)  # the pulse each bin's next gap counts from
     gaps = plan.first
     while gaps is not None:
@@ -391,12 +395,17 @@ def _plan_block(config: LoopConfig, source: PhotonSource, size: int) -> _Plan:
     dark counts together. Every other source, and Coherent light under a
     guard (the guard needs the per-pulse photon numbers), plans the kernel
     over the dark counts alone, p_j = nu, and routes its photons by q_j.
+    Fock(1) and LossyFock(1, t) route theirs by ``cdf`` = cumsum(t q_j),
+    unless a guard of 0 has to see each photon to refuse it.
     """
     q = analytic.bin_exit_probs(config)
     log_no_dark = np.full(config.n_bins, np.log1p(-config.nu))
     if isinstance(source, Coherent) and config.n_max_guard is None:
         return _plan_bins(size, log_no_dark - q * source.nbar)
-    return _plan_bins(size, log_no_dark)._replace(route=q)
+    plan = _plan_bins(size, log_no_dark)._replace(route=q)
+    if isinstance(source, (Fock, LossyFock)) and source.n == 1 and config.n_max_guard != 0:
+        return plan._replace(cdf=np.cumsum(q * source.mean_photon_number()))
+    return plan
 
 
 def _simulate_block(
@@ -405,18 +414,27 @@ def _simulate_block(
     """The :class:`_Draws` of one block of ``plan.size`` pulses.
 
     Without a ``plan.route`` this is the per-bin kernel, dark counts
-    included. With one, the block draws photon numbers, routes them with
-    :func:`_route_photons` and adds the dark counts of the per-bin kernel,
-    dropping a dark pair that repeats a photon pair; every pair is then a
-    hit, and no bin is flipped.
+    included. With one, the block routes its photons, by one uniform u a
+    pulse into bin ``searchsorted(plan.cdf, u, side="right")`` (none when
+    that is ``n_bins``) or else by :func:`_route_photons` over drawn photon
+    numbers, and adds the dark counts of the per-bin kernel, dropping a dark
+    pair that repeats a photon pair; every pair is a hit, no bin flipped.
     """
     if plan.route is None:
         return _sample_clicks(rng, plan)
-    ns = source.sample(rng, plan.size)
-    _check_guard(config, ns)
-    pulses, bins = _route_photons(rng, ns, plan.route)
+    if plan.cdf is not None:
+        drawn = np.searchsorted(plan.cdf, rng.random(plan.size), side="right")
+        pulses = np.flatnonzero(drawn < config.n_bins)
+        bins = drawn[pulses]
+    else:
+        ns = source.sample(rng, plan.size)
+        _check_guard(config, ns)
+        pulses, bins = _route_photons(rng, ns, plan.route)
     dark_pulses, dark_bins = _hit_pairs(_sample_clicks(rng, plan))
-    if len(pulses) and len(dark_pulses):
+    if plan.cdf is not None:  # a pulse's one photon pair is in bin drawn[pulse]
+        new = drawn[dark_pulses] != dark_bins
+        dark_pulses, dark_bins = dark_pulses[new], dark_bins[new]
+    elif len(pulses) and len(dark_pulses):
         # the chain's keys come out sorted, so membership is a binary search
         keys = bins * plan.size + pulses
         dark = dark_bins * plan.size + dark_pulses
@@ -478,15 +496,13 @@ def simulate_ensemble(
     ``(ClickHistogram, ClickPatternStats)``. Deterministic for a fixed
     seed, independent of ``n_workers``.
 
-    Each block comes as its :class:`_Draws`: from the sparse per-bin kernel
-    for Coherent light without ``n_max_guard``, otherwise from the
-    photon-routing chain over per-pulse photon numbers (the guard has to see
-    them) plus sparse dark counts. The tally takes each bin's clicks as the
-    kernel counted them and never expands a flipped bin's misses into
-    clicks, so a saturated bin costs O(misses), not O(size): a pulse's
-    k-count is the number of flipped bins plus its hits minus its misses.
-    Artifacts act on detector records, so only :func:`emit_time_tags`
-    models them.
+    Each block comes as its :class:`_Draws`, from the kernel that
+    :func:`_plan_block` picked for the source. The tally takes each bin's
+    clicks as the kernel counted them and never expands a flipped bin's
+    misses into clicks, so a saturated bin costs O(misses), not O(size): a
+    pulse's k-count is the number of flipped bins plus its hits minus its
+    misses. Artifacts act on detector records, so only
+    :func:`emit_time_tags` models them.
     """
     if opts.n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {opts.n_pulses}")

@@ -434,6 +434,75 @@ class TestPhotonChain:
         assert peak < 4e6, f"block peaked at {peak / 1e6:.1f} MB"
 
 
+class TestSinglePhotonKernel:
+    """Fock(1) and LossyFock(1, t) route their one photon by one uniform a pulse."""
+
+    CFG = dict(mode="passive", R=0.5, eta=0.9, n_bins=20)
+
+    @pytest.mark.parametrize(
+        "source, guard, one_photon",
+        [
+            (Fock(1), None, True),
+            (Fock(1), 1, True),
+            (LossyFock(1, 0.6), None, True),
+            (LossyFock(1, 0.6), 1, True),
+            (Fock(0), None, False),
+            (Fock(2), None, False),
+            (LossyFock(3, 0.8), None, False),
+            (Thermal(3.0), None, False),
+            (Fock(1), 0, False),  # a guard of 0 has to see the photon to refuse it
+        ],
+        ids=["fock-1", "fock-1-guard-1", "lossyfock", "lossyfock-guard-1", "fock-0", "fock-2",
+             "lossyfock-3", "thermal-3", "fock-1-guard-0"],
+    )
+    def test_plan_picks_the_kernel(self, source, guard, one_photon):
+        cfg = LoopConfig(**self.CFG, nu=1e-3, n_max_guard=guard)
+        plan = simulator._plan_block(cfg, source, 1000)
+        assert plan.route is not None
+        assert (plan.cdf is not None) == one_photon
+        if one_photon:
+            q = analytic.bin_exit_probs(cfg)
+            np.testing.assert_array_equal(plan.cdf, np.cumsum(q * source.mean_photon_number()))
+
+    @pytest.mark.parametrize("source", [Fock(1), LossyFock(1, 0.6)], ids=["fock-1", "lossyfock"])
+    def test_without_dark_counts_at_most_one_bin_fires(self, source):
+        cfg = LoopConfig(**self.CFG, nu=0.0)
+        m = 100_000
+        _, stats = simulator.simulate_ensemble(cfg, source, SimOptions(n_pulses=m, seed=41))
+        assert not stats.c[2:].any()
+        p = source.mean_photon_number() * analytic.bin_exit_probs(cfg).sum()
+        assert abs(stats.c[1] - p) < 4 * math.sqrt(p * (1 - p) / m)
+
+    @pytest.mark.parametrize("source", [Fock(1), LossyFock(1, 0.6)], ids=["fock-1", "lossyfock"])
+    def test_mean_k_matches_numeric_sum(self, source):
+        cfg = LoopConfig(**self.CFG, nu=1e-3)
+        m = 100_000
+        _, stats = simulator.simulate_ensemble(cfg, source, SimOptions(n_pulses=m, seed=42))
+        want = sum(analytic.click_prob_numeric(cfg, source, j) for j in range(1, cfg.n_bins + 1))
+        assert abs(stats.mean_c - want) < 4 * math.sqrt(stats.var_c / m)
+
+    @pytest.mark.parametrize("source", [Fock(1), LossyFock(1, 0.6)], ids=["fock-1", "lossyfock"])
+    def test_gated_chunks_match_ensemble(self, source):
+        cfg = LoopConfig(**self.CFG, nu=1e-3)
+        opts = SimOptions(n_pulses=2 * simulator.BLOCK_SIZE + 777, seed=43)
+        hist, stats = simulator.simulate_ensemble(cfg, source, opts)
+        gate = clickstats.TagGate(cfg)
+        rep = (cfg.n_bins + 4) * cfg.loop_delay_ps
+        chunks = list(simulator.iter_time_tags(cfg, source, opts, rep))
+        assert len(chunks) == 3
+        for channels, times, _clicks in chunks:
+            gate.feed(channels, times)
+        gated = gate.result()
+        np.testing.assert_array_equal(gated.histogram.clicks, hist.clicks)
+        np.testing.assert_array_equal(gated.pattern_stats.c, stats.c)
+        np.testing.assert_array_equal(np.sum([clicks for *_, clicks in chunks], axis=0), hist.clicks)
+
+    def test_guard_of_zero_refuses_a_photon(self):
+        cfg = LoopConfig(**self.CFG, nu=1e-3, n_max_guard=0)
+        with pytest.raises(GuardExceeded):
+            simulator.simulate_ensemble(cfg, Fock(1), SimOptions(n_pulses=1000, seed=44))
+
+
 class TestEmitTimeTags:
     def test_round_trip_reproduces_ensemble(self, splitter_half_config):
         cfg = LoopConfig(
@@ -722,8 +791,10 @@ class TestSeededOutputs:
     """SHA-256 pins of seeded outputs, so a kernel change cannot alter them silently.
 
     The digests date from version 0.9.0, which draws sparse bins by
-    geometric gaps; the ensemble ones hold for any worker count. A change
-    that means to draw differently updates them and bumps the version.
+    geometric gaps, apart from the LossyFock(1, 0.6) ones, which version
+    0.12.0 drew by one uniform a pulse; the ensemble ones hold for any
+    worker count. A change that means to draw differently updates them and
+    bumps the version.
     """
 
     CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
@@ -738,9 +809,12 @@ class TestSeededOutputs:
             (Coherent(3.0), "cd2b8aa1dc6ae517abeb1fad853ec419ce56528894f25fa61659aa70ff7dc48e"),
             (Coherent(300.0), "359c10c62e637033bed20f4c11bfaf8a89e2ead2215dd8940351bcc9f4f3bbdf"),
             (Coherent(1e6), "728a2f62bcf08094b116c0c2764b8d037356b9fa74fc2667b21de768a2f7b0dc"),
-            (LossyFock(1, 0.6), "fcf1d6e435510b1e19e0adb07be88dca43b97b03eb78f151bc6a393c767092ce"),
+            (LossyFock(1, 0.6), "dd876a865977aa087be214584fbf1376ff43593b6620c5c91f72f920785131dd"),
+            # the routing chain's sources, pinned at version 0.11.0
+            (Fock(3), "8f09e974fba95246d964321cc59ab941bb474514838adc5cfcb4bc954c919a81"),
+            (Thermal(3.0), "92cb21bba1b23a178a66f48c5ef63848afac92b235658ce4608293d531eb7a93"),
         ],
-        ids=["coherent-3", "coherent-300", "coherent-1e6", "lossyfock"],
+        ids=["coherent-3", "coherent-300", "coherent-1e6", "lossyfock", "fock-3", "thermal-3"],
     )
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_ensemble_digest(self, source, digest, n_workers):
@@ -793,7 +867,7 @@ class TestSeededOutputs:
                 ArtifactModel(back_reflection_prob=0.05, reflection_delay_ps=50_000, dead_time_ps=100_000),
                 "f0b16d205a99304292ca67b31a46231ede3f6f19b463904b0411383ebb6ea26e",
             ),
-            (LossyFock(1, 0.6), None, "d6432ff2cacd87b93cba95e34c3ed75946888b1c4b15e8e08bcb403a7329e40a"),
+            (LossyFock(1, 0.6), None, "f3d864a8a142a65a989f0c585e1753b4d44a772ebc003ae2d1221ba3199fec7e"),
         ],
         ids=["coherent-artifact", "lossyfock"],
     )
