@@ -1,14 +1,19 @@
 """Pulse-level Monte Carlo of the loop detector.
 
-Photons route independently, so one block of pulses is sampled by one of
-three exact kernels:
+Photons route independently. Under Coherent light without an
+``n_max_guard`` the bins fire independently, by Poisson splitting: bin j
+fires with p_j = 1 - (1 - nu) exp(-q_j nbar), dark counts included. Its
+ensemble needs no pulses: the numbers H_k of pulses that have fired k of the
+bins so far are a sufficient statistic, and :func:`simulate_ensemble` draws
+them bin by bin, one binomial per class (:func:`_fired_count_classes`).
 
-* Coherent light without an ``n_max_guard``: by Poisson splitting the bins
-  are independent, and bin j fires with p_j = 1 - (1 - nu) exp(-q_j nbar),
-  dark counts included. Each bin is sampled sparsely, at a cost of
-  O(min(clicks, misses)): a bin with p_j > 1/2 is *flipped*, and its drawn
-  pulses are the ones that miss. A *dense* bin, one that expects many
-  drawn pulses, takes a binomial number of pulses and then that many
+Where pulse identities are needed (time tags and :func:`simulate_pulse`), one
+block of pulses is sampled by one of three exact kernels:
+
+* Coherent light without an ``n_max_guard``: each bin is sampled sparsely, at
+  a cost of O(min(clicks, misses)): a bin with p_j > 1/2 is *flipped*, and
+  its drawn pulses are the ones that miss. A *dense* bin, one that expects
+  many drawn pulses, takes a binomial number of pulses and then that many
   distinct pulses; all *sparse* bins of a block are drawn at once, by
   geometric gaps between their pulses.
 * Fock(1) and LossyFock(1, t), unless a guard of 0 must see each photon:
@@ -21,25 +26,23 @@ three exact kernels:
 
 The last two draw the dark counts from the per-bin kernel with p_j = nu and
 merge them with the photon pairs sparsely; no (pulses, bins) array is built.
+Their blocks also serve the ensembles of every source but unguarded
+Coherent light.
 
 All that the per-bin kernel works out before its first draw (which bins
 flip, which are dense or sparse, the gap counts and the first round of
 gaps' fixed arrays) is a plan, made once per call and block size and shared
 by every block of that size. A block's output is its clicks per bin and its
 (pulse, bin) pairs, each filed as a hit or, for a flipped bin, a miss as it
-is drawn. The ensemble tallies that encoding directly, in O(min(clicks,
-misses)): a pulse's k-count is the number of flipped bins plus its hits
-minus its misses. Only the time-tag emitter, whose output is O(clicks)
-anyway, expands misses into clicks (``_hit_pairs``). Both run their blocks
-through one block map, ``_map_blocks``. Randomness comes from counter-based
-Philox streams keyed by the seed and jumped per fixed-size pulse block, so
-histograms and tag streams are bit-identical for a given seed no matter how
-many workers run the blocks.
+is drawn; the time-tag emitter expands misses into clicks (``_hit_pairs``).
+Blocks run through one block map, ``_map_blocks``. Randomness comes from
+counter-based Philox streams keyed by the seed and jumped per fixed-size
+pulse block, so histograms and tag streams are bit-identical for a given
+seed no matter how many workers run the blocks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -135,7 +138,8 @@ class SimOptions:
 
     ``n_pulses`` pulses are drawn from Philox streams keyed by ``seed``, in
     blocks of ``BLOCK_SIZE`` spread over ``n_workers`` threads; the output
-    does not depend on ``n_workers``.
+    does not depend on ``n_workers``. An ensemble of unguarded Coherent
+    light draws no blocks, so it runs no threads whatever ``n_workers`` is.
     """
 
     n_pulses: int
@@ -256,12 +260,23 @@ def _concat(parts: list) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
-def _plan_bins(size: int, log_miss: np.ndarray) -> _Plan:
-    """The :class:`_Plan` of :func:`_sample_clicks` for bins of log no-click probability ``log_miss``."""
+def _pair_probs(log_miss: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(miss, flip, p')`` of bins of log no-click probability ``log_miss``.
+
+    ``miss`` is the no-click probability, ``flip`` marks the bins that fire
+    more often than not and p' = min(p, 1 - p) is what a flipped bin draws
+    misses with and any other bin clicks with. Taking both from the log keeps
+    both tails exact.
+    """
     hit = -np.expm1(log_miss)
     miss = np.exp(log_miss)
     flip = miss < hit
-    p = np.where(flip, miss, hit)
+    return miss, flip, np.where(flip, miss, hit)
+
+
+def _plan_bins(size: int, log_miss: np.ndarray) -> _Plan:
+    """The :class:`_Plan` of :func:`_sample_clicks` for bins of log no-click probability ``log_miss``."""
+    miss, flip, p = _pair_probs(log_miss)
     expected = size * p
     dense = np.flatnonzero(expected >= _SPARSE_PAIRS)
     sparse = np.flatnonzero((expected > 0) & (expected < _SPARSE_PAIRS))
@@ -388,6 +403,45 @@ def _route_photons(
     return np.concatenate(pulses), np.repeat(np.arange(len(counts)), counts)
 
 
+def _independent_bins(config: LoopConfig, source: PhotonSource) -> bool:
+    """Whether the bins fire independently: unguarded Coherent light (the guard needs photon numbers)."""
+    return isinstance(source, Coherent) and config.n_max_guard is None
+
+
+def _coherent_log_miss(config: LoopConfig, source: Coherent) -> np.ndarray:
+    """log P(bin j does not fire) for Coherent light: log(1 - nu) - q_j nbar."""
+    return np.log1p(-config.nu) - analytic.bin_exit_probs(config) * source.nbar
+
+
+def _fired_count_classes(
+    log_miss: np.ndarray, n_pulses: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clicks per bin and k-counts of ``n_pulses`` pulses whose bins fire independently.
+
+    Bin j fires in each pulse with probability 1 - exp(``log_miss[j]``),
+    independently of the other bins and pulses. Pulses fall into classes by
+    the number k of bins they have fired so far, H_k pulses each; H starts as
+    (n_pulses, 0, ..., 0). Given the classes, bin j's column is i.i.d.
+    Bernoulli(p_j) over the pulses, so X_k ~ Binomial(H_k, p_j) of class k
+    fire it, one draw for every class at once. A flipped bin draws the pulses
+    that miss it, with p' = 1 - p_j, and fires in the rest. Bin j then has
+    sum(X) clicks and X moves up one class. The final H is the k-counts.
+    Exact in law, and O(n_bins) a bin whatever ``n_pulses`` is.
+    """
+    _miss, flip, p = _pair_probs(log_miss)
+    classes = np.zeros(len(log_miss) + 1, dtype=np.int64)
+    classes[0] = n_pulses
+    clicks = np.empty(len(log_miss), dtype=np.int64)
+    for j, (p_j, flipped) in enumerate(zip(p.tolist(), flip.tolist())):
+        fired = rng.binomial(classes, p_j)
+        if flipped:
+            fired = classes - fired
+        clicks[j] = fired.sum()
+        classes -= fired
+        classes[1:] += fired[:-1]  # the last class stays empty until the last bin has fired
+    return clicks, classes
+
+
 def _plan_block(config: LoopConfig, source: PhotonSource, size: int) -> _Plan:
     """The :class:`_Plan` of :func:`_simulate_block` for blocks of ``size`` pulses.
 
@@ -398,11 +452,10 @@ def _plan_block(config: LoopConfig, source: PhotonSource, size: int) -> _Plan:
     Fock(1) and LossyFock(1, t) route theirs by ``cdf`` = cumsum(t q_j),
     unless a guard of 0 has to see each photon to refuse it.
     """
+    if _independent_bins(config, source):
+        return _plan_bins(size, _coherent_log_miss(config, source))
     q = analytic.bin_exit_probs(config)
-    log_no_dark = np.full(config.n_bins, np.log1p(-config.nu))
-    if isinstance(source, Coherent) and config.n_max_guard is None:
-        return _plan_bins(size, log_no_dark - q * source.nbar)
-    plan = _plan_bins(size, log_no_dark)._replace(route=q)
+    plan = _plan_bins(size, np.full(config.n_bins, np.log1p(-config.nu)))._replace(route=q)
     if isinstance(source, (Fock, LossyFock)) and source.n == 1 and config.n_max_guard != 0:
         return plan._replace(cdf=np.cumsum(q * source.mean_photon_number()))
     return plan
@@ -472,6 +525,8 @@ def _map_blocks(
         return fn(block, _simulate_block(config, source, plan, _block_rng(opts.seed, block)))
 
     if opts.n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imports logging: only when it is used
+
         with ThreadPoolExecutor(max_workers=opts.n_workers) as pool:
             yield from pool.map(run, blocks)
     else:
@@ -496,31 +551,31 @@ def simulate_ensemble(
     ``(ClickHistogram, ClickPatternStats)``. Deterministic for a fixed
     seed, independent of ``n_workers``.
 
-    Each block comes as its :class:`_Draws`, from the kernel that
-    :func:`_plan_block` picked for the source. The tally takes each bin's
-    clicks as the kernel counted them and never expands a flipped bin's
-    misses into clicks, so a saturated bin costs O(misses), not O(size): a
-    pulse's k-count is the number of flipped bins plus its hits minus its
-    misses. Artifacts act on detector records, so only
-    :func:`emit_time_tags` models them.
+    Unguarded Coherent light draws no pulses: its bins fire independently,
+    and :func:`_fired_count_classes` draws the clicks and k-counts by
+    fired-count classes from the seed's Philox stream, in O(n_bins^2) draws
+    and work whatever ``opts.n_pulses`` is. This is an exact sample of the
+    same law as :func:`emit_time_tags`, but not the same draw. Every other
+    source runs the pulse blocks of :func:`_plan_block`'s kernel, which file
+    every pair as a hit: a pulse's k-count is its number of pairs. Artifacts
+    act on detector records, so only :func:`emit_time_tags` models them.
     """
     if opts.n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {opts.n_pulses}")
     n_bins = config.n_bins
+    if _independent_bins(config, source):
+        log_miss = _coherent_log_miss(config, source)
+        clicks, k_counts = _fired_count_classes(log_miss, opts.n_pulses, _block_rng(opts.seed, 0))
+    else:
+        def tally(_block, draws):
+            fired_per_pulse = np.bincount(_concat([p for _j, p in draws.hits]), minlength=draws.size)
+            return draws.clicks, np.bincount(fired_per_pulse, minlength=n_bins + 1)
 
-    def tally(_block, draws):
-        fired_per_pulse = np.count_nonzero(draws.flip) + np.bincount(
-            _concat([p for _j, p in draws.hits]), minlength=draws.size
-        )
-        if draws.misses:
-            fired_per_pulse -= np.bincount(_concat([p for _j, p in draws.misses]), minlength=draws.size)
-        return draws.clicks, np.bincount(fired_per_pulse, minlength=n_bins + 1)
-
-    clicks = np.zeros(n_bins, dtype=np.int64)
-    k_counts = np.zeros(n_bins + 1, dtype=np.int64)
-    for block_clicks, block_k in _map_blocks(config, source, opts, tally):
-        clicks += block_clicks
-        k_counts += block_k
+        clicks = np.zeros(n_bins, dtype=np.int64)
+        k_counts = np.zeros(n_bins + 1, dtype=np.int64)
+        for block_clicks, block_k in _map_blocks(config, source, opts, tally):
+            clicks += block_clicks
+            k_counts += block_k
     hist = ClickHistogram.from_clicks(clicks, opts.n_pulses)
     stats = ClickPatternStats.from_counts(k_counts, hist.p_hat)
     return SimulationResult(histogram=hist, pattern_stats=stats)
@@ -549,9 +604,12 @@ def emit_time_tags(
     One sync record marks each pulse start; a detector record is placed at
     ``start + j * loop_delay_ps`` for every fired bin j. Without
     ``artifact``, gating the stream gives the clicks that were sampled, so
-    its histogram and k-counts are those of :func:`simulate_ensemble` (the
-    pattern RNG stream is shared). With it, back-reflection records and
-    dead-time suppression are applied to the detector channel.
+    its histogram and k-counts are those of its own pulses. They are those
+    of :func:`simulate_ensemble` too (the pattern RNG stream is shared),
+    except for unguarded Coherent light, whose ensemble is drawn by
+    fired-count classes: the same law, not the same draw. With ``artifact``,
+    back-reflection records and dead-time suppression are applied to the
+    detector channel.
     Deterministic for a fixed seed, independent of ``opts.n_workers``. The
     records are those of :func:`iter_time_tags`, joined.
     """

@@ -151,20 +151,34 @@ class TestSimulateCommand:
              "coherent:100", "coherent:3-guarded"],
     )
     def test_tagged_histogram_matches_untagged(self, runner, config_file, tmp_path, source, guard):
-        """-o of a tagged run tallies the sampled clicks: it equals the ensemble's and the gated tags'."""
+        """-o of a tagged run tallies the sampled clicks: it equals the gated tags' and the records' own.
+
+        The untagged run draws the same pulses, apart from unguarded coherent light, whose
+        ensemble is drawn by fired-count classes: the same law, so it agrees bin by bin within 5 sigma.
+        """
         config = tmp_path / "run.json"
         config.write_text(json.dumps({**json.loads(Path(config_file).read_text()), "n_max_guard": guard}))
-        args = [
-            "simulate", "--config", str(config), "--source", source,
-            "--pulses", str(simulator.BLOCK_SIZE + 500), "--seed", "13",
-        ]
+        n_pulses = simulator.BLOCK_SIZE + 500
+        args = ["simulate", "--config", str(config), "--source", source, "--pulses", str(n_pulses), "--seed", "13"]
         run_ok(runner, args + ["-o", str(tmp_path / "plain.csv")])
         run_ok(runner, args + ["-o", str(tmp_path / "tagged.csv"), "--emit-tags", str(tmp_path / "t.csv")])
         run_ok(runner, ["analyze", "--config", str(config), "--tags", str(tmp_path / "t.csv"),
                         "-o", str(tmp_path / "r.json"), "--hist-output", str(tmp_path / "gated.csv"),
                         "--bootstrap-iterations", "10"])
-        assert (tmp_path / "tagged.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert (tmp_path / "tagged.csv").read_bytes() == (tmp_path / "gated.csv").read_bytes()
+        loop = cli.load_loop_config(str(config))
+        stream = read_tags_csv(str(tmp_path / "t.csv"))
+        records = stream.times_ps[stream.channels == stream.detector_channel]
+        rep = (loop.n_bins + 4) * loop.loop_delay_ps  # the default period
+        bins = records % rep // loop.loop_delay_ps - 1
+        tagged = read_histogram_csv(str(tmp_path / "tagged.csv")).clicks
+        np.testing.assert_array_equal(tagged, np.bincount(bins, minlength=loop.n_bins))
+        if source.startswith("coherent") and guard is None:
+            plain = read_histogram_csv(str(tmp_path / "plain.csv")).clicks
+            p = (plain + tagged) / (2 * n_pulses)
+            assert (np.abs(plain - tagged) <= 5 * np.sqrt(2 * n_pulses * p * (1 - p)) + 1e-9).all()
+        else:
+            assert (tmp_path / "tagged.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_failure_in_a_later_block_leaves_no_outputs(self, runner, tmp_path):
         """Block 0 passes the guard and is written; block 1 exceeds it: neither file is left."""
@@ -233,9 +247,9 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("value", ["158000", "78000"])
     def test_reflection_delay_off_the_gates_keeps_the_histogram(self, runner, config_file, tmp_path, value):
-        """Spurs outside every gate of their pulse are discarded: -o is that of the run without them."""
+        """Spurs outside every gate of their pulse are discarded: -o is that of the tagged run without them."""
         run = ["simulate", "--config", config_file, "--source", "coherent:2", "--pulses", "5000", "--seed", "1"]
-        run_ok(runner, [*run, "-o", str(tmp_path / "clean.csv")])
+        run_ok(runner, [*run, "-o", str(tmp_path / "clean.csv"), "--emit-tags", str(tmp_path / "clean_tags.csv")])
         run_ok(runner, [*run, "-o", str(tmp_path / "spurs.csv"),
                         "--back-reflection-prob", "0.5", "--reflection-delay-ps", value])
         assert (tmp_path / "spurs.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
@@ -1475,6 +1489,14 @@ class TestColdStart:
         proc = _run_python(
             "import sys, photonloop.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_thread_pool(self):
+        """concurrent.futures, and the logging it imports, load only when a run asks for workers."""
+        proc = _run_python(
+            "import sys, photonloop.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

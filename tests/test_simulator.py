@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -16,6 +17,7 @@ from photonloop import (
     MultiThermal,
     SimOptions,
     Thermal,
+    TimeTagStream,
     analytic,
     clickstats,
     simulator,
@@ -126,6 +128,26 @@ def _poisson_binomial(p):
     return c
 
 
+def _k_count_chi2(observed, expected):
+    """Pearson chi^2 and dof of k-counts, both sparse tails pooled so every cell expects >= 5 pulses."""
+    lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
+    pool = lambda c: np.concatenate(([c[: lo + 1].sum()], c[lo + 1 : hi], [c[hi:].sum()]))
+    observed, expected = pool(observed), pool(expected)
+    return float(((observed - expected) ** 2 / expected).sum()), len(expected) - 1
+
+
+def _record_counts(stream, config, rep_period_ps):
+    """Clicks per bin and k-counts read straight off a clean stream's detector records, ungated.
+
+    Without artifacts a record of pulse i and bin j sits at i * rep_period_ps + j * loop_delay_ps.
+    """
+    syncs = stream.times_ps[stream.channels == stream.sync_channel]
+    records = stream.times_ps[stream.channels == stream.detector_channel]
+    clicks = np.bincount(records % rep_period_ps // config.loop_delay_ps - 1, minlength=config.n_bins)
+    fired = np.bincount(records // rep_period_ps, minlength=len(syncs))
+    return clicks, np.bincount(fired, minlength=config.n_bins + 1)
+
+
 class _CountingRng:
     """A generator that counts its ``random`` calls: one per round of geometric gaps."""
 
@@ -184,13 +206,8 @@ class TestSparseKernel:
         mean, var = n_blocks * p.sum(), n_blocks * (p * (1.0 - p)).sum()
         chi2 = float(((per_pulse - mean) ** 2 / var).sum())
         assert _chi2_within_bounds(chi2, len(per_pulse)), f"per pulse: chi2 = {chi2:.2f}"
-        # pool both sparse tails of the k-count distribution so every cell expects at least 5 pulses
-        expected = _poisson_binomial(p) * m
-        lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
-        pool = lambda c: np.concatenate(([c[: lo + 1].sum()], c[lo + 1 : hi], [c[hi:].sum()]))
-        observed, expected = pool(k_counts), pool(expected)
-        chi2 = float(((observed - expected) ** 2 / expected).sum())
-        assert _chi2_within_bounds(chi2, len(expected) - 1), f"k-counts: chi2 = {chi2:.2f}"
+        chi2, dof = _k_count_chi2(k_counts, _poisson_binomial(p) * m)
+        assert _chi2_within_bounds(chi2, dof), f"k-counts: chi2 = {chi2:.2f}"
 
     def log_miss(self, nbar):
         """Per-bin log no-click probability of Coherent(nbar) on ``CFG``, dark counts included."""
@@ -292,25 +309,24 @@ class TestSparseKernel:
         # the second would draw one round a block. Without margin a bin's first gaps often end
         # inside the block, in both full blocks and in the partial last one
         source, opts = Coherent(3.0), SimOptions(n_pulses=2 * simulator.BLOCK_SIZE + 5000, seed=700)
-        simulator.simulate_ensemble(self.CFG, source, opts)
+        rep = (self.CFG.n_bins + 4) * self.CFG.loop_delay_ps
+        simulator.emit_time_tags(self.CFG, source, opts, rep)
         monkeypatch.setattr(simulator, "_GAP_MARGIN", 0.0)
         block_rng, counting = simulator._block_rng, []
         monkeypatch.setattr(
             simulator, "_block_rng", lambda *args: counting.append(_CountingRng(block_rng(*args))) or counting[-1]
         )
-        hist, stats = simulator.simulate_ensemble(self.CFG, source, opts)
-        assert len(counting) == 3 and sum(c.rounds for c in counting) > len(counting)
-        rep = (self.CFG.n_bins + 4) * self.CFG.loop_delay_ps
         stream = simulator.emit_time_tags(self.CFG, source, opts, rep)
+        assert len(counting) == 3 and sum(c.rounds for c in counting) > len(counting)
+        clicks, k_counts = _record_counts(stream, self.CFG, rep)
         gated = clickstats.ingest_time_tags(stream, self.CFG)
-        np.testing.assert_array_equal(gated.histogram.clicks, hist.clicks)
-        np.testing.assert_array_equal(gated.pattern_stats.c, stats.c)
+        np.testing.assert_array_equal(gated.histogram.clicks, clicks)
+        np.testing.assert_array_equal(gated.pattern_stats.c, k_counts / opts.n_pulses)
         # every pulse of the run is its own index, so the partial block's pulses are tested too
         detector = stream.times_ps[stream.channels == stream.detector_channel]
         per_pulse = np.bincount(detector // rep, minlength=opts.n_pulses)
-        k_counts = np.rint(stats.c * opts.n_pulses)
         p = np.array([analytic.click_prob_closed(self.CFG, source, j) for j in range(1, 21)])
-        self.check_closed_forms(p, 1, hist.clicks, per_pulse, k_counts)
+        self.check_closed_forms(p, 1, clicks, per_pulse, k_counts)
 
     def test_extreme_probabilities_raise_no_warning(self):
         # p = 0, p = 1, a p whose log1p(-p) is subnormal, and a p whose miss probability is
@@ -503,35 +519,103 @@ class TestSinglePhotonKernel:
             simulator.simulate_ensemble(cfg, Fock(1), SimOptions(n_pulses=1000, seed=44))
 
 
+class TestFiredCountClasses:
+    """Unguarded Coherent ensembles, drawn by fired-count classes, against their exact law.
+
+    The bins fire independently with p_j = 1 - (1 - nu) exp(-q_j nbar), so bin j's clicks are
+    Binomial(n, p_j) and a pulse's k is Poisson-binomial over the p_j.
+    """
+
+    HDR = LoopConfig(mode="passive", R=0.9137, eta=0.8615, nu=1.2e-7, n_bins=130)
+    LOOP_40 = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-4, n_bins=40)
+
+    @pytest.mark.parametrize(
+        "cfg, source",
+        [
+            # bins 1-33 flip (p_j > 1/2), 18 of them certain to fire in all 8e6 pulses
+            (HDR, Coherent(208_011.0 / analytic.output_fraction(HDR))),
+            (HDR, Coherent(4.5)),
+            (LOOP_40, Coherent(2.0)),
+        ],
+        ids=["hdr-bright", "hdr-attenuated", "loop-40"],
+    )
+    def test_pooled_runs_follow_the_law(self, cfg, source):
+        m, seeds = 20_000, range(400)
+        clicks, k_counts = np.zeros(cfg.n_bins), np.zeros(cfg.n_bins + 1)
+        for seed in seeds:
+            hist, stats = simulator.simulate_ensemble(cfg, source, SimOptions(n_pulses=m, seed=seed))
+            clicks += hist.clicks
+            k_counts += np.rint(stats.c * m)
+        n = m * len(seeds)
+        q = np.array([analytic.bin_exit_prob(cfg, j) for j in range(1, cfg.n_bins + 1)])
+        miss = (1.0 - cfg.nu) * np.exp(-q * source.nbar)
+        p = 1.0 - miss
+        # per-bin clicks: exact where the rarer outcome is out of reach, a z-score where it is not
+        certain = n * np.minimum(p, miss) < 1e-6
+        np.testing.assert_array_equal(clicks[certain], np.where(p[certain] > 0.5, n, 0))
+        var = n * p * miss
+        tested = var > 5.0
+        z = (clicks - n * p) / np.sqrt(np.where(tested, var, 1.0))
+        worst = np.abs(np.where(tested, z, 0.0)).argmax()
+        assert abs(z[worst]) < 5.0, f"bin {worst + 1}: z = {z[worst]:.1f}"
+        chi2, dof = _k_count_chi2(k_counts, _poisson_binomial(p) * n)
+        assert dof >= 5 and _chi2_within_bounds(chi2, dof), f"k-counts: chi2 = {chi2:.2f} over {dof}"
+
+    @pytest.mark.parametrize(
+        "nbar, nu, n_pulses",
+        [(0.0, 1e-3, 50_000), (0.0, 0.0, 50_000), (2.0, 1e-4, 1), (2.0, 1e-4, 2**62), (1e6, 1e-4, 2**62)],
+        ids=["dark-only", "nothing-fires", "one-pulse", "2**62-pulses", "2**62-saturated"],
+    )
+    def test_classes_hold_every_pulse_once(self, nbar, nu, n_pulses):
+        """Each pulse sits in one class, and a pulse in class k made k of the clicks."""
+        cfg = dataclasses.replace(self.LOOP_40, nu=nu)
+        hist, stats = simulator.simulate_ensemble(cfg, Coherent(nbar), SimOptions(n_pulses=n_pulses, seed=3))
+        assert hist.trials == n_pulses and stats.c.sum() == pytest.approx(1.0)
+        log_miss = simulator._coherent_log_miss(cfg, Coherent(nbar))
+        clicks, k_counts = simulator._fired_count_classes(log_miss, n_pulses, simulator._block_rng(3, 0))
+        np.testing.assert_array_equal(clicks, hist.clicks)
+        assert sum(k_counts.tolist()) == n_pulses
+        assert sum(k * h for k, h in enumerate(k_counts.tolist())) == sum(clicks.tolist())
+        assert (k_counts >= 0).all() and (clicks >= 0).all() and (clicks <= n_pulses).all()
+        if nbar == 0.0 and nu == 0.0:
+            assert not clicks.any() and k_counts[0] == n_pulses
+
+
 class TestEmitTimeTags:
     def test_round_trip_reproduces_ensemble(self, splitter_half_config):
+        """Gating a clean stream gives the sampled ensemble: the clicks and k-counts of its records."""
         cfg = LoopConfig(
             mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=30
         )
         opts = SimOptions(n_pulses=4_000, seed=42)
-        hist, stats = simulator.simulate_ensemble(cfg, Coherent(3.0), opts)
-        stream = simulator.emit_time_tags(cfg, Coherent(3.0), opts, 40 * cfg.loop_delay_ps)
+        rep = 40 * cfg.loop_delay_ps
+        stream = simulator.emit_time_tags(cfg, Coherent(3.0), opts, rep)
+        clicks, k_counts = _record_counts(stream, cfg, rep)
         got = clickstats.ingest_time_tags(stream, cfg)
-        np.testing.assert_array_equal(got.histogram.clicks, hist.clicks)
-        np.testing.assert_array_equal(got.pattern_stats.c, stats.c)
+        np.testing.assert_array_equal(got.histogram.clicks, clicks)
+        np.testing.assert_array_equal(got.pattern_stats.c, k_counts / opts.n_pulses)
         assert got.n_discarded == 0
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_round_trip_with_saturated_bins(self, n_workers):
         # bins 1-13 fire in every pulse (flipped, no misses) and bins 15-17 are flipped
-        # with 37 to 9,700 expected misses: the ensemble tallies them from their misses,
+        # with 37 to 9,700 expected misses: the kernel counts their clicks from their misses,
         # and the emitter expands the misses into records
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=30)
         source = Coherent(1e6)
         opts = SimOptions(n_pulses=40_000, seed=17, n_workers=n_workers)
-        hist, stats = simulator.simulate_ensemble(cfg, source, opts)
-        assert (hist.clicks[:13] == opts.n_pulses).all()
-        assert (0 < opts.n_pulses - hist.clicks[14:17]).all()
-        assert (opts.n_pulses - hist.clicks[14:17] < opts.n_pulses // 2).all()
-        stream = simulator.emit_time_tags(cfg, source, opts, 40 * cfg.loop_delay_ps)
+        rep = 40 * cfg.loop_delay_ps
+        chunks = list(simulator.iter_time_tags(cfg, source, opts, rep))
+        sampled = np.sum([clicks for _channels, _times, clicks in chunks], axis=0)
+        assert (sampled[:13] == opts.n_pulses).all()
+        assert (0 < opts.n_pulses - sampled[14:17]).all()
+        assert (opts.n_pulses - sampled[14:17] < opts.n_pulses // 2).all()
+        stream = simulator.emit_time_tags(cfg, source, opts, rep)
+        clicks, k_counts = _record_counts(stream, cfg, rep)
+        np.testing.assert_array_equal(clicks, sampled)
         got = clickstats.ingest_time_tags(stream, cfg)
-        np.testing.assert_array_equal(got.histogram.clicks, hist.clicks)
-        np.testing.assert_array_equal(got.pattern_stats.c, stats.c)
+        np.testing.assert_array_equal(got.histogram.clicks, sampled)
+        np.testing.assert_array_equal(got.pattern_stats.c, k_counts / opts.n_pulses)
         assert got.n_discarded == 0
 
     def test_zero_pulses_gives_empty_stream(self, splitter_half_config):
@@ -585,12 +669,12 @@ class TestEmitTimeTags:
         """Spurs 158,000 ps late sit on the next bin's right gate edge, which the gate excludes."""
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-4, n_bins=40)
         art = ArtifactModel(back_reflection_prob=0.5, reflection_delay_ps=158_000, dead_time_ps=0)
-        opts = SimOptions(n_pulses=5_000, seed=1)
-        stream = simulator.emit_time_tags(cfg, Coherent(2.0), opts, 44 * cfg.loop_delay_ps, art)
+        opts, rep = SimOptions(n_pulses=5_000, seed=1), 44 * cfg.loop_delay_ps
+        stream = simulator.emit_time_tags(cfg, Coherent(2.0), opts, rep, art)
         gated = clickstats.ingest_time_tags(stream, cfg)
-        hist = simulator.simulate_ensemble(cfg, Coherent(2.0), opts).histogram
+        clean = simulator.emit_time_tags(cfg, Coherent(2.0), opts, rep)
         assert gated.n_discarded > 1_000
-        np.testing.assert_array_equal(gated.histogram.clicks, hist.clicks)
+        np.testing.assert_array_equal(gated.histogram.clicks, _record_counts(clean, cfg, rep)[0])
 
     def test_sync_precedes_detector_record_at_same_time(self):
         # spurs of bin-1 records land exactly on the next sync: 156000 + 6708001 = 6864001
@@ -663,12 +747,12 @@ class TestTagChunks:
             assert (channels[0], times[0]) == (0, block * self.BLOCK_PS)
         channels, times, clicks = zip(*chunks)
         channels, times = np.concatenate(channels), np.concatenate(times)
+        want_channels, want_times = _whole_stream_tags(self.CFG, source, opts, self.REP, artifact)
         if artifact:
             assert clicks == (None,) * 4
-        else:  # the sampled clicks, as the ensemble tallies them
-            hist = simulator.simulate_ensemble(self.CFG, source, opts).histogram
-            np.testing.assert_array_equal(np.sum(clicks, axis=0), hist.clicks)
-        want_channels, want_times = _whole_stream_tags(self.CFG, source, opts, self.REP, artifact)
+        else:  # the sampled clicks, as the kernel counted them: those of the records
+            want = TimeTagStream(channels=want_channels, times_ps=want_times)
+            np.testing.assert_array_equal(np.sum(clicks, axis=0), _record_counts(want, self.CFG, self.REP)[0])
         np.testing.assert_array_equal(times, want_times)
         np.testing.assert_array_equal(channels, want_channels)
         stream = simulator.emit_time_tags(self.CFG, source, opts, self.REP, artifact)
@@ -790,11 +874,12 @@ class TestBlockRng:
 class TestSeededOutputs:
     """SHA-256 pins of seeded outputs, so a kernel change cannot alter them silently.
 
-    The digests date from version 0.9.0, which draws sparse bins by
-    geometric gaps, apart from the LossyFock(1, 0.6) ones, which version
-    0.12.0 drew by one uniform a pulse; the ensemble ones hold for any
-    worker count. A change that means to draw differently updates them and
-    bumps the version.
+    The unguarded coherent ensembles date from version 0.13.0, which draws
+    them by fired-count classes. The LossyFock(1, 0.6) ones date from 0.12.0,
+    which draws one uniform a pulse; the others, the tag streams and guarded
+    Coherent light included, from 0.9.0, which draws sparse bins by geometric
+    gaps. The ensemble ones hold for any worker count. A change that means to
+    draw differently updates them and bumps the version.
     """
 
     CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
@@ -804,23 +889,26 @@ class TestSeededOutputs:
     HDR_BRIGHT = Coherent(208_011.0 / analytic.output_fraction(HDR))
 
     @pytest.mark.parametrize(
-        "source, digest",
+        "source, guard, digest",
         [
-            (Coherent(3.0), "cd2b8aa1dc6ae517abeb1fad853ec419ce56528894f25fa61659aa70ff7dc48e"),
-            (Coherent(300.0), "359c10c62e637033bed20f4c11bfaf8a89e2ead2215dd8940351bcc9f4f3bbdf"),
-            (Coherent(1e6), "728a2f62bcf08094b116c0c2764b8d037356b9fa74fc2667b21de768a2f7b0dc"),
-            (LossyFock(1, 0.6), "dd876a865977aa087be214584fbf1376ff43593b6620c5c91f72f920785131dd"),
-            # the routing chain's sources, pinned at version 0.11.0
-            (Fock(3), "8f09e974fba95246d964321cc59ab941bb474514838adc5cfcb4bc954c919a81"),
-            (Thermal(3.0), "92cb21bba1b23a178a66f48c5ef63848afac92b235658ce4608293d531eb7a93"),
+            (Coherent(3.0), None, "19f62360e34b073a862de4faf77f9928323d31f439fcabf08c17a2bbf9dd666a"),
+            (Coherent(300.0), None, "d0dc08229e22c03c35c93f6b69c64e328f74b90be36465ff02d647ad6899f80f"),
+            (Coherent(1e6), None, "df9fb40fb17e26adb85c2294e98544806dfcf7629ab7eb339deeb21691ad875b"),
+            (LossyFock(1, 0.6), None, "dd876a865977aa087be214584fbf1376ff43593b6620c5c91f72f920785131dd"),
+            # the routing chain's sources, pinned at version 0.11.0, and guarded Coherent light
+            # at 0.12.0: the chain draws its pulses as it did before the class kernel came
+            (Fock(3), None, "8f09e974fba95246d964321cc59ab941bb474514838adc5cfcb4bc954c919a81"),
+            (Thermal(3.0), None, "92cb21bba1b23a178a66f48c5ef63848afac92b235658ce4608293d531eb7a93"),
+            (Coherent(3.0), 40, "ffd6bf42c6e8106465ca4d01d7a3c6356845dd85a266855f0b98dd5ff0826f73"),
         ],
-        ids=["coherent-3", "coherent-300", "coherent-1e6", "lossyfock", "fock-3", "thermal-3"],
+        ids=[
+            "coherent-3", "coherent-300", "coherent-1e6", "lossyfock", "fock-3", "thermal-3", "coherent-3-guarded"
+        ],
     )
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_ensemble_digest(self, source, digest, n_workers):
-        hist, stats = simulator.simulate_ensemble(
-            self.CFG, source, SimOptions(**self.OPTS, n_workers=n_workers)
-        )
+    def test_ensemble_digest(self, source, guard, digest, n_workers):
+        cfg = dataclasses.replace(self.CFG, n_max_guard=guard)
+        hist, stats = simulator.simulate_ensemble(cfg, source, SimOptions(**self.OPTS, n_workers=n_workers))
         k_counts = np.rint(stats.c * hist.trials).astype("<i8")
         got = hashlib.sha256(hist.clicks.astype("<i8").tobytes() + k_counts.tobytes())
         assert got.hexdigest() == digest
@@ -828,14 +916,14 @@ class TestSeededOutputs:
     @pytest.mark.parametrize(
         "source, digest",
         [
-            (HDR_BRIGHT, "242ccdf398349d1667f39be0338c02c01e7a595755c42d2926d22e0b96f725c4"),
-            (Coherent(4.5), "46266a989688f665a1e51045861db6b582a1b0a1bfbd63822a5d73957407b3e1"),
+            (HDR_BRIGHT, "941f3939386fa67c5ca43e119b1a6b34e2bf09b0d8516be9f15310d9c60fce18"),
+            (Coherent(4.5), "365ded2af39b1229e31b608f232486be116e1eb6c20052dfb5d90e020ad18f87"),
         ],
         ids=["hdr-bright", "hdr-attenuated"],
     )
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_hdr_ensemble_digest(self, source, digest, n_workers):
-        """The hdr_calibration loop's two legs, pinned at version 0.10.0."""
+        """The hdr_calibration loop's two legs, pinned at version 0.13.0."""
         hist, stats = simulator.simulate_ensemble(
             self.HDR, source, SimOptions(**self.OPTS, n_workers=n_workers)
         )
@@ -850,14 +938,19 @@ class TestSeededOutputs:
         assert plan.dense_flip.any() and not plan.dense_flip.all()
         assert plan.flip[plan.sparse].any() and not plan.flip[plan.sparse].all()
         opts = SimOptions(**self.OPTS)
-        hist, stats = simulator.simulate_ensemble(self.HDR, self.HDR_BRIGHT, opts)
         gate = clickstats.TagGate(self.HDR)
         rep = (self.HDR.n_bins + 4) * self.HDR.loop_delay_ps
-        for channels, times, _clicks in simulator.iter_time_tags(self.HDR, self.HDR_BRIGHT, opts, rep):
+        sampled, parts = np.zeros(self.HDR.n_bins, dtype=np.int64), []
+        for channels, times, clicks in simulator.iter_time_tags(self.HDR, self.HDR_BRIGHT, opts, rep):
             gate.feed(channels, times)
+            sampled += clicks
+            parts.append((channels, times))
         gated = gate.result()
-        np.testing.assert_array_equal(gated.histogram.clicks, hist.clicks)
-        np.testing.assert_array_equal(gated.pattern_stats.c, stats.c)
+        channels, times = (np.concatenate(part) for part in zip(*parts))
+        clicks, k_counts = _record_counts(TimeTagStream(channels=channels, times_ps=times), self.HDR, rep)
+        np.testing.assert_array_equal(clicks, sampled)
+        np.testing.assert_array_equal(gated.histogram.clicks, sampled)
+        np.testing.assert_array_equal(gated.pattern_stats.c, k_counts / opts.n_pulses)
 
     @pytest.mark.parametrize(
         "source, artifact, digest",
