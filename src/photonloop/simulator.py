@@ -10,12 +10,11 @@ them bin by bin, one binomial per class (:func:`_fired_count_classes`).
 Where pulse identities are needed (time tags and :func:`simulate_pulse`), one
 block of pulses is sampled by one of three exact kernels:
 
-* Coherent light without an ``n_max_guard``: each bin is sampled sparsely, at
-  a cost of O(min(clicks, misses)): a bin with p_j > 1/2 is *flipped*, and
-  its drawn pulses are the ones that miss. A *dense* bin, one that expects
-  many drawn pulses, takes a binomial number of pulses and then that many
-  distinct pulses; all *sparse* bins of a block are drawn at once, by
-  geometric gaps between their pulses.
+* Coherent light without an ``n_max_guard``: the per-bin kernel. A *dense*
+  bin, one that expects many clicks or fires with p_j > 1/2, takes a
+  binomial number of distinct pulses: its clicks, or else the pulses that
+  miss it, which one mask of the block turns into its clicks. All *sparse*
+  bins of a block are drawn at once, by geometric gaps between their clicks.
 * Fock(1) and LossyFock(1, t), unless a guard of 0 must see each photon:
   one uniform u a pulse sends its photon to bin searchsorted(cdf, u) of
   cdf = cumsum(t q_j), or loses it past cdf[-1], exact to 2^-53.
@@ -29,16 +28,15 @@ merge them with the photon pairs sparsely; no (pulses, bins) array is built.
 Their blocks also serve the ensembles of every source but unguarded
 Coherent light.
 
-All that the per-bin kernel works out before its first draw (which bins
-flip, which are dense or sparse, the gap counts and the first round of
-gaps' fixed arrays) is a plan, made once per call and block size and shared
-by every block of that size. A block's output is its clicks per bin and its
-(pulse, bin) pairs, each filed as a hit or, for a flipped bin, a miss as it
-is drawn; the time-tag emitter expands misses into clicks (``_hit_pairs``).
-Blocks run through one block map, ``_map_blocks``. Randomness comes from
-counter-based Philox streams keyed by the seed and jumped per fixed-size
-pulse block, so histograms and tag streams are bit-identical for a given
-seed no matter how many workers run the blocks.
+All that the per-bin kernel works out before its first draw (which bins are
+dense or sparse, the gap counts and the first round of gaps' fixed arrays)
+is a plan, made once per call and block size and shared by every block of
+that size. A block's output is its clicks per bin and its (pulse, bin) click
+pairs, in no particular order. Blocks run through one block map,
+``_map_blocks``. Randomness comes from counter-based Philox streams keyed by
+the seed and jumped per fixed-size pulse block, so histograms and tag
+streams are bit-identical for a given seed no matter how many workers run
+the blocks.
 """
 
 from __future__ import annotations
@@ -78,14 +76,14 @@ BLOCK_SIZE = 16384
 #: Key offset separating the artifact RNG stream from the pattern stream.
 _ARTIFACT_KEY_OFFSET = 1 << 64
 
-#: Expected pairs per block, size * min(p, 1 - p), below which :func:`_sample_clicks` draws a
-#: bin by geometric gaps, with the block's other sparse bins, and not by rng.choice.
+#: Expected clicks per block, size * p, below which :func:`_sample_clicks` draws a bin of
+#: p <= 1/2 by geometric gaps, with the block's other sparse bins, and not by rng.choice.
 # Gaps beat a binomial plus rng.choice up to ~1,024 pairs a bin (8 such bins beside 130 dark ones:
 # 207-211 vs 227-233 us a block), not at 1,536 (500-542 vs 262 us); whole hdr_calibration and
 # 40-bin blocks ran flat from a cutoff of 512 to 1,024 (numpy 2.4, 2 vCPUs)
 _SPARSE_PAIRS = 512
 
-#: A sparse bin expecting mu pairs first draws ceil(mu + _GAP_MARGIN * (sqrt(mu) + 1)) gaps;
+#: A sparse bin expecting mu clicks first draws ceil(mu + _GAP_MARGIN * (sqrt(mu) + 1)) gaps;
 #: at 4 about one hdr_calibration block in 3,000 draws a second round.
 _GAP_MARGIN = 4.0
 
@@ -185,16 +183,14 @@ class _GapRound(NamedTuple):
 
     The round draws for the plan's sparse bins ``sparse[todo]``, ``counts[i]``
     gaps for bin ``todo[i]``, one bin after another. Gap g belongs to bin
-    ``bins[g]``, its pair is a miss when ``miss[g]``, it divides by
-    log(1 - p') ``log_skips[g]`` and its ratio is capped at ``caps[g]``.
-    ``ends`` indexes each bin's last gap.
+    ``bins[g]``, it divides by log(1 - p) ``log_skips[g]`` and its ratio is
+    capped at ``caps[g]``. ``ends`` indexes each bin's last gap.
     """
 
     todo: np.ndarray
     counts: np.ndarray
     ends: np.ndarray
     bins: np.ndarray
-    miss: np.ndarray
     log_skips: np.ndarray
     caps: np.ndarray
 
@@ -203,12 +199,13 @@ class _Plan(NamedTuple):
     """What the block kernel works out before its first draw, for blocks of ``size`` pulses.
 
     Made once per call and block size, by :func:`_plan_bins` or
-    :func:`_plan_block`, and only read by the blocks. Bin j draws pairs with
-    p' = min(p_j, 1 - p_j), and ``flip`` marks p_j > 1/2, whose pairs are
-    misses. Each ``dense`` bin draws Binomial(size, ``p_dense``) pairs,
-    misses where ``dense_flip``. The ``sparse`` bins, ascending, draw
-    geometric gaps with log(1 - p') ``log_skip``, ``n_gaps`` each in the
-    first round, whose fixed part is ``first`` (None without sparse bins).
+    :func:`_plan_block`, and only read by the blocks of ``n_bins`` bins. Each
+    ``dense`` bin draws Binomial(size, ``p_dense``) distinct pulses: its
+    clicks, or, where ``dense_flip`` marks p_j > 1/2, the pulses that miss
+    it, with ``p_dense`` = 1 - p_j. The ``sparse`` bins, ascending and all of
+    p_j <= 1/2, draw geometric gaps with log(1 - p_j) ``log_skip``,
+    ``n_gaps`` each in the first round, whose fixed part is ``first`` (None
+    without sparse bins).
     ``route`` is q_j when the photons are routed apart and the kernel draws
     only the dark counts; it is None when the kernel draws the photons too.
     ``cdf``, cumsum(t q_j), routes a source of at most one photon by one
@@ -216,7 +213,7 @@ class _Plan(NamedTuple):
     """
 
     size: int
-    flip: np.ndarray
+    n_bins: int
     dense: np.ndarray
     dense_flip: np.ndarray
     p_dense: np.ndarray
@@ -233,60 +230,41 @@ class _Plan(NamedTuple):
         bins = self.sparse[todo]
         log_skips = np.repeat(self.log_skip[todo], counts)
         # a gap over size pulses passes the block's end all the same: capping the ratio at
-        # size + 1 keeps a subnormal log1p(-p') from overflowing it
+        # size + 1 keeps a subnormal log1p(-p) from overflowing it
         caps = (self.size + 1) * log_skips
-        miss = np.repeat(self.flip[bins], counts)
-        return _GapRound(todo, counts, np.cumsum(counts) - 1, np.repeat(bins, counts), miss, log_skips, caps)
+        return _GapRound(todo, counts, np.cumsum(counts) - 1, np.repeat(bins, counts), log_skips, caps)
 
 
 class _Draws(NamedTuple):
-    """One block's clicks, as they were drawn.
+    """One block's clicks: ``clicks`` per bin and the (``pulses``, ``bins``) pairs, in no particular order."""
 
-    ``clicks`` holds each bin's clicks in the block's ``size`` pulses. The
-    (pulse, bin) pairs come in parts ``(bins, pulses)``, where ``bins`` is
-    one bin or one bin per pulse. A pair in ``hits`` is a click; one in
-    ``misses`` is a pulse that a ``flip`` bin misses, and a flipped bin fires
-    in every other pulse of the block.
-    """
-
-    size: int
-    flip: np.ndarray
     clicks: np.ndarray
-    hits: list
-    misses: list
+    pulses: np.ndarray
+    bins: np.ndarray
 
 
-def _concat(parts: list) -> np.ndarray:
-    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+def _pair_probs(log_miss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(flip, p')`` of bins of log no-click probability ``log_miss``.
 
-
-def _pair_probs(log_miss: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(miss, flip, p')`` of bins of log no-click probability ``log_miss``.
-
-    ``miss`` is the no-click probability, ``flip`` marks the bins that fire
-    more often than not and p' = min(p, 1 - p) is what a flipped bin draws
-    misses with and any other bin clicks with. Taking both from the log keeps
-    both tails exact.
+    ``flip`` marks the bins that fire more often than not, and p' =
+    min(p, 1 - p) is the chance of what a bin draws: a miss where ``flip``,
+    else a click. Taking both from the log keeps both tails exact.
     """
     hit = -np.expm1(log_miss)
     miss = np.exp(log_miss)
     flip = miss < hit
-    return miss, flip, np.where(flip, miss, hit)
+    return flip, np.where(flip, miss, hit)
 
 
 def _plan_bins(size: int, log_miss: np.ndarray) -> _Plan:
     """The :class:`_Plan` of :func:`_sample_clicks` for bins of log no-click probability ``log_miss``."""
-    miss, flip, p = _pair_probs(log_miss)
+    flip, p = _pair_probs(log_miss)
     expected = size * p
-    dense = np.flatnonzero(expected >= _SPARSE_PAIRS)
-    sparse = np.flatnonzero((expected > 0) & (expected < _SPARSE_PAIRS))
-    # log(1 - p') per sparse bin, from whichever of log_miss and miss holds it exactly
-    log_skip = log_miss[sparse]
-    flipped = flip[sparse]
-    log_skip[flipped] = np.log1p(-miss[sparse[flipped]])
+    dense = np.flatnonzero(flip | (expected >= _SPARSE_PAIRS))
+    sparse = np.flatnonzero(~flip & (expected > 0) & (expected < _SPARSE_PAIRS))
     mean = expected[sparse]
     n_gaps = np.ceil(mean + _GAP_MARGIN * (np.sqrt(mean) + 1.0)).astype(np.int64)
-    plan = _Plan(size, flip, dense, flip[dense], p[dense], sparse, log_skip, n_gaps)
+    plan = _Plan(size, len(log_miss), dense, flip[dense], p[dense], sparse, log_miss[sparse], n_gaps)
     return plan._replace(first=plan.gap_round(np.arange(len(sparse))) if len(sparse) else None)
 
 
@@ -294,36 +272,40 @@ def _sample_clicks(rng: np.random.Generator, plan: _Plan) -> _Draws:
     """Sample independent per-bin clicks for ``plan.size`` pulses, sparsely.
 
     Bin j fires in each pulse independently with probability
-    1 - exp(log_miss[j]), for the ``log_miss`` the plan was made from;
-    taking the log of the no-click probability keeps both tails exact. A bin
-    with p > 1/2 is flipped: its pairs are the pulses that *miss* it, drawn
-    with probability 1 - p. So each bin draws pairs with p' = min(p, 1 - p),
-    in one of two ways:
+    p_j = 1 - exp(log_miss[j]), for the ``log_miss`` the plan was made from;
+    taking the log of the no-click probability keeps both tails exact. Each
+    bin is drawn in one of two ways:
 
-    * a *dense* bin, which expects at least ``_SPARSE_PAIRS`` pairs
-      (size * p'), draws k ~ Binomial(size, p') and picks k distinct pulses;
-    * all *sparse* bins at once draw geometric gaps: a bin's next pair is
-      ``floor(log1p(-U) / log1p(-p')) + 1`` pulses after its last, for U
-      uniform on [0, 1), and its pairs are the gaps' running sums that fall
+    * a *dense* bin, one with p_j > 1/2 or expecting at least
+      ``_SPARSE_PAIRS`` clicks (size * p_j), draws k ~ Binomial(size, p')
+      and picks k distinct pulses, p' = min(p_j, 1 - p_j). When p_j > 1/2
+      they are the pulses that miss it, and one mask of the block turns them
+      into its clicks, so the draws cost O(min(clicks, size - clicks));
+    * all *sparse* bins at once draw geometric gaps: a bin's next click is
+      ``floor(log1p(-U) / log1p(-p_j)) + 1`` pulses after its last, for U
+      uniform on [0, 1), and its clicks are the gaps' running sums that fall
       inside the block. Each bin first draws ceil(mu + ``_GAP_MARGIN`` *
-      (sqrt(mu) + 1)) gaps, mu = size * p' being its expected pairs; the few
-      bins whose gaps end inside the block draw again from where they
+      (sqrt(mu) + 1)) gaps, mu = size * p_j being its expected clicks; the
+      few bins whose gaps end inside the block draw again from where they
       stopped, until every bin has passed the block's end.
 
-    Both ways make every (pulse, bin) a pair with probability p', all
-    independently. Each pair is filed as a hit or a miss as it is drawn, and
-    each bin's clicks are counted from its pairs: its k, or the sparse pairs
-    it drew, taken from ``size`` when it is flipped. A flipped bin without
-    pairs fires in every pulse.
+    Both ways make every (pulse, bin) a click with probability p_j, all
+    independently.
     """
     size = plan.size
-    pairs = np.zeros(len(plan.flip), dtype=np.int64)  # per bin
-    hits, misses = [], []
-    if len(plan.dense):
-        ks = rng.binomial(size, plan.p_dense)
-        pairs[plan.dense] = ks
-        for j, flipped, k in zip(plan.dense.tolist(), plan.dense_flip.tolist(), ks.tolist()):
-            (misses if flipped else hits).append((j, rng.choice(size, k, replace=False, shuffle=False)))
+    pulses = []
+    fires = np.empty(size, dtype=bool)
+    ks = rng.binomial(size, plan.p_dense)
+    for flipped, k in zip(plan.dense_flip.tolist(), ks.tolist()):
+        drawn = rng.choice(size, k, replace=False, shuffle=False)
+        if flipped:  # drawn are the pulses that miss the bin
+            fires.fill(True)
+            fires[drawn] = False
+            drawn = np.flatnonzero(fires)
+        pulses.append(drawn)
+    clicks = np.zeros(plan.n_bins, dtype=np.int64)
+    clicks[plan.dense] = [len(p) for p in pulses]
+    bins = [np.repeat(plan.dense, clicks[plan.dense])]
     start = np.zeros(len(plan.sparse), dtype=np.int64)  # the pulse each bin's next gap counts from
     gaps = plan.first
     while gaps is not None:
@@ -333,40 +315,16 @@ def _sample_clicks(rng: np.random.Generator, plan: _Plan) -> _Draws:
         at = ratio.astype(np.int64)  # the floor, as ratio >= 0
         at += 1
         np.cumsum(at, out=at)
-        # each bin's running sum of gaps from its start; a pair's pulse is that sum minus 1
+        # each bin's running sum of gaps from its start; a click's pulse is that sum minus 1
         at -= np.repeat(np.concatenate(([0], at[gaps.ends[:-1]])) - start[gaps.todo] + 1, gaps.counts)
         inside = at < size
-        for part, kept in ((hits, inside & ~gaps.miss), (misses, inside & gaps.miss)):
-            bins = gaps.bins[kept]
-            part.append((bins, at[kept]))
-            pairs += np.bincount(bins, minlength=len(pairs))
+        pulses.append(at[inside])
+        bins.append(gaps.bins[inside])
+        clicks += np.bincount(bins[-1], minlength=plan.n_bins)
         start[gaps.todo] = at[gaps.ends] + 1
         todo = gaps.todo[start[gaps.todo] < size]
         gaps = plan.gap_round(todo) if len(todo) else None
-    return _Draws(size, plan.flip, np.where(plan.flip, size - pairs, pairs), hits, misses)
-
-
-def _hit_pairs(draws: _Draws) -> tuple[np.ndarray, np.ndarray]:
-    """Expand :class:`_Draws` into its (pulse, bin) click pairs.
-
-    The pairs in ``hits`` are clicks and stay as they are. The ``misses`` of
-    the flipped bins are cleared from one (flipped bins, size) mask whose
-    other entries are their clicks. The pairs may come in any order, within
-    a part and across parts, and the clicks come out in no particular order.
-    Costs O(size) per flipped bin.
-    """
-    pulses = [p for _j, p in draws.hits]
-    bins = [np.broadcast_to(j, p.shape) for j, p in draws.hits]
-    flipped = np.flatnonzero(draws.flip)
-    if len(flipped):
-        row = np.cumsum(draws.flip) - 1  # a flipped bin's row of the mask
-        fires = np.ones((len(flipped), draws.size), dtype=bool)
-        for j, p in draws.misses:
-            fires[row[j], p] = False
-        per_row = np.count_nonzero(fires, axis=1)
-        pulses.append(np.flatnonzero(fires) - np.repeat(np.arange(len(flipped)) * draws.size, per_row))
-        bins.append(np.repeat(flipped, per_row))
-    return _concat(pulses), _concat(bins)
+    return _Draws(clicks, np.concatenate([np.empty(0, dtype=np.int64), *pulses]), np.concatenate(bins))
 
 
 def _route_photons(
@@ -428,7 +386,7 @@ def _fired_count_classes(
     sum(X) clicks and X moves up one class. The final H is the k-counts.
     Exact in law, and O(n_bins) a bin whatever ``n_pulses`` is.
     """
-    _miss, flip, p = _pair_probs(log_miss)
+    flip, p = _pair_probs(log_miss)
     classes = np.zeros(len(log_miss) + 1, dtype=np.int64)
     classes[0] = n_pulses
     clicks = np.empty(len(log_miss), dtype=np.int64)
@@ -471,7 +429,7 @@ def _simulate_block(
     pulse into bin ``searchsorted(plan.cdf, u, side="right")`` (none when
     that is ``n_bins``) or else by :func:`_route_photons` over drawn photon
     numbers, and adds the dark counts of the per-bin kernel, dropping a dark
-    pair that repeats a photon pair; every pair is a hit, no bin flipped.
+    pair that repeats a photon pair.
     """
     if plan.route is None:
         return _sample_clicks(rng, plan)
@@ -483,7 +441,7 @@ def _simulate_block(
         ns = source.sample(rng, plan.size)
         _check_guard(config, ns)
         pulses, bins = _route_photons(rng, ns, plan.route)
-    dark_pulses, dark_bins = _hit_pairs(_sample_clicks(rng, plan))
+    _dark_clicks, dark_pulses, dark_bins = _sample_clicks(rng, plan)
     if plan.cdf is not None:  # a pulse's one photon pair is in bin drawn[pulse]
         new = drawn[dark_pulses] != dark_bins
         dark_pulses, dark_bins = dark_pulses[new], dark_bins[new]
@@ -495,8 +453,12 @@ def _simulate_block(
         dark_pulses, dark_bins = dark_pulses[new], dark_bins[new]
     pulses = np.concatenate([pulses, dark_pulses])
     bins = np.concatenate([bins, dark_bins])
-    no_flip = np.zeros(config.n_bins, dtype=bool)
-    return _Draws(plan.size, no_flip, np.bincount(bins, minlength=config.n_bins), [(bins, pulses)], [])
+    return _Draws(np.bincount(bins, minlength=config.n_bins), pulses, bins)
+
+
+def _block_size(n_pulses: int, block: int) -> int:
+    """The pulses of block ``block`` of a run of ``n_pulses``: ``BLOCK_SIZE``, fewer in the last block."""
+    return min(BLOCK_SIZE, n_pulses - block * BLOCK_SIZE)
 
 
 def _map_blocks(
@@ -504,8 +466,8 @@ def _map_blocks(
 ) -> Iterator:
     """``fn(block, draws)`` of every block, in block order.
 
-    Block b holds ``draws.size`` pulses from ``b * BLOCK_SIZE`` on and draws
-    from the seed's Philox stream jumped b times; ``draws`` is its
+    Block b holds ``_block_size(n_pulses, b)`` pulses from ``b * BLOCK_SIZE``
+    on and draws from the seed's Philox stream jumped b times; ``draws`` is its
     :class:`_Draws`, with pulses counted within the block. The plans of the
     blocks, one per block size (the last block may be partial), are made
     once, when the first result is asked for. ``fn`` runs on the worker
@@ -513,15 +475,11 @@ def _map_blocks(
     worker a block is simulated only when its result is asked for.
     """
     blocks = range(-(-opts.n_pulses // BLOCK_SIZE))
-
-    def size_of(block: int) -> int:
-        return min(BLOCK_SIZE, opts.n_pulses - block * BLOCK_SIZE)
-
-    sizes = {size_of(block) for block in (*blocks[:1], *blocks[-1:])}
+    sizes = {_block_size(opts.n_pulses, block) for block in (*blocks[:1], *blocks[-1:])}
     plans = {size: _plan_block(config, source, size) for size in sizes}
 
     def run(block: int):
-        plan = plans[size_of(block)]
+        plan = plans[_block_size(opts.n_pulses, block)]
         return fn(block, _simulate_block(config, source, plan, _block_rng(opts.seed, block)))
 
     if opts.n_workers > 1:
@@ -538,8 +496,7 @@ def simulate_pulse(
 ) -> frozenset[int]:
     """Simulate a single pulse; returns the set of fired bins (1-based)."""
     draws = _simulate_block(config, source, _plan_block(config, source, 1), rng)
-    _pulses, bins = _hit_pairs(draws)
-    return frozenset((bins + 1).tolist())
+    return frozenset((draws.bins + 1).tolist())
 
 
 def simulate_ensemble(
@@ -556,9 +513,9 @@ def simulate_ensemble(
     fired-count classes from the seed's Philox stream, in O(n_bins^2) draws
     and work whatever ``opts.n_pulses`` is. This is an exact sample of the
     same law as :func:`emit_time_tags`, but not the same draw. Every other
-    source runs the pulse blocks of :func:`_plan_block`'s kernel, which file
-    every pair as a hit: a pulse's k-count is its number of pairs. Artifacts
-    act on detector records, so only :func:`emit_time_tags` models them.
+    source runs the pulse blocks of :func:`_plan_block`'s kernel: a pulse's
+    k-count is its number of pairs. Artifacts act on detector records, so
+    only :func:`emit_time_tags` models them.
     """
     if opts.n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {opts.n_pulses}")
@@ -567,8 +524,8 @@ def simulate_ensemble(
         log_miss = _coherent_log_miss(config, source)
         clicks, k_counts = _fired_count_classes(log_miss, opts.n_pulses, _block_rng(opts.seed, 0))
     else:
-        def tally(_block, draws):
-            fired_per_pulse = np.bincount(_concat([p for _j, p in draws.hits]), minlength=draws.size)
+        def tally(block, draws):
+            fired_per_pulse = np.bincount(draws.pulses, minlength=_block_size(opts.n_pulses, block))
             return draws.clicks, np.bincount(fired_per_pulse, minlength=n_bins + 1)
 
         clicks = np.zeros(n_bins, dtype=np.int64)
@@ -632,13 +589,14 @@ def iter_time_tags(
     Block b's chunk holds its syncs and every detector record from its first
     sync up to the next block's first sync, which a record at that very time
     follows; the last chunk holds every record after that. A block's clicks
-    come from :func:`_hit_pairs` in no particular order, and a chunk sorts
-    only its own records: spurious records wait in a sorted buffer until the
-    block they land in, and dead time carries the last detector time, kept
-    or suppressed, across chunks. ``clicks`` is the block's clicks per bin as
-    sampled, which gating the chunk gives too; with ``artifact``, which moves
-    and drops records, it is None. The arguments are checked before the first
-    block is simulated; with one worker, memory stays that of one block.
+    come in no particular order, and a chunk sorts only its own records:
+    spurious records wait in a sorted buffer until the block they land in,
+    and dead time carries the last detector time, kept or suppressed, across
+    chunks. ``clicks`` is the block's clicks per bin as sampled, which gating
+    the chunk gives too; with ``artifact``, which moves and drops records, it
+    is None. The arguments are checked before the first block is simulated,
+    record times against int64 too; with one worker, memory stays that of
+    one block.
     """
     if rep_period_ps <= config.n_bins * config.loop_delay_ps:
         raise ValueError(
@@ -649,12 +607,19 @@ def iter_time_tags(
             f"reflection_delay_ps {artifact.reflection_delay_ps} puts spurious records in the "
             "gates; they have to fall outside them"
         )
+    # the last pulse's last bin, moved by a reflection: the latest record time
+    last = (opts.n_pulses - 1) * rep_period_ps + config.n_bins * config.loop_delay_ps
+    last += artifact.reflection_delay_ps if artifact else 0
+    if max(last, rep_period_ps) >= 1 << 63:
+        raise ValueError(
+            f"rep_period_ps {rep_period_ps} and n_pulses {opts.n_pulses} need record times up to "
+            f"{max(last, rep_period_ps)} ps, past the int64 limit of {(1 << 63) - 1} ps"
+        )
     rep = np.int64(rep_period_ps)
     delay = np.int64(config.loop_delay_ps)
 
     def detector_times(block, draws):
-        pulses, bins = _hit_pairs(draws)
-        t = (block * BLOCK_SIZE + pulses) * rep + (bins + 1) * delay
+        t = (block * BLOCK_SIZE + draws.pulses) * rep + (draws.bins + 1) * delay
         if not artifact:
             return t, draws.clicks
         if len(t):
@@ -668,7 +633,7 @@ def iter_time_tags(
         previous = None  # the last detector time, kept or suppressed
         for block, (det_times, clicks) in enumerate(_map_blocks(config, source, opts, detector_times)):
             first = block * BLOCK_SIZE
-            size = min(BLOCK_SIZE, opts.n_pulses - first)
+            size = _block_size(opts.n_pulses, block)
             det_times = np.sort(np.concatenate([pending, det_times]))
             if first + size < opts.n_pulses:
                 cut = np.searchsorted(det_times, (first + size) * rep)

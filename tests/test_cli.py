@@ -144,7 +144,7 @@ class TestSimulateCommand:
             ("fock:1", None),
             ("thermal:3", None),
             ("multithermal:300:1.8", None),
-            ("coherent:100", None),  # bins 1-6 fire in most pulses: the sampler flips them
+            ("coherent:100", None),  # bins 1-6 fire in most pulses: the kernel draws their misses
             ("coherent:3", 100),  # under a guard coherent light takes the routing chain
         ],
         ids=["lossyfock:1:0.6", "coherent:3", "fock:1", "thermal:3", "multithermal:300:1.8",
@@ -228,6 +228,30 @@ class TestSimulateCommand:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "--rep-period-ps" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json"]
+
+    @pytest.mark.parametrize(
+        "delay, args",
+        [
+            (156_000, ["--pulses", "10", "--rep-period-ps", str(10**20)]),
+            (156_000, ["--pulses", "20", "--rep-period-ps", str(10**18)]),
+            (4 * 10**18, ["--pulses", "2"]),  # the default period, n_bins + 4 loop delays
+        ],
+        ids=["period-past-int64", "last-pulse-past-int64", "default-period-past-int64"],
+    )
+    def test_tag_times_past_int64_exit_2(self, runner, tmp_path, delay, args):
+        """Tag times that int64 cannot hold are refused before anything is written."""
+        config = tmp_path / "loop.json"
+        config.write_text(json.dumps(
+            {"mode": "passive", "R": 0.5, "eta": 0.9, "nu": 1e-3, "n_bins": 4, "loop_delay_ps": delay}
+        ))
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", str(config), "--source", "coherent:3", *args,
+             "-o", str(tmp_path / "h.csv"), "--emit-tags", str(tmp_path / "t.csv")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "rep_period_ps" in result.output and "n_pulses" in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json"]
 
     @pytest.mark.parametrize(
@@ -402,12 +426,13 @@ class TestSimulateCommand:
             (["--source", "coherent:100", "--pulses", "2000", "--seed", "5",
               "--back-reflection-prob", "0.1", "--reflection-delay-ps", "117000",
               "--dead-time-ps", "93600"],
-             "8fa28a52d5572e18c58e8904c493d241aa5df15741ef5ecca5145c5202014f78"),
+             "64344f04049786fdc70aa6828f9235637edc357a3d40f602824e04149686b272"),
         ],
         ids=["clean", "artifacts"],
     )
     def test_tag_file_digest(self, runner, config_file, tmp_path, args, digest):
-        """The tag file's bytes, not only its arrays, stay those of version 0.9.0."""
+        """The tag file's bytes, not only its arrays, stay pinned: clean since version 0.9.0, and with
+        artifacts since 0.14.0, whose kernel draws coherent:100's flipped bins as dense ones."""
         tags = tmp_path / "t.csv"
         run_ok(
             runner,

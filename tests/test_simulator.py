@@ -174,19 +174,20 @@ class TestSparseKernel:
     def draw_blocks(self, log_miss, size, seeds):
         """One block a seed: clicks per bin, per pulse index and k-counts, and the gap rounds.
 
-        Checks that each block draws every (pulse, bin) pair at most once.
+        Checks that each block draws every (pulse, bin) pair at most once and
+        that its clicks per bin count its pairs.
         """
         n_bins = len(log_miss)
         clicks, per_pulse, k_counts = np.zeros(n_bins), np.zeros(size), np.zeros(n_bins + 1)
         rounds = 0
         for seed in seeds:
             counting = _CountingRng(rng(seed))
-            encoded = simulator._sample_clicks(counting, simulator._plan_bins(size, log_miss))
-            keys = np.concatenate([j * size + p for j, p in encoded.hits + encoded.misses])
+            draws = simulator._sample_clicks(counting, simulator._plan_bins(size, log_miss))
+            keys = draws.bins * size + draws.pulses
             assert len(np.unique(keys)) == len(keys)
-            pulses, bins = simulator._hit_pairs(encoded)
-            clicks += np.bincount(bins, minlength=n_bins)
-            fired = np.bincount(pulses, minlength=size)
+            np.testing.assert_array_equal(draws.clicks, np.bincount(draws.bins, minlength=n_bins))
+            clicks += draws.clicks
+            fired = np.bincount(draws.pulses, minlength=size)
             per_pulse += fired
             k_counts += np.bincount(fired, minlength=n_bins + 1)
             rounds += counting.rounds
@@ -220,7 +221,7 @@ class TestSparseKernel:
         with np.errstate(divide="ignore"):
             log_miss = np.log1p(-p)
         draws = simulator._sample_clicks(rng(11), simulator._plan_bins(size, log_miss))
-        pulses, bins = simulator._hit_pairs(draws)
+        pulses, bins = draws.pulses, draws.bins
         clicks = np.bincount(bins, minlength=len(p))
         assert clicks[0] == 0
         assert clicks[1] == 0
@@ -232,7 +233,7 @@ class TestSparseKernel:
 
     @pytest.mark.parametrize("nbar", [3.0, 300.0, 1e6])
     def test_per_bin_clicks_match_closed_form(self, nbar):
-        # bins with p > 1/2 are sampled through their misses: bins 1-7 at
+        # bins with p > 1/2 draw the pulses that miss them: bins 1-7 at
         # nbar = 300, bins 1-17 at nbar = 1e6 (1-14 of them certain to fire)
         source = Coherent(nbar)
         p = np.array([analytic.click_prob_closed(self.CFG, source, j) for j in range(1, 21)])
@@ -279,27 +280,31 @@ class TestSparseKernel:
         assert _chi2_within_bounds(chi2, len(p)), f"chi2 = {chi2:.2f}"
 
 
-    def test_block_of_sparse_dense_and_flipped_bins(self):
-        # Coherent(300): bins 1-7 flip (1-4 certain to fire), and bins of every class share a block
+    @pytest.mark.parametrize("size", [1, 700, simulator.BLOCK_SIZE])
+    def test_block_of_sparse_dense_and_flipped_bins(self, size):
+        # Coherent(300): bins 1-7 flip (1-4 certain to fire), and they draw the pulses that
+        # miss them as dense bins do, however few they expect: fewer than _SPARSE_PAIRS in
+        # blocks of 1 and 700 pulses, and in blocks of BLOCK_SIZE for bins 1-5
         log_miss = self.log_miss(300.0)
         p = np.array([analytic.click_prob_closed(self.CFG, Coherent(300.0), j) for j in range(1, 21)])
-        size = simulator.BLOCK_SIZE
-        pairs = size * np.minimum(p, 1.0 - p)
-        sparse = (pairs > 0) & (pairs < simulator._SPARSE_PAIRS)
-        assert (p > 0.5).sum() == 7
-        dense = pairs >= simulator._SPARSE_PAIRS
-        assert sparse[p > 0.5].any() and sparse[p < 0.5].any() and dense.any()
-        seeds = range(500, 540)
+        flip = p > 0.5
+        assert flip.sum() == 7
+        assert (size * (1.0 - p[flip]) < simulator._SPARSE_PAIRS).sum() == (7 if size < 1000 else 5)
+        plan = simulator._plan_bins(size, log_miss)
+        np.testing.assert_array_equal(plan.dense[plan.dense_flip], np.flatnonzero(flip))
+        assert len(plan.sparse) and not flip[plan.sparse].any()
+        assert (len(plan.dense) > 7) == (size == simulator.BLOCK_SIZE)  # dense bins that do not flip
+        seeds = range(500, 500 + min(4000, 655_360 // size))
         clicks, per_pulse, k_counts, _rounds = self.draw_blocks(log_miss, size, seeds)
         self.check_closed_forms(p, len(seeds), clicks, per_pulse, k_counts)
 
     def test_top_up_rounds(self, monkeypatch):
         # with no margin a bin's first gaps often end inside the block; in blocks of 1000 pulses
-        # every bin is sparse, flipped bin 1 and bin 2 (p' = 0.22 and 0.49) among them
+        # every bin but flipped bin 1 (p = 0.78) is sparse, bin 2 (p = 0.49) among them
         monkeypatch.setattr(simulator, "_GAP_MARGIN", 0.0)
         size, seeds = 1000, range(600, 900)
         p = np.array([analytic.click_prob_closed(self.CFG, Coherent(3.0), j) for j in range(1, 21)])
-        assert (size * np.minimum(p, 1.0 - p) < simulator._SPARSE_PAIRS).all()
+        np.testing.assert_array_equal(simulator._plan_bins(size, self.log_miss(3.0)).sparse, np.arange(1, 20))
         clicks, per_pulse, k_counts, rounds = self.draw_blocks(self.log_miss(3.0), size, seeds)
         self.check_closed_forms(p, len(seeds), clicks, per_pulse, k_counts)
         assert rounds > 2 * len(seeds)
@@ -334,36 +339,14 @@ class TestSparseKernel:
         log_miss = np.array([0.0, -np.inf, -1e-310, -710.0])
         tiny = np.finfo(float).tiny
         assert 0.0 < -log_miss[2] < tiny and 0.0 < np.exp(log_miss[3]) < tiny
-        size = simulator.BLOCK_SIZE
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for seed in range(5):
-                encoded = simulator._sample_clicks(rng(seed), simulator._plan_bins(size, log_miss))
-                np.testing.assert_array_equal(encoded.flip, [False, True, False, True])
-                pulses, bins = simulator._hit_pairs(encoded)
-                np.testing.assert_array_equal(np.bincount(bins, minlength=4), [0, size, 0, size])
-
-    @pytest.mark.parametrize("nbar", [3.0, 300.0])
-    def test_hit_pairs_take_pairs_in_any_order(self, nbar):
-        size = 3000
-        draws = simulator._sample_clicks(rng(41), simulator._plan_bins(size, self.log_miss(nbar)))
-        flip = draws.flip
-        assert flip.any() and not flip.all()
-        want = np.zeros((self.CFG.n_bins, size), dtype=bool)  # the dense reference
-        for j, p in draws.hits + draws.misses:
-            want[j, p] = True
-        want[flip] = ~want[flip]
-        permutation = np.random.default_rng(42).permutation
-
-        def reorder(parts, order):  # each part's pairs in ``order``, and the parts in reverse
-            return [(j if np.ndim(j) == 0 else j[o], p[o]) for j, p in parts[::-1] for o in [order(p)]]
-
-        for order in (np.argsort, lambda p: permutation(len(p))):
-            reordered = draws._replace(hits=reorder(draws.hits, order), misses=reorder(draws.misses, order))
-            hit_pulses, hit_bins = simulator._hit_pairs(reordered)
-            got = np.zeros_like(want)
-            got[hit_bins, hit_pulses] = True
-            assert len(hit_pulses) == want.sum()
-            np.testing.assert_array_equal(got, want)
+            for size in (1, simulator.BLOCK_SIZE):
+                plan = simulator._plan_bins(size, log_miss)
+                np.testing.assert_array_equal(plan.dense[plan.dense_flip], [1, 3])
+                for seed in range(5):
+                    draws = simulator._sample_clicks(rng(seed), plan)
+                    np.testing.assert_array_equal(draws.clicks, [0, size, 0, size])
+                    np.testing.assert_array_equal(np.bincount(draws.bins, minlength=4), [0, size, 0, size])
 
 
 class TestPhotonChain:
@@ -415,18 +398,16 @@ class TestPhotonChain:
     def test_block_pairs_are_distinct(self):
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=0.05, n_bins=10)
         draws = simulator._simulate_block(cfg, Fock(5), simulator._plan_block(cfg, Fock(5), 4096), rng(32))
-        assert not draws.flip.any() and not draws.misses
-        pulses, bins = simulator._hit_pairs(draws)
-        keys = bins * 4096 + pulses
+        keys = draws.bins * 4096 + draws.pulses
         assert len(np.unique(keys)) == len(keys)
+        np.testing.assert_array_equal(draws.clicks, np.bincount(draws.bins, minlength=cfg.n_bins))
 
     def test_all_photons_lost_gives_no_pairs(self):
         cfg = LoopConfig(mode="active", R=0.5, eta=0.0, nu=0.0, n_bins=20)
         q = analytic.bin_exit_probs(cfg)
         assert not q.any()
         draws = simulator._simulate_block(cfg, Fock(300), simulator._plan_block(cfg, Fock(300), 1000), rng(33))
-        pulses, bins = simulator._hit_pairs(draws)
-        assert len(pulses) == len(bins) == 0
+        assert len(draws.pulses) == len(draws.bins) == 0 and not draws.clicks.any()
 
     def test_empty_tail_raises_no_warning(self):
         # R = 1: every photon leaves into bin 1 and the tail past it is exactly 0;
@@ -435,7 +416,8 @@ class TestPhotonChain:
         q = analytic.bin_exit_probs(cfg)
         assert q[0] == 1.0 and not q[1:].any()
         plan = simulator._plan_block(cfg, Thermal(3.0), 1000)
-        pulses, bins = simulator._hit_pairs(simulator._simulate_block(cfg, Thermal(3.0), plan, rng(34)))
+        draws = simulator._simulate_block(cfg, Thermal(3.0), plan, rng(34))
+        pulses, bins = draws.pulses, draws.bins
         assert (bins == 0).all() and len(np.unique(pulses)) == len(pulses)
 
     def test_block_memory_stays_sparse(self, hdr_config):
@@ -599,8 +581,7 @@ class TestEmitTimeTags:
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_round_trip_with_saturated_bins(self, n_workers):
         # bins 1-13 fire in every pulse (flipped, no misses) and bins 15-17 are flipped
-        # with 37 to 9,700 expected misses: the kernel counts their clicks from their misses,
-        # and the emitter expands the misses into records
+        # with 37 to 9,700 expected misses: the kernel draws their misses and masks them out
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=30)
         source = Coherent(1e6)
         opts = SimOptions(n_pulses=40_000, seed=17, n_workers=n_workers)
@@ -640,6 +621,27 @@ class TestEmitTimeTags:
             simulator.emit_time_tags(
                 splitter_half_config, Coherent(3.0), SimOptions(n_pulses=10), 10
             )
+
+    @pytest.mark.parametrize(
+        "delay, n_pulses, rep",
+        [(156_000, 10, 10**20), (156_000, 20, 10**18), (4 * 10**18, 2, 8 * 4 * 10**18)],
+        ids=["period-past-int64", "last-pulse-past-int64", "default-period-past-int64"],
+    )
+    def test_times_past_int64_raise(self, delay, n_pulses, rep):
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=4, loop_delay_ps=delay)
+        with pytest.raises(ValueError, match="rep_period_ps .* and n_pulses .* int64"):
+            simulator.emit_time_tags(cfg, Coherent(3.0), SimOptions(n_pulses=n_pulses), rep)
+
+    @pytest.mark.parametrize("reflection", [None, 78_000])
+    def test_last_record_at_the_int64_limit(self, reflection):
+        """The last pulse's bin 4, moved by the reflection, may land on 2**63 - 1 ps, not past it."""
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=4)
+        art = reflection and ArtifactModel(back_reflection_prob=0.5, reflection_delay_ps=reflection, dead_time_ps=0)
+        rep = (1 << 63) - 1 - 4 * cfg.loop_delay_ps - (reflection or 0)
+        stream = simulator.emit_time_tags(cfg, Coherent(300.0), SimOptions(n_pulses=2, seed=3), rep, art)
+        assert stream.times_ps.max() == (1 << 63) - 1
+        with pytest.raises(ValueError, match="rep_period_ps"):
+            simulator.emit_time_tags(cfg, Coherent(300.0), SimOptions(n_pulses=2, seed=3), rep + 1, art)
 
     def test_reflection_delay_must_miss_gates(self, splitter_half_config):
         art = ArtifactModel(
@@ -697,8 +699,7 @@ def _whole_stream_tags(config, source, opts, rep_period_ps, artifact):
     det = []
     blocks = simulator._map_blocks(config, source, opts, lambda _block, draws: draws)
     for block, draws in enumerate(blocks):
-        pulses, bins = simulator._hit_pairs(draws)
-        t = (block * simulator.BLOCK_SIZE + pulses) * rep + (bins + 1) * delay
+        t = (block * simulator.BLOCK_SIZE + draws.pulses) * rep + (draws.bins + 1) * delay
         if artifact and len(t):
             art_rng = simulator._block_rng(opts.seed, block, key_offset=simulator._ARTIFACT_KEY_OFFSET)
             spur = t[art_rng.random(len(t)) < artifact.back_reflection_prob]
@@ -875,10 +876,12 @@ class TestSeededOutputs:
     """SHA-256 pins of seeded outputs, so a kernel change cannot alter them silently.
 
     The unguarded coherent ensembles date from version 0.13.0, which draws
-    them by fired-count classes. The LossyFock(1, 0.6) ones date from 0.12.0,
-    which draws one uniform a pulse; the others, the tag streams and guarded
-    Coherent light included, from 0.9.0, which draws sparse bins by geometric
-    gaps. The ensemble ones hold for any worker count. A change that means to
+    them by fired-count classes. The Coherent(300) tag stream with artifacts
+    dates from 0.14.0, which draws every bin of p > 1/2 as a dense one; the
+    stream of the file_pipeline leg, pinned then, is the draw of 0.13.0 too.
+    The LossyFock(1, 0.6) ones date from 0.12.0, which draws one uniform a
+    pulse; the others, guarded Coherent light included, from 0.9.0, which
+    draws sparse bins by geometric gaps. The ensemble ones hold for any worker count. A change that means to
     draw differently updates them and bumps the version.
     """
 
@@ -887,6 +890,8 @@ class TestSeededOutputs:
     # the hdr_calibration loop, and its bright source: n_out = 208,011 photons a pulse
     HDR = LoopConfig(mode="passive", R=0.9137, eta=0.8615, nu=1.2e-7, n_bins=130)
     HDR_BRIGHT = Coherent(208_011.0 / analytic.output_fraction(HDR))
+    # the loop of file_pipeline's tagged coherent leg
+    LOOP_40 = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-4, n_bins=40)
 
     @pytest.mark.parametrize(
         "source, guard, digest",
@@ -932,11 +937,9 @@ class TestSeededOutputs:
         assert got.hexdigest() == digest
 
     def test_hdr_bright_tags_match_ensemble(self):
-        # a full bright block holds bins of every class: dense and sparse, flipped or not
+        # a full bright block holds bins of every class: dense, flipped or not, and sparse
         plan = simulator._plan_block(self.HDR, self.HDR_BRIGHT, simulator.BLOCK_SIZE)
-        assert (len(plan.dense), plan.flip.sum(), len(plan.sparse)) == (19, 33, 107)
-        assert plan.dense_flip.any() and not plan.dense_flip.all()
-        assert plan.flip[plan.sparse].any() and not plan.flip[plan.sparse].all()
+        assert (len(plan.dense), plan.dense_flip.sum(), len(plan.sparse)) == (46, 33, 84)
         opts = SimOptions(**self.OPTS)
         gate = clickstats.TagGate(self.HDR)
         rep = (self.HDR.n_bins + 4) * self.HDR.loop_delay_ps
@@ -953,21 +956,24 @@ class TestSeededOutputs:
         np.testing.assert_array_equal(gated.pattern_stats.c, k_counts / opts.n_pulses)
 
     @pytest.mark.parametrize(
-        "source, artifact, digest",
+        "config, source, n_pulses, rep, artifact, digest",
         [
             (
-                Coherent(300.0),
+                CFG, Coherent(300.0), 40_000, 4_000_000,
                 ArtifactModel(back_reflection_prob=0.05, reflection_delay_ps=50_000, dead_time_ps=100_000),
-                "f0b16d205a99304292ca67b31a46231ede3f6f19b463904b0411383ebb6ea26e",
+                "4596b1cd1cbd65562e578907544f583f927b543f70abb36c54cecb61a1b85aee",
             ),
-            (LossyFock(1, 0.6), None, "f3d864a8a142a65a989f0c585e1753b4d44a772ebc003ae2d1221ba3199fec7e"),
+            (CFG, LossyFock(1, 0.6), 40_000, 4_000_000, None,
+             "f3d864a8a142a65a989f0c585e1753b4d44a772ebc003ae2d1221ba3199fec7e"),
+            # 12 full blocks and a partial one of 3,392 pulses, at the CLI's default period
+            (LOOP_40, Coherent(2.0), 200_000, 44 * LOOP_40.loop_delay_ps, None,
+             "eb68fb062a53fa336d79e4ac46ec7bc9f80982147dac24dd3cb37c9c70069e50"),
         ],
-        ids=["coherent-artifact", "lossyfock"],
+        ids=["coherent-artifact", "lossyfock", "file-pipeline-coherent"],
     )
-    def test_tag_stream_digest(self, source, artifact, digest):
-        stream = simulator.emit_time_tags(
-            self.CFG, source, SimOptions(**self.OPTS), 4_000_000, artifact
-        )
+    def test_tag_stream_digest(self, config, source, n_pulses, rep, artifact, digest):
+        opts = SimOptions(n_pulses=n_pulses, seed=self.OPTS["seed"])
+        stream = simulator.emit_time_tags(config, source, opts, rep, artifact)
         got = hashlib.sha256(
             np.asarray(stream.channels, "<i8").tobytes() + np.asarray(stream.times_ps, "<i8").tobytes()
         )
