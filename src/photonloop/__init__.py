@@ -20,7 +20,7 @@ from .models import (
 )
 from .simulator import ArtifactModel, SimOptions
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "analytic",

@@ -299,8 +299,8 @@ class TestFitLoopParams:
 
     @pytest.mark.parametrize(
         "seed, R_hat, eta_hat",
-        # as the five-start fit of version 0.10.0 fitted the draws of version 0.13.0
-        [(1, 0.9136573040924245, 0.8614686169907744), (2, 0.9136532459836376, 0.8615042020164659)],
+        # as the five-start fit of version 0.10.0 fitted the draws of version 0.15.0
+        [(1, 0.9136592966310437, 0.8614768271288374), (2, 0.9136516160370931, 0.8614972602908715)],
         ids=["1", "2"],
     )
     def test_converges_at_high_reflectivity(self, seed, R_hat, eta_hat):
@@ -403,14 +403,15 @@ class TestFitMatchesPinnedResults:
 
     # inputs whose fit was once insured by four jittered starts besides the data-derived one,
     # with (R_hat, eta_hat, nbar_hat) or r_eta_hat as the five-start fit of version 0.10.0 found them;
-    # the two coherent ensembles are the draws of version 0.13.0, the gated tags those of 0.14.0
+    # the 1,000-trial ensemble is the draw of version 0.15.0, the active one that of 0.13.0,
+    # the gated tags those of 0.14.0
     HARD = [
         ("gated-artifact", lambda: gated_artifact_histogram(LOOP_40),
          (0.5354802374228386, 0.8869553472577058, 1.8650607039183356)),
         ("thermal-as-coherent", lambda: ensemble_histogram(LOOP_40, Thermal(2.0), 100_000, 6),
          (0.482626059202875, 0.9796748754364943, 1.4428409310658366)),
         ("1000-trials", lambda: ensemble_histogram(LOOP_40, Coherent(2.0), 1_000, 7),
-         (0.49828355643583644, 0.8794690729531219, 1.925851781787836)),
+         (0.4988692103638735, 0.8809343924563467, 1.9235909231188368)),
         ("active-r-eta-0.96", lambda: ensemble_histogram(ACTIVE_HIGH_GAIN, Coherent(2.0), 100_000, 8),
          0.9604205327083994),
     ]

@@ -403,6 +403,31 @@ class TestSimulateCommand:
         assert result.exit_code == 2, result.output
         assert field in result.output
 
+    @pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+    @pytest.mark.parametrize("value", [str(1 << 63), "10000000000000000000"])
+    def test_dead_time_past_int64_exits_2(self, runner, config_file, tmp_path, tagged, value):
+        """Record gaps are int64: a dead time of 2**63 ps or more is refused before any output."""
+        tags = ["--emit-tags", str(tmp_path / "t.csv")] if tagged else []
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", config_file, "--source", "coherent:2", "--pulses", "10",
+             "-o", str(tmp_path / "h.csv"), "--dead-time-ps", value, *tags],
+        )
+        assert result.exit_code == 2, result.output
+        assert "dead_time_ps" in result.output
+        assert not (tmp_path / "h.csv").exists() and not (tmp_path / "t.csv").exists()
+
+    def test_largest_dead_time_runs(self, runner, config_file, tmp_path):
+        """A dead time of 2**63 - 1 ps keeps the first detector record and blinds the rest of the run."""
+        tags = tmp_path / "t.csv"
+        run_ok(
+            runner,
+            ["simulate", "--config", config_file, "--source", "coherent:2", "--pulses", "10", "--seed", "1",
+             "-o", str(tmp_path / "h.csv"), "--dead-time-ps", str((1 << 63) - 1), "--emit-tags", str(tags)],
+        )
+        channels = [line.split(",")[0] for line in tags.read_text().splitlines()[1:]]
+        assert channels.count("1") == 1
+
     @pytest.mark.parametrize(
         "extra", [[], ["--back-reflection-prob", "0.1"]], ids=["alone", "with-artifact"]
     )

@@ -543,10 +543,30 @@ class TestFiredCountClasses:
         chi2, dof = _k_count_chi2(k_counts, _poisson_binomial(p) * n)
         assert dof >= 5 and _chi2_within_bounds(chi2, dof), f"k-counts: chi2 = {chi2:.2f} over {dof}"
 
+    def test_few_pair_bins_follow_the_law(self):
+        """Bins drawn once, in total, place their few pulses in the right classes.
+
+        Five bins spread 12 pulses over several classes; then 16 bins, every other one flipped,
+        each expect 0.9 * _FEW_PAIRS of them to change, so each draws one binomial and most
+        place one pulse or more by its index in cumsum(H).
+        """
+        n, runs = 12, 10_000
+        few = 0.9 * simulator._FEW_PAIRS / n
+        p = np.array([0.5, 0.3, 0.7, 0.4, 0.6] + [few, 1.0 - few] * 8)
+        rng = simulator._block_rng(11, 0)
+        k_counts = np.zeros(len(p) + 1)
+        for _ in range(runs):
+            k_counts += simulator._fired_count_classes(np.log1p(-p), n, rng)[1]
+        chi2, dof = _k_count_chi2(k_counts, _poisson_binomial(p) * n * runs)
+        assert dof >= 8 and _chi2_within_bounds(chi2, dof), f"k-counts: chi2 = {chi2:.2f} over {dof}"
+
     @pytest.mark.parametrize(
         "nbar, nu, n_pulses",
-        [(0.0, 1e-3, 50_000), (0.0, 0.0, 50_000), (2.0, 1e-4, 1), (2.0, 1e-4, 2**62), (1e6, 1e-4, 2**62)],
-        ids=["dark-only", "nothing-fires", "one-pulse", "2**62-pulses", "2**62-saturated"],
+        [
+            (0.0, 1e-3, 50_000), (0.0, 0.0, 50_000), (0.0, 0.05, 3),
+            (2.0, 1e-4, 1), (2.0, 1e-4, 2**62), (1e6, 1e-4, 2**62),
+        ],
+        ids=["dark-only", "nothing-fires", "few-pairs", "one-pulse", "2**62-pulses", "2**62-saturated"],
     )
     def test_classes_hold_every_pulse_once(self, nbar, nu, n_pulses):
         """Each pulse sits in one class, and a pulse in class k made k of the clicks."""
@@ -561,6 +581,9 @@ class TestFiredCountClasses:
         assert (k_counts >= 0).all() and (clicks >= 0).all() and (clicks <= n_pulses).all()
         if nbar == 0.0 and nu == 0.0:
             assert not clicks.any() and k_counts[0] == n_pulses
+        if n_pulses == 3:  # every bin draws once, in total, and some bins place a pulse
+            assert (n_pulses * simulator._pair_probs(log_miss)[1] < simulator._FEW_PAIRS).all()
+            assert clicks.sum() > 0
 
 
 class TestEmitTimeTags:
@@ -843,6 +866,8 @@ class TestOptionChecks:
         [
             (lambda: ArtifactModel(0.1, 0, 0), "reflection_delay_ps must be positive"),
             (lambda: ArtifactModel(0.1, -5, 0), "reflection_delay_ps must be positive"),
+            (lambda: ArtifactModel(0.1, 78_000, -7), r"dead_time_ps must be in \[0, 2\*\*63\)"),
+            (lambda: ArtifactModel(0.1, 78_000, 1 << 63), r"dead_time_ps must be in \[0, 2\*\*63\)"),
             (lambda: SimOptions(n_pulses=-1), "n_pulses must be non-negative"),
             (lambda: SimOptions(n_pulses=10, seed=-1), "seed must be a 64-bit"),
             (lambda: SimOptions(n_pulses=10, seed=2**64), "seed must be a 64-bit"),
@@ -854,7 +879,10 @@ class TestOptionChecks:
                 "n_pulses must be >= 1",
             ),
         ],
-        ids=["delay-0", "delay-negative", "pulses", "seed-negative", "seed-2**64", "workers", "ensemble-pulses"],
+        ids=[
+            "delay-0", "delay-negative", "dead-time-negative", "dead-time-2**63",
+            "pulses", "seed-negative", "seed-2**64", "workers", "ensemble-pulses",
+        ],
     )
     def test_out_of_range_option_raises(self, make, match):
         with pytest.raises(ValueError, match=match):
@@ -876,9 +904,11 @@ class TestSeededOutputs:
     """SHA-256 pins of seeded outputs, so a kernel change cannot alter them silently.
 
     The unguarded coherent ensembles date from version 0.13.0, which draws
-    them by fired-count classes. The Coherent(300) tag stream with artifacts
-    dates from 0.14.0, which draws every bin of p > 1/2 as a dense one; the
-    stream of the file_pipeline leg, pinned then, is the draw of 0.13.0 too.
+    them by fired-count classes; the hdr_calibration ones from 0.15.0, which
+    draws a bin that few pulses change once. The Coherent(300) tag stream
+    with artifacts dates from 0.14.0, which draws every bin of p > 1/2 as a
+    dense one; the stream of the file_pipeline leg, pinned then, is the draw
+    of 0.13.0 too.
     The LossyFock(1, 0.6) ones date from 0.12.0, which draws one uniform a
     pulse; the others, guarded Coherent light included, from 0.9.0, which
     draws sparse bins by geometric gaps. The ensemble ones hold for any worker count. A change that means to
@@ -921,14 +951,14 @@ class TestSeededOutputs:
     @pytest.mark.parametrize(
         "source, digest",
         [
-            (HDR_BRIGHT, "941f3939386fa67c5ca43e119b1a6b34e2bf09b0d8516be9f15310d9c60fce18"),
-            (Coherent(4.5), "365ded2af39b1229e31b608f232486be116e1eb6c20052dfb5d90e020ad18f87"),
+            (HDR_BRIGHT, "ce5176b7edc3e9f19cd46abfab54ca67bf4bbd66011d2d117ff54b26cceb8345"),
+            (Coherent(4.5), "4b73c423272380964c7904eec05259c384107867658f9dbd3b8c981428d7a84c"),
         ],
         ids=["hdr-bright", "hdr-attenuated"],
     )
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_hdr_ensemble_digest(self, source, digest, n_workers):
-        """The hdr_calibration loop's two legs, pinned at version 0.13.0."""
+        """The hdr_calibration loop's two legs, pinned at version 0.15.0."""
         hist, stats = simulator.simulate_ensemble(
             self.HDR, source, SimOptions(**self.OPTS, n_workers=n_workers)
         )
