@@ -69,7 +69,9 @@ class LoopConfig:
         Number of detection time bins recorded per pulse.
     loop_delay_ps, gate_width_ps : int
         Round-trip time and post-processing gate width, picoseconds.
-        The gate must be narrower than the loop delay so gates never overlap.
+        The gate must be narrower than the loop delay so gates never overlap,
+        and n_bins * loop_delay_ps, the last bin's record time after its
+        sync, must be below 2**63.
     sigma_R, sigma_eta, sigma_nu : float
         Absolute 1-sigma uncertainties of R, eta, nu; used by the
         calibration error propagation.
@@ -97,6 +99,10 @@ class LoopConfig:
         _require(0.0 <= self.nu < 1.0, f"nu must be in [0, 1), got {self.nu}")
         _require(self.n_bins >= 1, f"n_bins must be >= 1, got {self.n_bins}")
         _require(self.loop_delay_ps > 0, f"loop_delay_ps must be positive, got {self.loop_delay_ps}")
+        _require(  # the last bin's offset from its sync is an int64 record time
+            self.n_bins * self.loop_delay_ps < 1 << 63,
+            f"loop_delay_ps must keep n_bins * loop_delay_ps below 2**63, got {self.loop_delay_ps}",
+        )
         _require(self.gate_width_ps > 0, f"gate_width_ps must be positive, got {self.gate_width_ps}")
         _require(
             self.gate_width_ps < self.loop_delay_ps,

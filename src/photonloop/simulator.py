@@ -29,15 +29,14 @@ merge them with the photon pairs sparsely; no (pulses, bins) array is built.
 Their blocks also serve the ensembles of every source but unguarded
 Coherent light.
 
-All that the per-bin kernel works out before its first draw (which bins are
-dense or sparse, the gap counts and the first round of gaps' fixed arrays)
-is a plan, made once per call and block size and shared by every block of
-that size. A block's output is its clicks per bin and its (pulse, bin) click
-pairs, in no particular order. Blocks run through one block map,
-``_map_blocks``. Randomness comes from counter-based Philox streams keyed by
-the seed and jumped per fixed-size pulse block, so histograms and tag
-streams are bit-identical for a given seed no matter how many workers run
-the blocks.
+Each block works out from its size and the loop what it draws: its kernel,
+which bins are dense or sparse and the gap counts, a few tens of
+microseconds against the hundreds its draws take. A block's output is its
+clicks per bin and its (pulse, bin) click pairs, in no particular order.
+Blocks run through one block map, ``_map_blocks``. Randomness comes from
+counter-based Philox streams keyed by the seed and jumped per fixed-size
+pulse block, so histograms and tag streams are bit-identical for a given
+seed no matter how many workers run the blocks.
 """
 
 from __future__ import annotations
@@ -151,8 +150,8 @@ class SimOptions:
     n_workers: int = 1
 
     def __post_init__(self):
-        if self.n_pulses < 0:
-            raise ValueError(f"n_pulses must be non-negative, got {self.n_pulses}")
+        if not 0 <= self.n_pulses < 1 << 63:  # clicks and trials are int64
+            raise ValueError(f"n_pulses must be non-negative and below 2**63, got {self.n_pulses}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
         if self.n_workers < 1:
@@ -184,63 +183,6 @@ def _check_guard(config: LoopConfig, ns: np.ndarray):
         )
 
 
-class _GapRound(NamedTuple):
-    """The part of one round of geometric gaps that no draw changes.
-
-    The round draws for the plan's sparse bins ``sparse[todo]``, ``counts[i]``
-    gaps for bin ``todo[i]``, one bin after another. Gap g belongs to bin
-    ``bins[g]``, it divides by log(1 - p) ``log_skips[g]`` and its ratio is
-    capped at ``caps[g]``. ``ends`` indexes each bin's last gap.
-    """
-
-    todo: np.ndarray
-    counts: np.ndarray
-    ends: np.ndarray
-    bins: np.ndarray
-    log_skips: np.ndarray
-    caps: np.ndarray
-
-
-class _Plan(NamedTuple):
-    """What the block kernel works out before its first draw, for blocks of ``size`` pulses.
-
-    Made once per call and block size, by :func:`_plan_bins` or
-    :func:`_plan_block`, and only read by the blocks of ``n_bins`` bins. Each
-    ``dense`` bin draws Binomial(size, ``p_dense``) distinct pulses: its
-    clicks, or, where ``dense_flip`` marks p_j > 1/2, the pulses that miss
-    it, with ``p_dense`` = 1 - p_j. The ``sparse`` bins, ascending and all of
-    p_j <= 1/2, draw geometric gaps with log(1 - p_j) ``log_skip``,
-    ``n_gaps`` each in the first round, whose fixed part is ``first`` (None
-    without sparse bins).
-    ``route`` is q_j when the photons are routed apart and the kernel draws
-    only the dark counts; it is None when the kernel draws the photons too.
-    ``cdf``, cumsum(t q_j), routes a source of at most one photon by one
-    uniform a pulse; without it the routing chain does.
-    """
-
-    size: int
-    n_bins: int
-    dense: np.ndarray
-    dense_flip: np.ndarray
-    p_dense: np.ndarray
-    sparse: np.ndarray
-    log_skip: np.ndarray
-    n_gaps: np.ndarray
-    first: Optional[_GapRound] = None
-    route: Optional[np.ndarray] = None
-    cdf: Optional[np.ndarray] = None
-
-    def gap_round(self, todo: np.ndarray) -> _GapRound:
-        """The fixed part of a round of gaps for the sparse bins ``sparse[todo]``."""
-        counts = self.n_gaps[todo]
-        bins = self.sparse[todo]
-        log_skips = np.repeat(self.log_skip[todo], counts)
-        # a gap over size pulses passes the block's end all the same: capping the ratio at
-        # size + 1 keeps a subnormal log1p(-p) from overflowing it
-        caps = (self.size + 1) * log_skips
-        return _GapRound(todo, counts, np.cumsum(counts) - 1, np.repeat(bins, counts), log_skips, caps)
-
-
 class _Draws(NamedTuple):
     """One block's clicks: ``clicks`` per bin and the (``pulses``, ``bins``) pairs, in no particular order."""
 
@@ -262,25 +204,12 @@ def _pair_probs(log_miss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flip, np.where(flip, miss, hit)
 
 
-def _plan_bins(size: int, log_miss: np.ndarray) -> _Plan:
-    """The :class:`_Plan` of :func:`_sample_clicks` for bins of log no-click probability ``log_miss``."""
-    flip, p = _pair_probs(log_miss)
-    expected = size * p
-    dense = np.flatnonzero(flip | (expected >= _SPARSE_PAIRS))
-    sparse = np.flatnonzero(~flip & (expected > 0) & (expected < _SPARSE_PAIRS))
-    mean = expected[sparse]
-    n_gaps = np.ceil(mean + _GAP_MARGIN * (np.sqrt(mean) + 1.0)).astype(np.int64)
-    plan = _Plan(size, len(log_miss), dense, flip[dense], p[dense], sparse, log_miss[sparse], n_gaps)
-    return plan._replace(first=plan.gap_round(np.arange(len(sparse))) if len(sparse) else None)
-
-
-def _sample_clicks(rng: np.random.Generator, plan: _Plan) -> _Draws:
-    """Sample independent per-bin clicks for ``plan.size`` pulses, sparsely.
+def _sample_clicks(rng: np.random.Generator, size: int, log_miss: np.ndarray) -> _Draws:
+    """Sample independent per-bin clicks for ``size`` pulses, sparsely.
 
     Bin j fires in each pulse independently with probability
-    p_j = 1 - exp(log_miss[j]), for the ``log_miss`` the plan was made from;
-    taking the log of the no-click probability keeps both tails exact. Each
-    bin is drawn in one of two ways:
+    p_j = 1 - exp(``log_miss[j]``); taking the log of the no-click
+    probability keeps both tails exact. Each bin is drawn in one of two ways:
 
     * a *dense* bin, one with p_j > 1/2 or expecting at least
       ``_SPARSE_PAIRS`` clicks (size * p_j), draws k ~ Binomial(size, p')
@@ -298,38 +227,47 @@ def _sample_clicks(rng: np.random.Generator, plan: _Plan) -> _Draws:
     Both ways make every (pulse, bin) a click with probability p_j, all
     independently.
     """
-    size = plan.size
+    flip, p = _pair_probs(log_miss)
+    expected = size * p
+    dense = np.flatnonzero(flip | (expected >= _SPARSE_PAIRS))
+    sparse = np.flatnonzero(~flip & (expected > 0) & (expected < _SPARSE_PAIRS))
+    mean = expected[sparse]
+    n_gaps = np.ceil(mean + _GAP_MARGIN * (np.sqrt(mean) + 1.0)).astype(np.int64)
     pulses = []
     fires = np.empty(size, dtype=bool)
-    ks = rng.binomial(size, plan.p_dense)
-    for flipped, k in zip(plan.dense_flip.tolist(), ks.tolist()):
+    ks = rng.binomial(size, p[dense])
+    for flipped, k in zip(flip[dense].tolist(), ks.tolist()):
         drawn = rng.choice(size, k, replace=False, shuffle=False)
         if flipped:  # drawn are the pulses that miss the bin
             fires.fill(True)
             fires[drawn] = False
             drawn = np.flatnonzero(fires)
         pulses.append(drawn)
-    clicks = np.zeros(plan.n_bins, dtype=np.int64)
-    clicks[plan.dense] = [len(p) for p in pulses]
-    bins = [np.repeat(plan.dense, clicks[plan.dense])]
-    start = np.zeros(len(plan.sparse), dtype=np.int64)  # the pulse each bin's next gap counts from
-    gaps = plan.first
-    while gaps is not None:
-        ratio = np.log1p(-rng.random(len(gaps.log_skips)))
-        np.maximum(ratio, gaps.caps, out=ratio)
-        ratio /= gaps.log_skips
+    clicks = np.zeros(len(log_miss), dtype=np.int64)
+    clicks[dense] = [len(drawn) for drawn in pulses]
+    bins = [np.repeat(dense, clicks[dense])]
+    start = np.zeros(len(sparse), dtype=np.int64)  # the pulse each bin's next gap counts from
+    todo = np.arange(len(sparse))  # the sparse bins that draw a round of gaps: sparse[todo]
+    while len(todo):
+        counts = n_gaps[todo]
+        ends = np.cumsum(counts) - 1  # each bin's last gap
+        log_skips = np.repeat(log_miss[sparse[todo]], counts)
+        ratio = np.log1p(-rng.random(len(log_skips)))
+        # a gap over size pulses passes the block's end all the same: capping the ratio at
+        # size + 1 keeps a subnormal log1p(-p) from overflowing it
+        np.maximum(ratio, (size + 1) * log_skips, out=ratio)
+        ratio /= log_skips
         at = ratio.astype(np.int64)  # the floor, as ratio >= 0
         at += 1
         np.cumsum(at, out=at)
         # each bin's running sum of gaps from its start; a click's pulse is that sum minus 1
-        at -= np.repeat(np.concatenate(([0], at[gaps.ends[:-1]])) - start[gaps.todo] + 1, gaps.counts)
+        at -= np.repeat(np.concatenate(([0], at[ends[:-1]])) - start[todo] + 1, counts)
         inside = at < size
         pulses.append(at[inside])
-        bins.append(gaps.bins[inside])
-        clicks += np.bincount(bins[-1], minlength=plan.n_bins)
-        start[gaps.todo] = at[gaps.ends] + 1
-        todo = gaps.todo[start[gaps.todo] < size]
-        gaps = plan.gap_round(todo) if len(todo) else None
+        bins.append(np.repeat(sparse[todo], counts)[inside])
+        clicks += np.bincount(bins[-1], minlength=len(log_miss))
+        start[todo] = at[ends] + 1
+        todo = todo[start[todo] < size]
     return _Draws(clicks, np.concatenate([np.empty(0, dtype=np.int64), *pulses]), np.concatenate(bins))
 
 
@@ -425,55 +363,43 @@ def _fired_count_classes(
     return np.array(clicks, dtype=np.int64), k_counts
 
 
-def _plan_block(config: LoopConfig, source: PhotonSource, size: int) -> _Plan:
-    """The :class:`_Plan` of :func:`_simulate_block` for blocks of ``size`` pulses.
+def _simulate_block(
+    config: LoopConfig, source: PhotonSource, size: int, rng: np.random.Generator
+) -> _Draws:
+    """The :class:`_Draws` of one block of ``size`` pulses.
 
-    Unguarded Coherent light plans the per-bin kernel over its photons and
+    Unguarded Coherent light runs the per-bin kernel over its photons and
     dark counts together. Every other source, and Coherent light under a
-    guard (the guard needs the per-pulse photon numbers), plans the kernel
-    over the dark counts alone, p_j = nu, and routes its photons by q_j.
-    Fock(1) and LossyFock(1, t) route theirs by ``cdf`` = cumsum(t q_j),
-    unless a guard of 0 has to see each photon to refuse it.
+    guard (the guard needs the per-pulse photon numbers), routes its photons
+    apart and adds the dark counts of the per-bin kernel, p_j = nu, dropping
+    a dark pair that repeats a photon pair. Fock(1) and LossyFock(1, t) route
+    theirs by one uniform u a pulse, into bin ``searchsorted(cdf, u,
+    side="right")`` of cdf = cumsum(t q_j) (none when that is ``n_bins``),
+    unless a guard of 0 has to see each photon to refuse it; the others by
+    :func:`_route_photons` over drawn photon numbers.
     """
     if _independent_bins(config, source):
-        return _plan_bins(size, _coherent_log_miss(config, source))
+        return _sample_clicks(rng, size, _coherent_log_miss(config, source))
     q = analytic.bin_exit_probs(config)
-    plan = _plan_bins(size, np.full(config.n_bins, np.log1p(-config.nu)))._replace(route=q)
-    if isinstance(source, (Fock, LossyFock)) and source.n == 1 and config.n_max_guard != 0:
-        return plan._replace(cdf=np.cumsum(q * source.mean_photon_number()))
-    return plan
-
-
-def _simulate_block(
-    config: LoopConfig, source: PhotonSource, plan: _Plan, rng: np.random.Generator
-) -> _Draws:
-    """The :class:`_Draws` of one block of ``plan.size`` pulses.
-
-    Without a ``plan.route`` this is the per-bin kernel, dark counts
-    included. With one, the block routes its photons, by one uniform u a
-    pulse into bin ``searchsorted(plan.cdf, u, side="right")`` (none when
-    that is ``n_bins``) or else by :func:`_route_photons` over drawn photon
-    numbers, and adds the dark counts of the per-bin kernel, dropping a dark
-    pair that repeats a photon pair.
-    """
-    if plan.route is None:
-        return _sample_clicks(rng, plan)
-    if plan.cdf is not None:
-        drawn = np.searchsorted(plan.cdf, rng.random(plan.size), side="right")
+    one_photon = isinstance(source, (Fock, LossyFock)) and source.n == 1 and config.n_max_guard != 0
+    if one_photon:
+        cdf = np.cumsum(q * source.mean_photon_number())
+        drawn = np.searchsorted(cdf, rng.random(size), side="right")
         pulses = np.flatnonzero(drawn < config.n_bins)
         bins = drawn[pulses]
     else:
-        ns = source.sample(rng, plan.size)
+        ns = source.sample(rng, size)
         _check_guard(config, ns)
-        pulses, bins = _route_photons(rng, ns, plan.route)
-    _dark_clicks, dark_pulses, dark_bins = _sample_clicks(rng, plan)
-    if plan.cdf is not None:  # a pulse's one photon pair is in bin drawn[pulse]
+        pulses, bins = _route_photons(rng, ns, q)
+    dark_log_miss = np.full(config.n_bins, np.log1p(-config.nu))
+    _dark_clicks, dark_pulses, dark_bins = _sample_clicks(rng, size, dark_log_miss)
+    if one_photon:  # a pulse's one photon pair is in bin drawn[pulse]
         new = drawn[dark_pulses] != dark_bins
         dark_pulses, dark_bins = dark_pulses[new], dark_bins[new]
     elif len(pulses) and len(dark_pulses):
         # the chain's keys come out sorted, so membership is a binary search
-        keys = bins * plan.size + pulses
-        dark = dark_bins * plan.size + dark_pulses
+        keys = bins * size + pulses
+        dark = dark_bins * size + dark_pulses
         new = keys[np.minimum(np.searchsorted(keys, dark), len(keys) - 1)] != dark
         dark_pulses, dark_bins = dark_pulses[new], dark_bins[new]
     pulses = np.concatenate([pulses, dark_pulses])
@@ -493,19 +419,16 @@ def _map_blocks(
 
     Block b holds ``_block_size(n_pulses, b)`` pulses from ``b * BLOCK_SIZE``
     on and draws from the seed's Philox stream jumped b times; ``draws`` is its
-    :class:`_Draws`, with pulses counted within the block. The plans of the
-    blocks, one per block size (the last block may be partial), are made
-    once, when the first result is asked for. ``fn`` runs on the worker
-    threads, and the results do not depend on ``opts.n_workers``. With one
-    worker a block is simulated only when its result is asked for.
+    :class:`_Draws` from :func:`_simulate_block`, with pulses counted within
+    the block. ``fn`` runs on the worker threads, and the results do not
+    depend on ``opts.n_workers``. With one worker a block is simulated only
+    when its result is asked for.
     """
     blocks = range(-(-opts.n_pulses // BLOCK_SIZE))
-    sizes = {_block_size(opts.n_pulses, block) for block in (*blocks[:1], *blocks[-1:])}
-    plans = {size: _plan_block(config, source, size) for size in sizes}
 
     def run(block: int):
-        plan = plans[_block_size(opts.n_pulses, block)]
-        return fn(block, _simulate_block(config, source, plan, _block_rng(opts.seed, block)))
+        size = _block_size(opts.n_pulses, block)
+        return fn(block, _simulate_block(config, source, size, _block_rng(opts.seed, block)))
 
     if opts.n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # imports logging: only when it is used
@@ -520,7 +443,7 @@ def simulate_pulse(
     config: LoopConfig, source: PhotonSource, rng: np.random.Generator
 ) -> frozenset[int]:
     """Simulate a single pulse; returns the set of fired bins (1-based)."""
-    draws = _simulate_block(config, source, _plan_block(config, source, 1), rng)
+    draws = _simulate_block(config, source, 1, rng)
     return frozenset((draws.bins + 1).tolist())
 
 
@@ -538,7 +461,7 @@ def simulate_ensemble(
     fired-count classes from the seed's Philox stream, in O(n_bins^2) work at
     most, whatever ``opts.n_pulses`` is. This is an exact sample of the
     same law as :func:`emit_time_tags`, but not the same draw. Every other
-    source runs the pulse blocks of :func:`_plan_block`'s kernel: a pulse's
+    source runs the pulse blocks of :func:`_simulate_block`: a pulse's
     k-count is its number of pairs. Artifacts act on detector records, so
     only :func:`emit_time_tags` models them.
     """

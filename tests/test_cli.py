@@ -235,7 +235,7 @@ class TestSimulateCommand:
         [
             (156_000, ["--pulses", "10", "--rep-period-ps", str(10**20)]),
             (156_000, ["--pulses", "20", "--rep-period-ps", str(10**18)]),
-            (4 * 10**18, ["--pulses", "2"]),  # the default period, n_bins + 4 loop delays
+            (2 * 10**18, ["--pulses", "2"]),  # the default period, n_bins + 4 loop delays
         ],
         ids=["period-past-int64", "last-pulse-past-int64", "default-period-past-int64"],
     )
@@ -416,6 +416,17 @@ class TestSimulateCommand:
         assert result.exit_code == 2, result.output
         assert "dead_time_ps" in result.output
         assert not (tmp_path / "h.csv").exists() and not (tmp_path / "t.csv").exists()
+
+    def test_pulses_past_int64_exit_2(self, runner, config_file, tmp_path):
+        """Clicks and trials are int64: 2**63 pulses or more are refused before any output."""
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", config_file, "--source", "coherent:2", "--pulses", str(1 << 63),
+             "-o", str(tmp_path / "h.csv")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "n_pulses" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json"]
 
     def test_largest_dead_time_runs(self, runner, config_file, tmp_path):
         """A dead time of 2**63 - 1 ps keeps the first detector record and blinds the rest of the run."""
@@ -1002,6 +1013,28 @@ class TestMalformedInputs:
         assert isinstance(result.exception, SystemExit), (kind, text, result.exception)
         assert result.exit_code == 2, (kind, text, result.output)
         assert str(config) in result.output, (kind, text, result.output)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--source", "coherent:2", "--pulses", "10", "-o", "{tmp}/out"],
+            ["analyze", "--tags", "{tmp}/in.csv", "-o", "{tmp}/out"],
+            ["fit", "--hist", "{tmp}/in.csv", "-o", "{tmp}/out"],
+            ["calibrate", "--bright", "{tmp}/in.csv", "--attenuated", "{tmp}/in.csv", "-o", "{tmp}/out"],
+        ],
+        ids=["simulate", "analyze", "fit", "calibrate"],
+    )
+    def test_loop_delay_past_int64_exits_2(self, runner, tmp_path, args):
+        """The last bin's offset from its sync, n_bins * loop_delay_ps, has to be an int64 record time."""
+        config = tmp_path / "loop.json"
+        config.write_text(json.dumps(
+            {"mode": "passive", "R": 0.5, "eta": 0.9, "nu": 1e-3, "n_bins": 4, "loop_delay_ps": 1 << 63}
+        ))
+        (tmp_path / "in.csv").write_text("channel,time_ps\n0,0\n1,9223372036854775807\n")
+        result = runner.invoke(main, [args[0], "--config", str(config), *(a.format(tmp=tmp_path) for a in args[1:])])
+        assert result.exit_code == 2, result.output
+        assert str(config) in result.output and "loop_delay_ps" in result.output
+        assert not (tmp_path / "out").exists()
 
     @given(malformed=malformed_histograms())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

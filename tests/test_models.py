@@ -131,6 +131,12 @@ class TestLoopConfig:
                 loop_delay_ps=1000, gate_width_ps=1000,
             )
 
+    def test_last_bin_offset_must_fit_int64(self):
+        with pytest.raises(ValueError, match="loop_delay_ps must keep n_bins"):
+            LoopConfig(mode="passive", R=0.5, eta=0.9, nu=0.0, n_bins=4, loop_delay_ps=1 << 61)
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=0.0, n_bins=4, loop_delay_ps=(1 << 61) - 1)
+        assert cfg.n_bins * cfg.loop_delay_ps == (1 << 63) - 4
+
     def test_mode_coerced_from_string(self):
         cfg = LoopConfig(mode="active", R=0.1, eta=0.8, nu=0.0)
         assert cfg.mode.value == "active"

@@ -149,10 +149,14 @@ def _record_counts(stream, config, rep_period_ps):
 
 
 class _CountingRng:
-    """A generator that counts its ``random`` calls: one per round of geometric gaps."""
+    """A generator that counts its ``random`` and ``choice`` calls.
+
+    The per-bin kernel makes one ``random`` call a round of geometric gaps and one ``choice``
+    call a dense bin.
+    """
 
     def __init__(self, generator):
-        self.rng, self.rounds = generator, 0
+        self.rng, self.rounds, self.choices = generator, 0, 0
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -160,6 +164,10 @@ class _CountingRng:
     def random(self, size):
         self.rounds += 1
         return self.rng.random(size)
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.rng.choice(*args, **kwargs)
 
 
 class TestSparseKernel:
@@ -172,17 +180,17 @@ class TestSparseKernel:
     CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
 
     def draw_blocks(self, log_miss, size, seeds):
-        """One block a seed: clicks per bin, per pulse index and k-counts, and the gap rounds.
+        """One block a seed: clicks per bin, per pulse index and k-counts, the gap rounds and the dense bins.
 
         Checks that each block draws every (pulse, bin) pair at most once and
         that its clicks per bin count its pairs.
         """
         n_bins = len(log_miss)
         clicks, per_pulse, k_counts = np.zeros(n_bins), np.zeros(size), np.zeros(n_bins + 1)
-        rounds = 0
+        rounds = choices = 0
         for seed in seeds:
             counting = _CountingRng(rng(seed))
-            draws = simulator._sample_clicks(counting, simulator._plan_bins(size, log_miss))
+            draws = simulator._sample_clicks(counting, size, log_miss)
             keys = draws.bins * size + draws.pulses
             assert len(np.unique(keys)) == len(keys)
             np.testing.assert_array_equal(draws.clicks, np.bincount(draws.bins, minlength=n_bins))
@@ -191,7 +199,8 @@ class TestSparseKernel:
             per_pulse += fired
             k_counts += np.bincount(fired, minlength=n_bins + 1)
             rounds += counting.rounds
-        return clicks, per_pulse, k_counts, rounds
+            choices += counting.choices
+        return clicks, per_pulse, k_counts, rounds, choices
 
     def check_closed_forms(self, p, n_blocks, clicks, per_pulse, k_counts):
         """The counts of :meth:`draw_blocks` against independent bins that fire with p."""
@@ -220,7 +229,7 @@ class TestSparseKernel:
         size = 50_000
         with np.errstate(divide="ignore"):
             log_miss = np.log1p(-p)
-        draws = simulator._sample_clicks(rng(11), simulator._plan_bins(size, log_miss))
+        draws = simulator._sample_clicks(rng(11), size, log_miss)
         pulses, bins = draws.pulses, draws.bins
         clicks = np.bincount(bins, minlength=len(p))
         assert clicks[0] == 0
@@ -290,12 +299,13 @@ class TestSparseKernel:
         flip = p > 0.5
         assert flip.sum() == 7
         assert (size * (1.0 - p[flip]) < simulator._SPARSE_PAIRS).sum() == (7 if size < 1000 else 5)
-        plan = simulator._plan_bins(size, log_miss)
-        np.testing.assert_array_equal(plan.dense[plan.dense_flip], np.flatnonzero(flip))
-        assert len(plan.sparse) and not flip[plan.sparse].any()
-        assert (len(plan.dense) > 7) == (size == simulator.BLOCK_SIZE)  # dense bins that do not flip
+        np.testing.assert_array_equal(simulator._pair_probs(log_miss)[0], flip)
         seeds = range(500, 500 + min(4000, 655_360 // size))
-        clicks, per_pulse, k_counts, _rounds = self.draw_blocks(log_miss, size, seeds)
+        clicks, per_pulse, k_counts, rounds, choices = self.draw_blocks(log_miss, size, seeds)
+        # a block draws one rng.choice a dense bin, the 7 flipped ones and, in full blocks only,
+        # some that do not flip, and at least one round of gaps for its sparse bins
+        assert (choices > 7 * len(seeds)) == (size == simulator.BLOCK_SIZE)
+        assert choices >= 7 * len(seeds) and rounds >= len(seeds)
         self.check_closed_forms(p, len(seeds), clicks, per_pulse, k_counts)
 
     def test_top_up_rounds(self, monkeypatch):
@@ -304,18 +314,17 @@ class TestSparseKernel:
         monkeypatch.setattr(simulator, "_GAP_MARGIN", 0.0)
         size, seeds = 1000, range(600, 900)
         p = np.array([analytic.click_prob_closed(self.CFG, Coherent(3.0), j) for j in range(1, 21)])
-        np.testing.assert_array_equal(simulator._plan_bins(size, self.log_miss(3.0)).sparse, np.arange(1, 20))
-        clicks, per_pulse, k_counts, rounds = self.draw_blocks(self.log_miss(3.0), size, seeds)
+        np.testing.assert_array_equal(np.flatnonzero(simulator._pair_probs(self.log_miss(3.0))[0]), [0])
+        clicks, per_pulse, k_counts, rounds, choices = self.draw_blocks(self.log_miss(3.0), size, seeds)
         self.check_closed_forms(p, len(seeds), clicks, per_pulse, k_counts)
+        assert choices == len(seeds)  # bin 1 is the one dense bin: the other 19 draw gaps
         assert rounds > 2 * len(seeds)
 
-    def test_plan_made_per_call(self, monkeypatch):
-        # a run at the default margin first, then one without: were the plan kept across calls,
-        # the second would draw one round a block. Without margin a bin's first gaps often end
-        # inside the block, in both full blocks and in the partial last one
+    def test_top_up_rounds_in_a_run(self, monkeypatch):
+        # without margin a bin's first gaps often end inside the block, in both full blocks and
+        # in the partial last one
         source, opts = Coherent(3.0), SimOptions(n_pulses=2 * simulator.BLOCK_SIZE + 5000, seed=700)
         rep = (self.CFG.n_bins + 4) * self.CFG.loop_delay_ps
-        simulator.emit_time_tags(self.CFG, source, opts, rep)
         monkeypatch.setattr(simulator, "_GAP_MARGIN", 0.0)
         block_rng, counting = simulator._block_rng, []
         monkeypatch.setattr(
@@ -340,11 +349,12 @@ class TestSparseKernel:
         tiny = np.finfo(float).tiny
         assert 0.0 < -log_miss[2] < tiny and 0.0 < np.exp(log_miss[3]) < tiny
         with np.errstate(divide="raise", over="raise", invalid="raise"):
+            np.testing.assert_array_equal(simulator._pair_probs(log_miss)[0], [False, True, False, True])
             for size in (1, simulator.BLOCK_SIZE):
-                plan = simulator._plan_bins(size, log_miss)
-                np.testing.assert_array_equal(plan.dense[plan.dense_flip], [1, 3])
                 for seed in range(5):
-                    draws = simulator._sample_clicks(rng(seed), plan)
+                    counting = _CountingRng(rng(seed))
+                    draws = simulator._sample_clicks(counting, size, log_miss)
+                    assert counting.choices == 2  # the flipped bins 2 and 4 draw their misses, none
                     np.testing.assert_array_equal(draws.clicks, [0, size, 0, size])
                     np.testing.assert_array_equal(np.bincount(draws.bins, minlength=4), [0, size, 0, size])
 
@@ -397,7 +407,7 @@ class TestPhotonChain:
 
     def test_block_pairs_are_distinct(self):
         cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=0.05, n_bins=10)
-        draws = simulator._simulate_block(cfg, Fock(5), simulator._plan_block(cfg, Fock(5), 4096), rng(32))
+        draws = simulator._simulate_block(cfg, Fock(5), 4096, rng(32))
         keys = draws.bins * 4096 + draws.pulses
         assert len(np.unique(keys)) == len(keys)
         np.testing.assert_array_equal(draws.clicks, np.bincount(draws.bins, minlength=cfg.n_bins))
@@ -406,7 +416,7 @@ class TestPhotonChain:
         cfg = LoopConfig(mode="active", R=0.5, eta=0.0, nu=0.0, n_bins=20)
         q = analytic.bin_exit_probs(cfg)
         assert not q.any()
-        draws = simulator._simulate_block(cfg, Fock(300), simulator._plan_block(cfg, Fock(300), 1000), rng(33))
+        draws = simulator._simulate_block(cfg, Fock(300), 1000, rng(33))
         assert len(draws.pulses) == len(draws.bins) == 0 and not draws.clicks.any()
 
     def test_empty_tail_raises_no_warning(self):
@@ -415,17 +425,15 @@ class TestPhotonChain:
         cfg = LoopConfig(mode="passive", R=1.0, eta=0.9, nu=0.0, n_bins=20)
         q = analytic.bin_exit_probs(cfg)
         assert q[0] == 1.0 and not q[1:].any()
-        plan = simulator._plan_block(cfg, Thermal(3.0), 1000)
-        draws = simulator._simulate_block(cfg, Thermal(3.0), plan, rng(34))
+        draws = simulator._simulate_block(cfg, Thermal(3.0), 1000, rng(34))
         pulses, bins = draws.pulses, draws.bins
         assert (bins == 0).all() and len(np.unique(pulses)) == len(pulses)
 
     def test_block_memory_stays_sparse(self, hdr_config):
         # a dense (pulses, n_bins + 1) int64 matrix of this block alone would be 17 MB
-        plan = simulator._plan_block(hdr_config, Fock(3), simulator.BLOCK_SIZE)
         tracemalloc.start()
         try:
-            simulator._simulate_block(hdr_config, Fock(3), plan, rng(35))
+            simulator._simulate_block(hdr_config, Fock(3), simulator.BLOCK_SIZE, rng(35))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -454,13 +462,28 @@ class TestSinglePhotonKernel:
              "lossyfock-3", "thermal-3", "fock-1-guard-0"],
     )
     def test_plan_picks_the_kernel(self, source, guard, one_photon):
+        """A block's pairs are its photon pairs, then its dark pairs that repeat none of them."""
         cfg = LoopConfig(**self.CFG, nu=1e-3, n_max_guard=guard)
-        plan = simulator._plan_block(cfg, source, 1000)
-        assert plan.route is not None
-        assert (plan.cdf is not None) == one_photon
-        if one_photon:
-            q = analytic.bin_exit_probs(cfg)
-            np.testing.assert_array_equal(plan.cdf, np.cumsum(q * source.mean_photon_number()))
+        size, seed, q = 1000, 43, analytic.bin_exit_probs(cfg)
+        if guard == 0:  # only the routing chain sees the photon numbers, and it refuses the photons
+            with pytest.raises(GuardExceeded):
+                simulator._simulate_block(cfg, source, size, rng(seed))
+            return
+        draws = simulator._simulate_block(cfg, source, size, rng(seed))
+        r = rng(seed)
+        if one_photon:  # the first size uniforms, one a pulse, against cumsum(t q_j)
+            drawn = np.searchsorted(np.cumsum(q * source.mean_photon_number()), r.random(size), side="right")
+            pulses = np.flatnonzero(drawn < cfg.n_bins)
+            bins = drawn[pulses]
+        else:  # photon numbers, then the routing chain
+            pulses, bins = simulator._route_photons(r, source.sample(r, size), q)
+        dark = simulator._sample_clicks(r, size, np.full(cfg.n_bins, np.log1p(-cfg.nu)))
+        assert len(dark.pulses)
+        np.testing.assert_array_equal(draws.pulses[: len(pulses)], pulses)
+        np.testing.assert_array_equal(draws.bins[: len(pulses)], bins)
+        photon_pairs = set(zip(pulses.tolist(), bins.tolist()))
+        dark_pairs = [pair for pair in zip(dark.pulses.tolist(), dark.bins.tolist()) if pair not in photon_pairs]
+        assert list(zip(draws.pulses[len(pulses) :].tolist(), draws.bins[len(pulses) :].tolist())) == dark_pairs
 
     @pytest.mark.parametrize("source", [Fock(1), LossyFock(1, 0.6)], ids=["fock-1", "lossyfock"])
     def test_without_dark_counts_at_most_one_bin_fires(self, source):
@@ -647,7 +670,7 @@ class TestEmitTimeTags:
 
     @pytest.mark.parametrize(
         "delay, n_pulses, rep",
-        [(156_000, 10, 10**20), (156_000, 20, 10**18), (4 * 10**18, 2, 8 * 4 * 10**18)],
+        [(156_000, 10, 10**20), (156_000, 20, 10**18), (2 * 10**18, 2, 8 * 2 * 10**18)],
         ids=["period-past-int64", "last-pulse-past-int64", "default-period-past-int64"],
     )
     def test_times_past_int64_raise(self, delay, n_pulses, rep):
@@ -869,6 +892,8 @@ class TestOptionChecks:
             (lambda: ArtifactModel(0.1, 78_000, -7), r"dead_time_ps must be in \[0, 2\*\*63\)"),
             (lambda: ArtifactModel(0.1, 78_000, 1 << 63), r"dead_time_ps must be in \[0, 2\*\*63\)"),
             (lambda: SimOptions(n_pulses=-1), "n_pulses must be non-negative"),
+            (lambda: SimOptions(n_pulses=1 << 63), r"n_pulses must be non-negative and below 2\*\*63"),
+            (lambda: SimOptions(n_pulses=10**19), r"n_pulses must be non-negative and below 2\*\*63"),
             (lambda: SimOptions(n_pulses=10, seed=-1), "seed must be a 64-bit"),
             (lambda: SimOptions(n_pulses=10, seed=2**64), "seed must be a 64-bit"),
             (lambda: SimOptions(n_pulses=10, n_workers=0), "n_workers must be >= 1"),
@@ -881,7 +906,8 @@ class TestOptionChecks:
         ],
         ids=[
             "delay-0", "delay-negative", "dead-time-negative", "dead-time-2**63",
-            "pulses", "seed-negative", "seed-2**64", "workers", "ensemble-pulses",
+            "pulses", "pulses-2**63", "pulses-10**19", "seed-negative", "seed-2**64", "workers",
+            "ensemble-pulses",
         ],
     )
     def test_out_of_range_option_raises(self, make, match):
@@ -911,8 +937,10 @@ class TestSeededOutputs:
     of 0.13.0 too.
     The LossyFock(1, 0.6) ones date from 0.12.0, which draws one uniform a
     pulse; the others, guarded Coherent light included, from 0.9.0, which
-    draws sparse bins by geometric gaps. The ensemble ones hold for any worker count. A change that means to
-    draw differently updates them and bumps the version.
+    draws sparse bins by geometric gaps. The ensemble ones hold for any worker count. The
+    simulate_pulse ones, blocks of one pulse, were computed with version 0.15.0 and added in
+    0.16.0, which draws the same. A change that means to draw differently updates them and
+    bumps the version.
     """
 
     CFG = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=20)
@@ -966,10 +994,32 @@ class TestSeededOutputs:
         got = hashlib.sha256(hist.clicks.astype("<i8").tobytes() + k_counts.tobytes())
         assert got.hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            (Coherent(3.0), "7e8729389bbfd3813bb5624eeaec466b32f50e4eb3c315f40a65e9819fcf14dd"),
+            (Thermal(3.0), "97354c1a44cb56a2f5721f28a83c4230cc0ac49cc4496cad8a16254714242a77"),
+            (LossyFock(1, 0.6), "799abb8e4dafbad07b3f8d449d2f97f6127c88fb7f15333d0e5640b56359114b"),
+        ],
+        ids=["coherent-3", "thermal-3", "lossyfock"],
+    )
+    def test_simulate_pulse_digest(self, source, digest):
+        """2,000 consecutive single pulses from one generator, each a block of one pulse."""
+        r, fired = rng(self.OPTS["seed"]), np.zeros((2000, self.CFG.n_bins), dtype=np.uint8)
+        for i in range(len(fired)):
+            for j in simulator.simulate_pulse(self.CFG, source, r):
+                fired[i, j - 1] = 1
+        assert hashlib.sha256(fired.tobytes()).hexdigest() == digest
+
     def test_hdr_bright_tags_match_ensemble(self):
-        # a full bright block holds bins of every class: dense, flipped or not, and sparse
-        plan = simulator._plan_block(self.HDR, self.HDR_BRIGHT, simulator.BLOCK_SIZE)
-        assert (len(plan.dense), plan.dense_flip.sum(), len(plan.sparse)) == (46, 33, 84)
+        # a full bright block holds bins of every class: 46 dense (one rng.choice each), 33 of
+        # them flipped, and the other 84 sparse, drawn by gaps
+        flip, p = simulator._pair_probs(simulator._coherent_log_miss(self.HDR, self.HDR_BRIGHT))
+        sparse = ~flip & (p > 0) & (simulator.BLOCK_SIZE * p < simulator._SPARSE_PAIRS)
+        counting = _CountingRng(rng(0))
+        simulator._simulate_block(self.HDR, self.HDR_BRIGHT, simulator.BLOCK_SIZE, counting)
+        assert (counting.choices, flip.sum(), sparse.sum()) == (46, 33, 84)
+        assert counting.choices + sparse.sum() == self.HDR.n_bins and counting.rounds >= 1
         opts = SimOptions(**self.OPTS)
         gate = clickstats.TagGate(self.HDR)
         rep = (self.HDR.n_bins + 4) * self.HDR.loop_delay_ps
