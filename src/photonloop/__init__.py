@@ -20,7 +20,7 @@ from .models import (
 )
 from .simulator import ArtifactModel, SimOptions
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "analytic",

@@ -519,16 +519,17 @@ def simulate(
     """Monte Carlo a pulse ensemble and write its click histogram."""
     config = load_loop_config(config_path)
     source = parse_source(source_spec)
+    rep_period_ps = rep_period_ps or (config.n_bins + 4) * config.loop_delay_ps
     # checked whenever given, as the simulator checks them only on the runs that use them
-    if rep_period_ps is not None and rep_period_ps <= config.n_bins * config.loop_delay_ps:
+    if rep_period_ps <= config.n_bins * config.loop_delay_ps:
         raise ValueError(
             f"--rep-period-ps must exceed n_bins * loop_delay_ps = "
             f"{config.n_bins * config.loop_delay_ps}, got {rep_period_ps}"
         )
-    if reflection_delay_ps is not None and simulator.reflection_in_gates(config, reflection_delay_ps):
+    if reflection_delay_ps and clickstats.reflection_in_gates(config, reflection_delay_ps, rep_period_ps):
         raise ValueError(
-            f"--reflection-delay-ps {reflection_delay_ps} puts spurious records in the gates "
-            f"(loop_delay_ps = {config.loop_delay_ps}, gate_width_ps = {config.gate_width_ps})"
+            f"--reflection-delay-ps {reflection_delay_ps} puts spurious records in the gates of pulses "
+            f"{rep_period_ps} ps apart (loop_delay_ps {config.loop_delay_ps}, gate_width_ps {config.gate_width_ps})"
         )
     artifact = None
     if back_reflection_prob != 0.0 or dead_time_ps != 0:  # ArtifactModel rejects bad values
@@ -546,8 +547,6 @@ def simulate(
         else:
             # one simulation: -o tallies the sampled clicks, which gating the tags gives
             # too; artifacts move and drop records, so then -o is gated from the tags
-            if rep_period_ps is None:
-                rep_period_ps = (config.n_bins + 4) * config.loop_delay_ps
             gate = clickstats.TagGate(config) if artifact else None
             clicks = np.zeros(config.n_bins, dtype=np.int64)
             chunks = simulator.iter_time_tags(config, source, opts, rep_period_ps, artifact)

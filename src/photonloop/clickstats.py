@@ -21,6 +21,7 @@ __all__ = [
     "IngestResult",
     "ingest_time_tags",
     "TagGate",
+    "reflection_in_gates",
     "q_pb",
     "q_b",
     "BootstrapResult",
@@ -58,7 +59,8 @@ class TagGate:
 
     For each sync record, bin j spans a window of ``gate_width_ps`` centred
     on ``t_sync + j * loop_delay_ps`` (left edge inclusive, right edge
-    exclusive); a bin fires when at least one detector record falls inside.
+    exclusive: ``_gate_offsets``, the test :func:`reflection_in_gates` also
+    applies); a bin fires when at least one detector record falls inside.
     A record's pulse is the last sync at or before its time, a sync that
     shares its time but comes after it in the stream included. Detector
     records outside every gate are discarded and tallied.
@@ -122,8 +124,6 @@ class TagGate:
     def _gate(self, channels: np.ndarray, times: np.ndarray):
         """Gate sorted records that no later record can move to another pulse."""
         n_bins = self._config.n_bins
-        delay = self._config.loop_delay_ps
-        gate = self._config.gate_width_ps
 
         # compress and flatnonzero beat boolean indexing on interleaved masks
         is_sync = channels == TimeTagStream.sync_channel
@@ -143,19 +143,10 @@ class TagGate:
         del det_at
         tied = np.flatnonzero(sync_times[np.minimum(pulse + 1, len(sync_times) - 1)] == offset)
         pulse[tied] = np.searchsorted(sync_times, offset[tied], side="right") - 1
-        # offset, bin and residual in place: the chunk can be large
         offset -= sync_times[pulse]
-        j = offset + delay // 2
-        j //= delay
-        residual = offset
-        residual -= j * delay
-        residual *= 2
-        ok = pulse >= (0 if has_open else 1)
-        ok &= j >= 1
-        ok &= j <= n_bins
-        ok &= residual >= -gate
-        ok &= residual < gate
-        del residual, offset
+        j, ok = _gate_offsets(offset, self._config)
+        del offset
+        ok &= pulse >= (0 if has_open else 1)
         hit = np.flatnonzero(ok)
         self._n_discarded += len(ok) - len(hit)
 
@@ -174,6 +165,28 @@ class TagGate:
         if n_new:
             self._open_time = int(sync_times[-1])
             self._n_syncs += n_new
+
+
+def _gate_offsets(offset: np.ndarray, config: LoopConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(nearest bin j, inside bin j's gate) of records ``offset`` ps after their sync; overwrites ``offset``."""
+    delay, gate = config.loop_delay_ps, config.gate_width_ps
+    j = offset + delay // 2
+    j //= delay
+    residual = offset  # in place: a chunk can be large
+    residual -= j * delay
+    residual *= 2
+    inside = (j >= 1) & (j <= config.n_bins)
+    inside &= (residual >= -gate) & (residual < gate)
+    return j, inside
+
+
+def reflection_in_gates(config: LoopConfig, reflection_delay_ps: int, rep_period_ps: int) -> bool:
+    """Whether a reflection delay puts records in a gate of any pulse, syncs ``rep_period_ps`` apart."""
+    # a bin-j record lands (j * loop_delay_ps + the delay) mod the period after the last sync at or
+    # before it; in Python ints, as the delay and the period may pass int64
+    offset = np.arange(1, config.n_bins + 1, dtype=object) * config.loop_delay_ps
+    offset = (offset + reflection_delay_ps) % rep_period_ps
+    return bool(_gate_offsets(offset, config)[1].any())
 
 
 def _witness(mean, var, n_bins: int, sigma2):

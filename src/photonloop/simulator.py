@@ -47,6 +47,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import analytic
+from .clickstats import reflection_in_gates
 from .errors import GuardExceeded
 from .models import (
     ClickHistogram,
@@ -67,7 +68,6 @@ __all__ = [
     "simulate_ensemble",
     "emit_time_tags",
     "iter_time_tags",
-    "reflection_in_gates",
 ]
 
 #: Pulses per RNG block. Fixed so that outputs are independent of worker count.
@@ -97,9 +97,9 @@ _FEW_PAIRS = 1.0
 class ArtifactModel:
     """Back-reflection and dead-time imperfections of the physical setup.
 
-    Every detector record spawns, with probability ``back_reflection_prob``,
-    a spurious record ``reflection_delay_ps`` later (outside the gates).
-    Any record, kept or suppressed, then blinds the detector for
+    Every detector record spawns, with probability ``back_reflection_prob``, a
+    spurious record ``reflection_delay_ps`` later, outside the gates of every
+    pulse. Any record, kept or suppressed, then blinds the detector for
     ``dead_time_ps`` (paralyzable dead time: a record is kept only when the
     gap to the immediately preceding record is at least ``dead_time_ps``).
     Spurious spawns are drawn before suppression is applied.
@@ -120,19 +120,6 @@ class ArtifactModel:
             )
         if not 0 <= self.dead_time_ps < 1 << 63:  # record times and their gaps are int64
             raise ValueError(f"dead_time_ps must be in [0, 2**63), got {self.dead_time_ps}")
-
-
-def reflection_in_gates(config: LoopConfig, reflection_delay_ps: int) -> bool:
-    """Whether a detector record moved by ``reflection_delay_ps`` can land in a gate of its pulse.
-
-    It lands k bins on, r from that bin's centre, inside the gate by the test of
-    :class:`~photonloop.clickstats.TagGate`; a multiple of the loop delay always counts.
-    A later pulse's gates, which depend on the repetition period, are not checked.
-    """
-    delay, gate = config.loop_delay_ps, config.gate_width_ps
-    k = (reflection_delay_ps + delay // 2) // delay
-    r2 = 2 * (reflection_delay_ps - k * delay)
-    return reflection_delay_ps % delay == 0 or (k < config.n_bins and -gate <= r2 < gate)
 
 
 @dataclass(frozen=True)
@@ -550,10 +537,10 @@ def iter_time_tags(
         raise ValueError(
             f"rep_period_ps must exceed n_bins * loop_delay_ps, got {rep_period_ps}"
         )
-    if artifact and reflection_in_gates(config, artifact.reflection_delay_ps):
+    if artifact and reflection_in_gates(config, artifact.reflection_delay_ps, rep_period_ps):
         raise ValueError(
-            f"reflection_delay_ps {artifact.reflection_delay_ps} puts spurious records in the "
-            "gates; they have to fall outside them"
+            f"reflection_delay_ps {artifact.reflection_delay_ps} puts spurious records in the gates "
+            f"of pulses {rep_period_ps} ps apart; they have to fall outside them"
         )
     # the last pulse's last bin, moved by a reflection: the latest record time
     last = (opts.n_pulses - 1) * rep_period_ps + config.n_bins * config.loop_delay_ps

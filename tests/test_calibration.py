@@ -310,6 +310,37 @@ class TestFitLoopParams:
         fit = calibration.fit_loop_params(hist, cfg)
         assert (fit.R_hat, fit.eta_hat) == pytest.approx((R_hat, eta_hat), rel=1e-6)
 
+    def test_failed_refit_keeps_the_previous_result(self, monkeypatch):
+        """The first refit fails: the fit is the first solve's, and no second refit runs."""
+        cfg = hdr_cfg()
+        solver, results = calibration._levenberg_marquardt, []
+
+        def second_fails(residuals, x, lo, hi):
+            results.append(None if results else solver(residuals, x, lo, hi))
+            return results[-1]
+
+        monkeypatch.setattr(calibration, "_levenberg_marquardt", second_fails)
+        fit = calibration.fit_loop_params(exact_histogram(cfg, nbar=2.0), cfg)
+        (x, cost, _jac), failed = results
+        assert failed is None
+        assert (fit.R_hat, fit.eta_hat, fit.nbar_hat) == tuple(x)
+        assert fit.residual_norm == 2.0 * cost
+
+
+def test_levenberg_marquardt_gives_up_after_max_steps():
+    """r(x) = e^-x on an unbounded box: every step lowers the cost, and none converges."""
+    points = []
+
+    def residuals(x):
+        points.append(float(x[0]))
+        r = np.exp(-x)
+        return r, -r[:, None]
+
+    assert calibration._levenberg_marquardt(residuals, np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf)) is None
+    # the start, then one accepted step each: the Gauss-Newton step of 1 is barely damped
+    assert len(points) == calibration._LM_MAX_STEPS + 1
+    assert np.all(np.diff(points) > 0.99)
+
 
 class TestClickModelJacobian:
     """The closed-form Jacobian of the fit model against central differences."""

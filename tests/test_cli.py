@@ -278,6 +278,29 @@ class TestSimulateCommand:
                         "--back-reflection-prob", "0.5", "--reflection-delay-ps", value])
         assert (tmp_path / "spurs.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
 
+    def test_reflection_delay_in_a_later_pulse_gate_exits_2(self, runner, tmp_path):
+        """Spurs 40 loop delays and 1,000 ps late land in the next pulse's gates, 44 loop delays on."""
+        config = tmp_path / "loop.json"
+        config.write_text(json.dumps({"mode": "passive", "R": 0.5, "eta": 0.9, "nu": 1e-4, "n_bins": 40}))
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", str(config), "--source", "coherent:2", "--pulses", "50000", "--seed", "3",
+             "-o", str(tmp_path / "h.csv"), "--back-reflection-prob", "0.5", "--reflection-delay-ps", "6241000"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--reflection-delay-ps" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json"]
+
+    def test_loop_delay_multiple_past_the_last_bin_keeps_the_histogram(self, runner, config_file, tmp_path):
+        """Spurs 25 loop delays late land past the 25 bins and before the next sync, 60 loop delays on."""
+        run = ["simulate", "--config", config_file, "--source", "coherent:2", "--pulses", "5000", "--seed", "1",
+               "--rep-period-ps", str(60 * 156000)]
+        run_ok(runner, [*run, "-o", str(tmp_path / "clean.csv"), "--emit-tags", str(tmp_path / "clean_tags.csv")])
+        run_ok(runner, [*run, "-o", str(tmp_path / "spurs.csv"), "--emit-tags", str(tmp_path / "spurs_tags.csv"),
+                        "--back-reflection-prob", "0.5", "--reflection-delay-ps", str(25 * 156000)])
+        assert (tmp_path / "spurs.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+        assert (tmp_path / "spurs_tags.csv").stat().st_size > (tmp_path / "clean_tags.csv").stat().st_size
+
     @pytest.mark.parametrize(
         "source, field",
         [("coherent:inf", "nbar"), ("thermal:inf", "nbar"),
@@ -592,11 +615,13 @@ class TestAnalyzeCommand:
         assert "--bootstrap-iterations" in result.output
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "g.csv").exists()
 
-    def test_report_independent_of_read_size(self, runner, config_file, tmp_path, monkeypatch):
+    def test_report_independent_of_read_size(self, runner, tmp_path, monkeypatch):
         """Reads cut lines, ties and gates anywhere; the report and histogram stay the same."""
+        config_file = str(tmp_path / "loop.json")
+        Path(config_file).write_text(json.dumps({"mode": "passive", "R": 0.5, "eta": 0.9, "nu": 1e-3, "n_bins": 1}))
         run_ok(
             runner,
-            # spurs of bin-1 records land on the sync two pulses later
+            # a 1-bin loop: spurs of its records land on the sync two pulses later, in no gate
             ["simulate", "--config", config_file, "--source", "coherent:3", "--pulses", "600",
              "--seed", "4", "--rep-period-ps", "4524001",
              "--back-reflection-prob", "0.2", "--reflection-delay-ps", str(2 * 4524001 - 156000),

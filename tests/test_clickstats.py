@@ -195,18 +195,22 @@ class TestIngestDedupe:
             mode="passive", R=0.5, eta=0.9, nu=1e-3,
             n_bins=6, loop_delay_ps=100_000, gate_width_ps=100,
         )
-        # spurs land near a later gate (inside it when |offset| < gate / 2),
+        # spurs land near a later pulse's gate (inside it when |offset| < gate / 2),
         # and past the next sync, so the last pulses of block 0 spill into block 1;
-        # at least n_bins bins on, as emit_time_tags refuses spurs in their own pulse's gates
+        # emit_time_tags refuses such a delay, but tagger data may hold these spurs,
+        # so they and the dead time are added to an emitted clean stream by hand
         multiple, offset = reflection
-        artifact = simulator.ArtifactModel(
-            back_reflection_prob=prob,
-            reflection_delay_ps=(multiple + 4) * config.loop_delay_ps + offset,
-            dead_time_ps=dead_time,
-        )
         opts = SimOptions(n_pulses=simulator.BLOCK_SIZE + extra_pulses, seed=seed)
-        stream = simulator.emit_time_tags(config, Coherent(20.0), opts, 8 * config.loop_delay_ps, artifact)
-        self._assert_matches_unique(stream, config)
+        clean = simulator.emit_time_tags(config, Coherent(20.0), opts, 8 * config.loop_delay_ps)
+        sync = clean.channels == clean.sync_channel
+        det = clean.times_ps[~sync]
+        spur = det[np.random.default_rng(seed).random(len(det)) < prob]
+        det = np.sort(np.concatenate([det, spur + (multiple + 4) * config.loop_delay_ps + offset]))
+        det = det[simulator._apply_dead_time(det, dead_time, None)]
+        times = np.concatenate([clean.times_ps[sync], det])
+        channels = np.concatenate([clean.channels[sync], np.ones(len(det), dtype=np.int64)])
+        order = np.lexsort((channels, times))
+        self._assert_matches_unique(TimeTagStream(channels=channels[order], times_ps=times[order]), config)
 
 
 def _gate_in_chunks(stream, config, cuts):
@@ -236,6 +240,38 @@ def _cut_streams(draw):
     stream, config = draw(_gated_streams())
     cuts = sorted(draw(st.lists(st.integers(0, stream.n_records), max_size=8)))
     return stream, config, cuts
+
+
+class TestReflectionInGates:
+    """A spur lands where TagGate would gate it: in any pulse's gate, the period taken into account."""
+
+    LOOP = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-4, n_bins=40)
+    PERIOD = 44 * 156_000
+
+    def test_spur_in_a_later_pulse_gate(self):
+        # bin j's spur lands 1,000 ps after bin j - 4 of the next pulse, inside its 4,000 ps gate
+        assert clickstats.reflection_in_gates(self.LOOP, 40 * 156_000 + 1_000, self.PERIOD)
+
+    @pytest.mark.parametrize("delay", [78_000, 158_000, 3 * PERIOD + 78_000])
+    def test_spurs_between_every_pulse_gates(self, delay):
+        assert not clickstats.reflection_in_gates(self.LOOP, delay, self.PERIOD)
+
+    def test_loop_delay_multiple_past_the_last_bin(self):
+        """Spurs 40 loop delays late sit on bins 41 to 80, past the last bin and before the next sync."""
+        assert not clickstats.reflection_in_gates(self.LOOP, 40 * 156_000, 100 * 156_000)
+        assert clickstats.reflection_in_gates(self.LOOP, 40 * 156_000, self.PERIOD)
+
+    def test_one_bin_spur_on_a_sync(self):
+        """On a 1-bin loop, a spur 1,844,000 ps late lands on the sync two pulses on, in no gate."""
+        loop = dataclasses.replace(self.LOOP, n_bins=1)
+        assert not clickstats.reflection_in_gates(loop, 1_844_000, 1_000_000)
+
+    @pytest.mark.parametrize(
+        "period, in_gates", [(PERIOD, False), (10**20, True)], ids=["short-period", "period-past-int64"]
+    )
+    def test_delay_past_int64(self, period, in_gates):
+        """10**30 ps is 28.41 loop delays past a sync 44 loop delays apart, and a multiple of 10**20."""
+        assert clickstats.reflection_in_gates(self.LOOP, 10**30, period) is in_gates
 
 
 class TestTagGate:

@@ -725,8 +725,9 @@ class TestEmitTimeTags:
         np.testing.assert_array_equal(gated.histogram.clicks, _record_counts(clean, cfg, rep)[0])
 
     def test_sync_precedes_detector_record_at_same_time(self):
-        # spurs of bin-1 records land exactly on the next sync: 156000 + 6708001 = 6864001
-        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=40)
+        # a 1-bin loop: spurs of its records land exactly on the next sync, in no gate:
+        # 156000 + 6708001 = 6864001
+        cfg = LoopConfig(mode="passive", R=0.5, eta=0.9, nu=1e-3, n_bins=1)
         art = ArtifactModel(back_reflection_prob=0.3, reflection_delay_ps=6_708_001, dead_time_ps=0)
         stream = simulator.emit_time_tags(
             cfg, Coherent(3.0), SimOptions(n_pulses=5_000, seed=5), 6_864_001, art
@@ -772,50 +773,52 @@ class TestTagChunks:
     BLOCK_PS = simulator.BLOCK_SIZE * REP
 
     @pytest.mark.parametrize(
-        "artifact",
+        "n_bins, artifact",
         [
-            None,
-            # spurs of bin-1 records land exactly on a sync BLOCK_SIZE + 3 pulses later:
-            # two blocks on, and on a block's first sync among them
-            ArtifactModel(0.9, (simulator.BLOCK_SIZE + 3) * REP - 100_000, 0),
+            (6, None),
+            # a 1-bin loop: spurs of its records land exactly on a sync BLOCK_SIZE + 3 pulses
+            # later, in no gate: two blocks on, and on a block's first sync among them
+            (1, ArtifactModel(0.9, (simulator.BLOCK_SIZE + 3) * REP - 100_000, 0)),
             # spurs more than two blocks later, and a dead time of 5 periods over every block edge
-            ArtifactModel(0.2, 2 * BLOCK_PS + 250_001, 5 * REP),
-            ArtifactModel(0.1, 250_001, 150_000),
+            (6, ArtifactModel(0.2, 2 * BLOCK_PS + 250_001, 5 * REP)),
+            (6, ArtifactModel(0.1, 250_001, 150_000)),
         ],
         ids=["clean", "spurs-on-syncs-blocks-later", "long-delay-long-dead-time", "short"],
     )
     @pytest.mark.parametrize("source", [Coherent(3.0), LossyFock(1, 0.6)], ids=["coherent", "lossyfock"])
-    def test_chunks_match_whole_stream_reference(self, artifact, source):
+    def test_chunks_match_whole_stream_reference(self, n_bins, artifact, source):
+        config = dataclasses.replace(self.CFG, n_bins=n_bins)
         opts = SimOptions(n_pulses=3 * simulator.BLOCK_SIZE + 50, seed=8)
-        chunks = list(simulator.iter_time_tags(self.CFG, source, opts, self.REP, artifact))
+        chunks = list(simulator.iter_time_tags(config, source, opts, self.REP, artifact))
         assert len(chunks) == 4
         for block, (channels, times, _clicks) in enumerate(chunks[1:], start=1):
             # each chunk opens with its block's first sync
             assert (channels[0], times[0]) == (0, block * self.BLOCK_PS)
         channels, times, clicks = zip(*chunks)
         channels, times = np.concatenate(channels), np.concatenate(times)
-        want_channels, want_times = _whole_stream_tags(self.CFG, source, opts, self.REP, artifact)
+        want_channels, want_times = _whole_stream_tags(config, source, opts, self.REP, artifact)
         if artifact:
             assert clicks == (None,) * 4
         else:  # the sampled clicks, as the kernel counted them: those of the records
             want = TimeTagStream(channels=want_channels, times_ps=want_times)
-            np.testing.assert_array_equal(np.sum(clicks, axis=0), _record_counts(want, self.CFG, self.REP)[0])
+            np.testing.assert_array_equal(np.sum(clicks, axis=0), _record_counts(want, config, self.REP)[0])
         np.testing.assert_array_equal(times, want_times)
         np.testing.assert_array_equal(channels, want_channels)
-        stream = simulator.emit_time_tags(self.CFG, source, opts, self.REP, artifact)
+        stream = simulator.emit_time_tags(config, source, opts, self.REP, artifact)
         np.testing.assert_array_equal(stream.times_ps, want_times)
         np.testing.assert_array_equal(stream.channels, want_channels)
 
     def test_spurs_tie_block_first_syncs(self):
         """The delay of the reference case above puts detector records on a later block's first sync.
 
-        Such a record is the spur of a bin-1 record BLOCK_SIZE + 3 pulses earlier. Coherent(50)
-        misses bin 1 with probability 1.4e-11 and a spur is missing with probability 1e-9, so
-        whatever the draw, both later blocks that can have the tie have it.
+        Such a record is the spur of a bin-1 record BLOCK_SIZE + 3 pulses earlier, on the same
+        1-bin loop. Coherent(50) misses bin 1 with probability 1.4e-11 and a spur is missing with
+        probability 1e-9, so whatever the draw, both later blocks that can have the tie have it.
         """
+        config = dataclasses.replace(self.CFG, n_bins=1)
         artifact = ArtifactModel(1.0 - 1e-9, (simulator.BLOCK_SIZE + 3) * self.REP - 100_000, 0)
         opts = SimOptions(n_pulses=3 * simulator.BLOCK_SIZE + 50, seed=8)
-        chunks = list(simulator.iter_time_tags(self.CFG, Coherent(50.0), opts, self.REP, artifact))
+        chunks = list(simulator.iter_time_tags(config, Coherent(50.0), opts, self.REP, artifact))
         for channels, times, _clicks in chunks[2:]:
             assert (channels[1], times[1]) == (1, times[0])
 
